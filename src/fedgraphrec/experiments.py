@@ -16,6 +16,7 @@ import numpy as np
 
 from fedgraphrec.data import (
     FileFormat,
+    InteractionDataset,
     Tier,
     assign_privacy,
     leave_one_out_split,
@@ -311,6 +312,17 @@ class RepetitionResult:
     final_ndcg: float
 
 
+def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
+    """Fail before any training when some user has fewer unseen items than
+    the evaluation samples."""
+    largest = min(dataset.negative_pool(u).size for u in range(dataset.num_users))
+    if count > largest:
+        raise ConfigError(
+            f"--eval-negatives {count} is too large for this dataset: the user with "
+            f"the fewest unseen items has {largest}; use --eval-negatives {largest} or less"
+        )
+
+
 def run_repetition(
     config: ExperimentConfig, lr: float, rep: int, checkpoint_path: str | None = None
 ) -> RepetitionResult:
@@ -321,6 +333,7 @@ def run_repetition(
     fmt = FileFormat.from_string(config.format)
     interactions = load_interactions(config.dataset, fmt)
     dataset = leave_one_out_split(interactions, hold_validation=True)
+    check_eval_negatives(dataset, config.eval_negatives)
     tiers = assign_privacy(dataset.num_users, config.public_ratio, rep_seed)
     negatives = [
         sample_eval_negatives(

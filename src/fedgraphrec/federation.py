@@ -17,7 +17,6 @@ from fedgraphrec.graph import (
     build_user_graph,
     normalize,
     personalize,
-    same_structure,
     server_update,
 )
 from fedgraphrec.model import ClientState, ModelConfig, TrainingError, init_client, train_local
@@ -153,17 +152,10 @@ def run_federation(
         smooth_buffer = np.empty_like(uploads)
 
     records: list[RoundRecord] = []
-    graph_checked = False
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
 
         if serving:
-            if smoothing and round_index == 2 and not graph_checked:
-                # Training data never changes, so the memoized graph must not either.
-                rebuilt = build_user_graph(dataset, tiers)
-                if not same_structure(rebuilt.adjacency, graph.adjacency):
-                    raise RuntimeError("user graph changed between rounds")
-                graph_checked = True
             server = server_update(
                 graph,
                 uploads,
@@ -194,12 +186,14 @@ def run_federation(
 
         if serving:
             for u, client in enumerate(clients):
-                noisy = add_ldp_noise(
-                    client.item_table,
-                    config.ldp_scale,
-                    derive_rng(config.seed, u, round_index, LDP_SALT),
-                )
-                np.copyto(uploads[u], noisy)
+                upload = client.item_table
+                if config.ldp_scale > 0.0:
+                    upload = add_ldp_noise(
+                        upload,
+                        config.ldp_scale,
+                        derive_rng(config.seed, u, round_index, LDP_SALT),
+                    )
+                np.copyto(uploads[u], upload)
 
         metrics = eval_hook(round_index, clients) if eval_hook is not None else None
         records.append(

@@ -9,9 +9,14 @@ import scipy.sparse as sp
 
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment
 
-# Above this adjacency density the per-round smoothing runs as a dense matmul,
-# which is far faster than CSR at the near-complete graphs public users produce.
+# Smoothing multiplies only the block of the normalized adjacency whose rows
+# have neighbours. Above this density of that block, and with more than 64 of
+# its rows, it runs as a dense matmul, which is far faster than CSR at the
+# near-complete co-interaction blocks sharing users produce.
 DENSE_DENSITY_CUTOFF = 0.05
+# Column slab width when identity rows are split off: each hop's temporaries
+# are (rows with neighbours) x SLAB_COLUMNS, never the size of the tables.
+SLAB_COLUMNS = 2048
 
 
 @dataclass(eq=False)
@@ -21,12 +26,18 @@ class UserGraph:
     ``adjacency[a, b]`` counts training items users a and b share, for users
     who opted into sharing; their diagonal is zero. Users who share nothing
     (non-sharing users, and sharing users with no co-interactions) carry a
-    unit self-loop so degree normalization stays defined. ``normalized`` is
-    filled by normalize().
+    unit self-loop so degree normalization stays defined. normalize() fills
+    ``normalized``, ``linked``, the sorted rows that have neighbours, and
+    ``_block``, the normalized operator restricted to those rows and columns.
+    Every other row of the operator is an identity row. propagate() caches
+    the dense form of the block in ``_dense_normalized`` when it takes the
+    dense path.
     """
 
     adjacency: sp.csr_matrix
     normalized: sp.csr_matrix | None = None
+    linked: np.ndarray | None = None
+    _block: sp.csr_matrix | None = field(default=None, repr=False)
     _dense_normalized: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -77,7 +88,16 @@ def normalize(graph: UserGraph) -> UserGraph:
     if (degree <= 0.0).any():
         raise ValueError("adjacency has a zero-degree row; self-loops are missing")
     inv_sqrt = sp.diags(1.0 / np.sqrt(degree))
-    graph.normalized = (inv_sqrt @ graph.adjacency @ inv_sqrt).tocsr()
+    mat = (inv_sqrt @ graph.adjacency @ inv_sqrt).tocsr()
+    # An identity row holds one unit entry on the diagonal, and nothing else
+    # in its column reads it; propagation copies such rows.
+    row_entries = np.diff(mat.indptr)
+    col_entries = np.bincount(mat.indices, minlength=mat.shape[1])
+    identity = (row_entries == 1) & (col_entries == 1) & (mat.diagonal() == 1.0)
+    linked = np.flatnonzero(~identity)
+    graph.normalized = mat
+    graph.linked = linked
+    graph._block = mat if linked.size == mat.shape[0] else mat[linked][:, linked]
     graph._dense_normalized = None
     return graph
 
@@ -106,29 +126,42 @@ def propagate(
 
     flat = tables.reshape(n, -1)
     flat_out = out.reshape(n, -1) if out is not None else None
-    mat = graph.normalized
-    density = mat.nnz / max(n * n, 1)
-    use_dense = density >= DENSE_DENSITY_CUTOFF and n > 64
-    if use_dense and graph._dense_normalized is None:
-        graph._dense_normalized = mat.toarray()
+    block = graph._block
+    k = block.shape[0]
+    dense = k > 64 and block.nnz >= DENSE_DENSITY_CUTOFF * k * k
+    if dense and graph._dense_normalized is None:
+        graph._dense_normalized = block.toarray()
+    op = graph._dense_normalized if dense else block
 
-    current = flat
-    for hop in range(layers):
-        last = hop == layers - 1
-        if use_dense:
-            if last and flat_out is not None:
-                np.matmul(graph._dense_normalized, current, out=flat_out)
-                current = flat_out
-            else:
-                current = graph._dense_normalized @ current
+    if k == n:
+        # Every row has neighbours: the block is the whole operator.
+        current = flat
+        for _ in range(layers - 1):
+            current = op @ current
+        if flat_out is None:
+            return (op @ current).reshape(tables.shape)
+        if dense:
+            np.matmul(op, current, out=flat_out)
         else:
-            current = mat @ current
-            if last and flat_out is not None:
-                np.copyto(flat_out, current)
-                current = flat_out
+            np.copyto(flat_out, op @ current)
+        return out
+
+    result = flat_out
+    if result is None:
+        result = np.empty(flat.shape, dtype=np.result_type(flat.dtype, block.dtype))
+    # Identity rows are copied one at a time: no table-sized gather.
+    for u in np.setdiff1d(np.arange(n), graph.linked, assume_unique=True):
+        np.copyto(result[u], flat[u])
+    if k:
+        for start in range(0, flat.shape[1], SLAB_COLUMNS):
+            cols = slice(start, start + SLAB_COLUMNS)
+            current = flat[graph.linked, cols]
+            for _ in range(layers):
+                current = op @ current
+            result[graph.linked, cols] = current
     if out is not None:
         return out
-    return current.reshape(tables.shape)
+    return result.reshape(tables.shape)
 
 
 def global_embedding(propagated: np.ndarray) -> np.ndarray:
@@ -217,14 +250,6 @@ def server_update(
     else:
         global_table = global_embedding(propagated)
     return ServerState(propagated=propagated, global_table=global_table)
-
-
-def same_structure(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
-    """True when two sparse matrices hold identical entries."""
-    if a.shape != b.shape:
-        return False
-    diff = (a != b)
-    return diff.nnz == 0
 
 
 def dump_triplets(graph: UserGraph, path, normalized: bool = False) -> int:

@@ -524,6 +524,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_quick_start_on_bundled_file(tmp_path, capsys):
+    # The default 99 eval negatives exceed the bundled file's 90-item pools:
+    # a config error before any training, naming the flag and the fix.
+    assert cli.main(["run", "--dataset", BUNDLED, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--eval-negatives 99" in err and "--eval-negatives 90 or less" in err
+    assert not list(tmp_path.rglob("rounds.csv"))
+    assert cli.main(["run", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "2",
+                     "--reps", "1", "--lr", "0.01", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "experiment" / "summary.csv").exists()
+    capsys.readouterr()
+
+
 def test_cli_gen_synth_and_seed_env(tmp_path, monkeypatch, capsys):
     out = tmp_path / "g.tsv"
     monkeypatch.setenv("FEDREC_SEED", "7")

@@ -1,9 +1,12 @@
 """Server graph tests: adjacency construction, normalization, smoothing, blending."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fedgraphrec import graph as graph_module
 from fedgraphrec.data import (
     FileFormat,
     assign_privacy,
@@ -18,7 +21,6 @@ from fedgraphrec.graph import (
     normalize,
     personalize,
     propagate,
-    same_structure,
     server_update,
 )
 from oracles import (
@@ -177,8 +179,12 @@ def test_propagate_validates_layers_and_shape():
 def test_propagate_identity_graph_returns_input_unchanged():
     graph = built([{0, 1}, {1}, {2}], 3, [False] * 3)
     normalize(graph)
+    assert graph.linked.size == 0
     tables = np.random.default_rng(1).normal(size=(3, 4, 2))
     np.testing.assert_array_equal(propagate(graph, tables), tables)
+    out = np.full_like(tables, np.nan)
+    assert propagate(graph, tables, layers=2, out=out) is out
+    np.testing.assert_array_equal(out, tables)
 
 
 def test_propagate_hand_example_swaps_rows():
@@ -265,6 +271,61 @@ def test_propagate_dense_path_with_out_buffer():
     result = propagate(graph, tables, layers=1, out=out)
     assert result is out
     np.testing.assert_allclose(out, propagate(graph, tables), atol=1e-12)
+
+
+def mixed_tier_graph(rng, n=140):
+    """Half the users share, densely overlapping on items 0-11; the first
+    sharing user alone holds items 12 and 13, so it has no co-interactions.
+    Non-sharing users draw from all 16 items."""
+    train_sets = [
+        set(rng.choice(16, size=int(rng.integers(3, 7)), replace=False).tolist())
+        for _ in range(n)
+    ]
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.permutation(n)[: n // 2]] = True
+    sharers = np.flatnonzero(mask)
+    for u in sharers[1:]:
+        train_sets[u] = {i for i in train_sets[u] if i < 12} or {0}
+    train_sets[sharers[0]] = {12, 13}
+    return train_sets, mask, int(sharers[0])
+
+
+def test_propagate_block_path_matches_oracle(monkeypatch):
+    # Narrow slabs so the tables span several, the last one partial.
+    monkeypatch.setattr(graph_module, "SLAB_COLUMNS", 4)
+    rng = np.random.default_rng(32)
+    train_sets, mask, lone_sharer = mixed_tier_graph(rng)
+    graph = normalize(built(train_sets, 16, mask))
+    linked = np.flatnonzero(mask)
+    linked = linked[linked != lone_sharer]
+    np.testing.assert_array_equal(graph.linked, linked)
+    expected_norm = brute_normalized(brute_adjacency(train_sets, mask))
+    identity = np.setdiff1d(np.arange(len(train_sets)), linked)
+    tables = rng.normal(size=(len(train_sets), 6, 3))
+    for layers in (1, 3):
+        expected = brute_propagate(expected_norm, tables, layers)
+        out = np.full_like(tables, np.nan)
+        assert propagate(graph, tables, layers=layers, out=out) is out
+        for got in (propagate(graph, tables, layers=layers), out):
+            np.testing.assert_allclose(got, expected, atol=1e-10)
+            np.testing.assert_array_equal(got[identity], tables[identity])
+    assert graph._dense_normalized.shape == (linked.size, linked.size)
+
+
+def test_propagate_block_path_allocates_slabs_only():
+    rng = np.random.default_rng(33)
+    train_sets, mask, _ = mixed_tier_graph(rng)
+    graph = normalize(built(train_sets, 16, mask))
+    tables = rng.normal(size=(len(train_sets), 1536, 32))
+    out = np.empty_like(tables)
+    tracemalloc.start()
+    try:
+        propagate(graph, tables, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph._dense_normalized is not None
+    assert peak < 0.1 * tables.nbytes, f"peak {peak} bytes for {tables.nbytes}-byte tables"
 
 
 def test_small_graph_keeps_sparse_path():
@@ -397,17 +458,6 @@ def test_server_update_requires_graph_when_smoothing():
 
 
 # --- helpers ---------------------------------------------------------------------
-
-
-def test_same_structure_cases():
-    a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert same_structure(a, a.copy())
-    b = a.copy()
-    b[0, 1] = 2.0
-    assert not same_structure(a, b.tocsr())
-    assert not same_structure(a, sp.csr_matrix((3, 3)))
-    c = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
-    assert not same_structure(a, c)
 
 
 def test_dump_triplets_raw_values(tmp_path):
