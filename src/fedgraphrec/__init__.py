@@ -48,9 +48,7 @@ from fedgraphrec.federation import (
     RoundRecord,
     add_ldp_noise,
     distribute,
-    load_checkpoint,
     run_federation,
-    save_checkpoint,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,5 @@ __all__ = [
     "RoundRecord",
     "add_ldp_noise",
     "distribute",
-    "load_checkpoint",
     "run_federation",
-    "save_checkpoint",
 ]

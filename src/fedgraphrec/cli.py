@@ -45,7 +45,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--label", help="run label (subdirectory of --out)")
     parser.add_argument("--workers", type=int, help="parallel repetition workers")
-    parser.add_argument("--checkpoint-every", type=int, help="snapshot stride in rounds (0 off)")
     parser.add_argument(
         "--ablate-iei", action="store_const", const=True, default=None,
         help="server distributes nothing; clients keep their own tables",
@@ -68,7 +67,7 @@ _FLAG_FIELDS = (
     "dataset", "format", "public_ratio", "alpha", "ldp_delta", "layers",
     "embed_dim", "mlp_hidden", "lr", "rounds", "local_epochs", "neg_ratio",
     "batch_size", "init_scale", "mlp_init", "clip_norm", "k", "eval_negatives",
-    "eval_every", "seed", "reps", "out", "label", "workers", "checkpoint_every",
+    "eval_every", "seed", "reps", "out", "label", "workers",
     "ablate_iei", "ablate_ugc", "ablate_upie", "global_from_public_only",
 )
 

@@ -132,7 +132,6 @@ class ExperimentConfig:
     out: str = "runs"
     label: str = "experiment"
     workers: int = 1
-    checkpoint_every: int = 0
 
     def validate(self) -> None:
         if not 0.0 <= self.public_ratio <= 1.0:
@@ -230,7 +229,6 @@ _FIELD_PARSERS = {
     "out": str,
     "label": str,
     "workers": int,
-    "checkpoint_every": int,
 }
 
 
@@ -323,9 +321,7 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
         )
 
 
-def run_repetition(
-    config: ExperimentConfig, lr: float, rep: int, checkpoint_path: str | None = None
-) -> RepetitionResult:
+def run_repetition(config: ExperimentConfig, lr: float, rep: int) -> RepetitionResult:
     """One full federated run with seed base + rep."""
     if config.dataset is None:
         raise ConfigError("no dataset configured (--dataset or config file)")
@@ -343,9 +339,6 @@ def run_repetition(
     ]
 
     fed_config = config.to_federation_config(rep_seed, lr)
-    if checkpoint_path is not None and config.checkpoint_every > 0:
-        fed_config.checkpoint_every = config.checkpoint_every
-        fed_config.checkpoint_path = checkpoint_path
 
     val_points = []
 
@@ -401,23 +394,14 @@ def run_repetition(
 
 
 def _worker(payload):
-    config_values, lr, rep, checkpoint_path = payload
+    config_values, lr, rep = payload
     config = ExperimentConfig(**config_values)
-    return run_repetition(config, lr, rep, checkpoint_path)
+    return run_repetition(config, lr, rep)
 
 
-def _run_repetitions(
-    config: ExperimentConfig, lr: float, out_dir: Path | None
-) -> list[RepetitionResult]:
+def _run_repetitions(config: ExperimentConfig, lr: float) -> list[RepetitionResult]:
     """All repetitions, optionally across a process pool; results in rep order."""
-    jobs = []
-    for rep in range(config.reps):
-        checkpoint_path = None
-        if config.checkpoint_every > 0 and out_dir is not None:
-            rep_dir = out_dir / f"rep{rep}"
-            rep_dir.mkdir(parents=True, exist_ok=True)
-            checkpoint_path = str(rep_dir / "checkpoint.bin")
-        jobs.append((dataclasses.asdict(config), lr, rep, checkpoint_path))
+    jobs = [(dataclasses.asdict(config), lr, rep) for rep in range(config.reps)]
     if config.workers > 1 and config.reps > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_worker, jobs))
@@ -603,7 +587,7 @@ def execute_run(config: ExperimentConfig) -> RunSummary:
             _csv_text(["learning_rate", "validation_hr_best", "selected"], rows),
         )
 
-    results = _run_repetitions(config, lr, out_dir)
+    results = _run_repetitions(config, lr)
     for result in results:
         rep_dir = out_dir / f"rep{result.rep}"
         rep_dir.mkdir(parents=True, exist_ok=True)

@@ -1,15 +1,13 @@
-"""Round loop: server aggregation first, then local training, LDP noise, upload."""
+"""Round loop: server aggregation first, then local training and evaluation."""
 
 from __future__ import annotations
 
-import logging
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier
+from fedgraphrec.data import InteractionDataset, PrivacyAssignment
 from fedgraphrec.evaluation import RoundMetrics
 from fedgraphrec.graph import (
     ServerState,
@@ -19,12 +17,8 @@ from fedgraphrec.graph import (
     personalize,
     server_update,
 )
-from fedgraphrec.model import ClientState, ModelConfig, TrainingError, init_client, train_local
+from fedgraphrec.model import ModelConfig, TrainingError, init_client, train_local
 from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
-
-log = logging.getLogger(__name__)
-
-CHECKPOINT_MAGIC = b"FGRSNAP1"
 
 
 @dataclass
@@ -49,8 +43,6 @@ class FederationConfig:
     global_from_public_only: bool = False
     model: ModelConfig = field(default_factory=ModelConfig)
     seed: int = 0
-    checkpoint_every: int = 0
-    checkpoint_path: str | None = None
 
     def validate(self) -> None:
         self.model.validate()
@@ -62,10 +54,6 @@ class FederationConfig:
             raise ValueError(f"gcn_layers must be >= 1, got {self.gcn_layers}")
         if self.ldp_scale < 0.0:
             raise ValueError(f"ldp_scale must be >= 0, got {self.ldp_scale}")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.checkpoint_every > 0 and not self.checkpoint_path:
-            raise ValueError("checkpoint_every is set but checkpoint_path is empty")
 
 
 @dataclass(eq=False)
@@ -117,11 +105,17 @@ def run_federation(
 ) -> list[RoundRecord]:
     """Execute the full round loop and return one record per round.
 
-    Per round: the server smooths and blends the current uploads (round 1
-    consumes the clients' freshly initialized tables), clients install what
-    they received, train locally, add upload noise when configured, and
-    upload. `eval_hook(round_index, clients)` may return RoundMetrics (or
-    None) for the round's record.
+    Every item table lives in one (n, m, d) store; client u's table is the
+    view ``store[u]``. Per round: the server adds the upload noise of the
+    previous round's training (when configured), smooths and blends the
+    store into a second buffer of the same shape, and the two buffers swap,
+    so installing moves no data. (With smoothing ablated the blend runs in
+    place on the store; without personalization the global table is copied
+    into every row.) Round 1 serves the clients' freshly initialized tables,
+    unnoised. Clients then train locally and `eval_hook(round_index,
+    clients)` may return RoundMetrics (or None) for the round's record; it
+    reads the clean tables. The final round's tables are never noised,
+    because no server step reads them.
     """
     config.validate()
     n = dataset.num_users
@@ -130,40 +124,44 @@ def run_federation(
     m = dataset.num_items
     d = config.model.embed_dim
 
-    clients = [
-        init_client(config.model, m, tiers.tier(u), seed=(config.seed, u))
-        for u in range(n)
-    ]
+    # One client at a time, so at most one stray (m, d) table is alive.
+    store = np.empty((n, m, d), dtype=np.float64)
+    clients = []
+    for u in range(n):
+        client = init_client(config.model, m, tiers.tier(u), seed=(config.seed, u))
+        np.copyto(store[u], client.item_table)
+        client.item_table = store[u]
+        clients.append(client)
 
     # With distribution ablated the server consumes nothing, so skip the
-    # graph, the uploads buffer, and the aggregation work entirely.
+    # graph, the second buffer, and the aggregation work entirely.
     serving = not config.disable_iei
     smoothing = serving and not config.disable_ugc
 
     graph: UserGraph | None = None
-    uploads = None
-    smooth_buffer = None
-    if serving:
-        uploads = np.empty((n, m, d), dtype=np.float64)
-        for u, client in enumerate(clients):
-            np.copyto(uploads[u], client.item_table)
+    buffer = None
     if smoothing:
         graph = normalize(build_user_graph(dataset, tiers))
-        smooth_buffer = np.empty_like(uploads)
+        buffer = np.empty_like(store)
 
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
 
         if serving:
+            if round_index > 1 and config.ldp_scale > 0.0:
+                # Noise drawn per (seed, user, round that trained the table).
+                for u in range(n):
+                    rng = derive_rng(config.seed, u, round_index - 1, LDP_SALT)
+                    np.copyto(store[u], add_ldp_noise(store[u], config.ldp_scale, rng))
             server = server_update(
                 graph,
-                uploads,
+                store,
                 tiers,
                 layers=config.gcn_layers,
                 use_graph=smoothing,
                 global_from_public_only=config.global_from_public_only,
-                out=smooth_buffer,
+                out=buffer,
             )
             tables = distribute(
                 server,
@@ -172,8 +170,12 @@ def run_federation(
                 disable_upie=config.disable_upie,
                 out=server.propagated,
             )
-            for u, client in enumerate(clients):
-                np.copyto(client.item_table, tables[u])
+            if tables is buffer:
+                store, buffer = buffer, store
+                for u, client in enumerate(clients):
+                    client.item_table = store[u]
+            elif tables is not store:
+                np.copyto(store, tables)
 
         loss_sum = 0.0
         for u, client in enumerate(clients):
@@ -184,17 +186,6 @@ def run_federation(
                 raise TrainingError(f"round {round_index}: {exc}") from exc
             loss_sum += report.mean_loss
 
-        if serving:
-            for u, client in enumerate(clients):
-                upload = client.item_table
-                if config.ldp_scale > 0.0:
-                    upload = add_ldp_noise(
-                        upload,
-                        config.ldp_scale,
-                        derive_rng(config.seed, u, round_index, LDP_SALT),
-                    )
-                np.copyto(uploads[u], upload)
-
         metrics = eval_hook(round_index, clients) if eval_hook is not None else None
         records.append(
             RoundRecord(
@@ -204,103 +195,4 @@ def run_federation(
                 wall_time=time.perf_counter() - start,
             )
         )
-
-        if config.checkpoint_every and round_index % config.checkpoint_every == 0:
-            global_table = server.global_table if serving else np.zeros((m, d))
-            save_checkpoint(
-                config.checkpoint_path,
-                round_index,
-                clients,
-                uploads if serving else None,
-                global_table,
-            )
-            log.info("checkpoint written at round %d", round_index)
     return records
-
-
-def save_checkpoint(path, round_index, clients, uploads, global_table) -> None:
-    """Binary snapshot: versioned header, global table, then one
-    length-prefixed parameter block per user.
-
-    Each user block holds the tier flag, whether an upload is present, the
-    user vector, the item table, every MLP weight and bias, and the user's
-    current upload. All floats are little-endian float64.
-    """
-    first = clients[0]
-    n = len(clients)
-    m, d = first.item_table.shape
-    widths = [w.shape[0] for w in first.weights] + [first.weights[-1].shape[1]]
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIII", round_index, n, m, d, len(widths)))
-        fh.write(struct.pack(f"<{len(widths)}I", *widths))
-        fh.write(np.ascontiguousarray(global_table, dtype="<f8").tobytes())
-        for u, client in enumerate(clients):
-            parts = [
-                struct.pack("<BB", 1 if client.tier == Tier.PUBLIC else 0, 1 if uploads is not None else 0),
-                np.ascontiguousarray(client.user_vec, dtype="<f8").tobytes(),
-                np.ascontiguousarray(client.item_table, dtype="<f8").tobytes(),
-            ]
-            for W, b in zip(client.weights, client.biases):
-                parts.append(np.ascontiguousarray(W, dtype="<f8").tobytes())
-                parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-            if uploads is not None:
-                parts.append(np.ascontiguousarray(uploads[u], dtype="<f8").tobytes())
-            block = b"".join(parts)
-            fh.write(struct.pack("<Q", len(block)))
-            fh.write(block)
-
-
-def load_checkpoint(path):
-    """Inverse of save_checkpoint.
-
-    Returns (round_index, clients, uploads, global_table); uploads is None
-    when the snapshot was taken without a serving phase. Restored clients
-    carry no RNG; the round loop reseeds per (seed, user, round).
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        round_index, n, m, d, n_widths = struct.unpack("<IIIII", fh.read(20))
-        widths = list(struct.unpack(f"<{n_widths}I", fh.read(4 * n_widths)))
-        global_table = np.frombuffer(fh.read(8 * m * d), dtype="<f8").reshape(m, d).copy()
-        clients = []
-        uploads = None
-        for u in range(n):
-            (block_len,) = struct.unpack("<Q", fh.read(8))
-            block = fh.read(block_len)
-            if len(block) != block_len:
-                raise ValueError(f"{path}: truncated block for user {u}")
-            tier_flag, has_upload = struct.unpack_from("<BB", block, 0)
-            offset = 2
-
-            def read_array(shape):
-                nonlocal offset
-                size = int(np.prod(shape))
-                arr = np.frombuffer(block, dtype="<f8", count=size, offset=offset)
-                offset += 8 * size
-                return arr.reshape(shape).copy()
-
-            user_vec = read_array((d,))
-            item_table = read_array((m, d))
-            weights = []
-            biases = []
-            for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-                weights.append(read_array((fan_in, fan_out)))
-                biases.append(read_array((fan_out,)))
-            if has_upload:
-                if uploads is None:
-                    uploads = np.empty((n, m, d), dtype=np.float64)
-                uploads[u] = read_array((m, d))
-            clients.append(
-                ClientState(
-                    user_vec=user_vec,
-                    item_table=item_table,
-                    weights=weights,
-                    biases=biases,
-                    tier=Tier.PUBLIC if tier_flag else Tier.PRIVATE,
-                    rng=None,
-                )
-            )
-    return round_index, clients, uploads, global_table

@@ -14,8 +14,9 @@ from fedgraphrec.data import InteractionDataset, PrivacyAssignment
 # its rows, it runs as a dense matmul, which is far faster than CSR at the
 # near-complete co-interaction blocks sharing users produce.
 DENSE_DENSITY_CUTOFF = 0.05
-# Column slab width when identity rows are split off: each hop's temporaries
-# are (rows with neighbours) x SLAB_COLUMNS, never the size of the tables.
+# Column slab width of every product except the dense one over all rows:
+# each hop's temporaries are (rows with neighbours) x SLAB_COLUMNS, never the
+# size of the tables.
 SLAB_COLUMNS = 2048
 
 
@@ -133,17 +134,14 @@ def propagate(
         graph._dense_normalized = block.toarray()
     op = graph._dense_normalized if dense else block
 
-    if k == n:
+    if dense and k == n:
         # Every row has neighbours: the block is the whole operator.
         current = flat
         for _ in range(layers - 1):
             current = op @ current
         if flat_out is None:
             return (op @ current).reshape(tables.shape)
-        if dense:
-            np.matmul(op, current, out=flat_out)
-        else:
-            np.copyto(flat_out, op @ current)
+        np.matmul(op, current, out=flat_out)
         return out
 
     result = flat_out
@@ -152,13 +150,15 @@ def propagate(
     # Identity rows are copied one at a time: no table-sized gather.
     for u in np.setdiff1d(np.arange(n), graph.linked, assume_unique=True):
         np.copyto(result[u], flat[u])
+    # A plain slice when every row has neighbours: no fancy-index copies.
+    rows = graph.linked if k < n else slice(None)
     if k:
         for start in range(0, flat.shape[1], SLAB_COLUMNS):
             cols = slice(start, start + SLAB_COLUMNS)
-            current = flat[graph.linked, cols]
+            current = flat[rows, cols]
             for _ in range(layers):
                 current = op @ current
-            result[graph.linked, cols] = current
+            result[rows, cols] = current
     if out is not None:
         return out
     return result.reshape(tables.shape)
@@ -214,8 +214,8 @@ class ServerState:
     """What the server derives from one round of uploads.
 
     Holds only item-embedding aggregates; client user vectors and MLP weights
-    are structurally absent. ``propagated`` may alias the uploads buffer when
-    smoothing is disabled.
+    are structurally absent. ``propagated`` may alias the store of item
+    tables when smoothing is disabled.
     """
 
     propagated: np.ndarray

@@ -206,7 +206,7 @@ def test_repetition_requires_dataset(tmp_path):
 
 
 def stub_results(hr_by_lr):
-    def fake(config, lr, rep, checkpoint_path=None):
+    def fake(config, lr, rep):
         hr = hr_by_lr[lr]
         if hr is None:
             raise TrainingError("boom")
@@ -352,12 +352,6 @@ def test_rerun_from_resolved_config_reproduces_outputs(tmp_path):
         assert rounds_without_wall_time(
             first / f"rep{rep}" / "rounds.csv"
         ) == rounds_without_wall_time(second / f"rep{rep}" / "rounds.csv")
-
-
-def test_checkpoints_written_per_rep(tmp_path):
-    config = tiny_config(tmp_path, checkpoint_every=2, rounds=3, reps=1)
-    execute_run(config)
-    assert (tmp_path / "runs" / "t" / "rep0" / "checkpoint.bin").exists()
 
 
 # --- sweep / ablate -----------------------------------------------------------------

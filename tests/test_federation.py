@@ -1,17 +1,17 @@
-"""Round-loop tests: aggregation order, ablations, noise, checkpoints, privacy."""
+"""Round-loop tests: aggregation order, ablations, noise, the table store, privacy."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fedgraphrec import federation
-from fedgraphrec.data import Tier
+from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import (
     FederationConfig,
     add_ldp_noise,
     distribute,
-    load_checkpoint,
     run_federation,
-    save_checkpoint,
 )
 from fedgraphrec.graph import ServerState, build_user_graph, normalize, personalize, server_update
 from fedgraphrec.model import ModelConfig, TrainingError, init_client
@@ -291,8 +291,69 @@ def test_ldp_generators_derived_only_with_noise(monkeypatch):
         config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
         run_federation(ds, tiers, config)
         ldp_keys = [key for key in derived if key[-1] == LDP_SALT]
-        expected = [(3, u, r, LDP_SALT) for r in (1, 2) for u in range(6)] if scale else []
+        # Round 2's server step noises what round 1 trained; nothing reads the
+        # final round's tables, so they draw no noise.
+        expected = [(3, u, 1, LDP_SALT) for u in range(6)] if scale else []
         assert ldp_keys == expected
+
+
+def test_evaluation_reads_clean_tables():
+    # Noise is added at the next server step, so round 1's loss and metrics
+    # match a run without noise exactly.
+    ds, tiers = small_world()
+    negatives = [np.arange(9, 12)] * ds.num_users
+    firsts = []
+    for scale in (0.0, 0.5):
+        config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
+        tables = []
+
+        def hook(round_index, clients):
+            tables.append(np.stack([c.item_table for c in clients]))
+            return evaluate_round(clients, ds, negatives, tiers, k=2)
+
+        records = run_federation(ds, tiers, config, eval_hook=hook)
+        firsts.append((records[0], tables[0]))
+    (clean, clean_tables), (noisy, noisy_tables) = firsts
+    assert noisy.mean_train_loss == clean.mean_train_loss
+    assert (noisy.metrics.hr, noisy.metrics.ndcg) == (clean.metrics.hr, clean.metrics.ndcg)
+    np.testing.assert_array_equal(noisy.metrics.per_user_rank, clean.metrics.per_user_rank)
+    np.testing.assert_array_equal(noisy_tables, clean_tables)
+
+
+# --- the table store ----------------------------------------------------------------
+
+
+def test_clients_share_one_store():
+    ds, tiers = small_world()
+    config = FederationConfig(rounds=2, model=small_model(), seed=6)
+    sink = []
+    run_federation(ds, tiers, config, eval_hook=_capture(sink))
+    tables = [client.item_table for client in sink[-1]]
+    base = tables[0].base
+    assert base is not None and base.shape == (6, ds.num_items, 3)
+    assert all(table.base is base for table in tables)
+
+
+@pytest.mark.parametrize("share_every", [2, 1])
+def test_run_keeps_two_table_buffers(share_every):
+    # Store and server buffer: at most two (n, m, d) float64 arrays at once,
+    # with identity rows in the graph and without.
+    n, m, d = 40, 4000, 8
+    rng = np.random.default_rng(12)
+    train_sets = [set(rng.choice(60, size=5, replace=False).tolist()) for _ in range(n)]
+    ds = dataset_from_train_sets(train_sets, m)
+    ds.validation = [m - 2] * n
+    ds.test = [m - 1] * n
+    tiers = tiers_from_mask([u % share_every == 0 for u in range(n)])
+    config = FederationConfig(rounds=2, ldp_scale=0.1, model=small_model(embed_dim=d), seed=1)
+    tracemalloc.start()
+    try:
+        run_federation(ds, tiers, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    table_bytes = n * m * d * 8
+    assert peak < 2.5 * table_bytes, f"peak {peak} bytes for {table_bytes}-byte tables"
 
 
 # --- privacy boundary ---------------------------------------------------------------
@@ -329,79 +390,9 @@ def test_config_validation():
         FederationConfig(gcn_layers=0).validate()
     with pytest.raises(ValueError, match="ldp_scale"):
         FederationConfig(ldp_scale=-0.5).validate()
-    with pytest.raises(ValueError, match="checkpoint_path"):
-        FederationConfig(checkpoint_every=5).validate()
 
 
 def test_tier_count_mismatch():
     ds, _ = small_world()
     with pytest.raises(ValueError, match="users"):
         run_federation(ds, tiers_from_mask([True]), FederationConfig(model=small_model()))
-
-
-# --- checkpoints -----------------------------------------------------------------------
-
-
-def test_checkpoint_round_trip(tmp_path):
-    config = small_model(embed_dim=2, mlp_hidden=(3,))
-    clients = [
-        init_client(config, 4, Tier.PUBLIC, seed=1),
-        init_client(config, 4, Tier.PRIVATE, seed=2),
-    ]
-    uploads = np.random.default_rng(0).normal(size=(2, 4, 2))
-    global_table = np.random.default_rng(1).normal(size=(4, 2))
-    path = tmp_path / "snap.bin"
-    save_checkpoint(path, 7, clients, uploads, global_table)
-
-    round_index, restored, loaded_uploads, loaded_global = load_checkpoint(path)
-    assert round_index == 7
-    np.testing.assert_array_equal(loaded_global, global_table)
-    np.testing.assert_array_equal(loaded_uploads, uploads)
-    for orig, back in zip(clients, restored):
-        assert back.tier == orig.tier
-        assert back.rng is None
-        np.testing.assert_array_equal(back.user_vec, orig.user_vec)
-        np.testing.assert_array_equal(back.item_table, orig.item_table)
-        for Wa, Wb in zip(orig.weights, back.weights):
-            np.testing.assert_array_equal(Wa, Wb)
-        for ba, bb in zip(orig.biases, back.biases):
-            np.testing.assert_array_equal(ba, bb)
-
-
-def test_checkpoint_rejects_other_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTASNAP" + b"\x00" * 64)
-    with pytest.raises(ValueError, match="bad magic"):
-        load_checkpoint(path)
-
-
-def test_loop_checkpoint_captures_uploads(tmp_path):
-    # with zero upload noise the stored uploads equal the post-training tables
-    ds, tiers = small_world()
-    path = tmp_path / "round.bin"
-    config = FederationConfig(
-        rounds=2, model=small_model(), seed=5,
-        checkpoint_every=2, checkpoint_path=str(path),
-    )
-    sink = []
-    run_federation(ds, tiers, config, eval_hook=_capture(sink))
-    round_index, restored, uploads, _global = load_checkpoint(path)
-    assert round_index == 2
-    live = sink[-1]
-    for u, client in enumerate(live):
-        np.testing.assert_array_equal(uploads[u], client.item_table)
-        np.testing.assert_array_equal(restored[u].item_table, client.item_table)
-        assert restored[u].tier == client.tier
-
-
-def test_loop_checkpoint_without_serving_has_no_uploads(tmp_path):
-    ds, tiers = small_world()
-    path = tmp_path / "local.bin"
-    config = FederationConfig(
-        rounds=1, disable_iei=True, model=small_model(), seed=5,
-        checkpoint_every=1, checkpoint_path=str(path),
-    )
-    run_federation(ds, tiers, config)
-    _round, _clients, uploads, global_table = load_checkpoint(path)
-    assert uploads is None
-    assert not global_table.any()
