@@ -155,6 +155,10 @@ class ExperimentConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.mlp_init not in MLP_INIT_CHOICES:
             raise ConfigError(f"mlp_init must be one of {MLP_INIT_CHOICES}, got {self.mlp_init!r}")
+        if self.clip_norm < 0:
+            raise ConfigError(
+                f"--clip-norm must be >= 0 (0 disables clipping), got {self.clip_norm}"
+            )
         try:
             self.to_federation_config(self.seed, lr=0.01).validate()
         except ValueError as exc:
@@ -331,6 +335,12 @@ def run_repetition(config: ExperimentConfig, lr: float, rep: int) -> RepetitionR
     dataset = leave_one_out_split(interactions, hold_validation=True)
     check_eval_negatives(dataset, config.eval_negatives)
     tiers = assign_privacy(dataset.num_users, config.public_ratio, rep_seed)
+    if config.global_from_public_only and not tiers.is_public.any():
+        raise ConfigError(
+            f"--global-from-public-only needs at least one sharing user, but "
+            f"--public-ratio {config.public_ratio} makes none of the {dataset.num_users} "
+            f"users share; raise --public-ratio or drop the flag"
+        )
     negatives = [
         sample_eval_negatives(
             dataset, u, config.eval_negatives, derive_rng(rep_seed, u, EVAL_NEG_SALT)
@@ -346,9 +356,8 @@ def run_repetition(config: ExperimentConfig, lr: float, rep: int) -> RepetitionR
         # Stride-skipped rounds stay unevaluated, but the final round always runs.
         if round_index % config.eval_every != 0 and round_index != config.rounds:
             return None
-        metrics = evaluate_round(clients, dataset, negatives, tiers, config.k, "test")
-        val = evaluate_round(clients, dataset, negatives, tiers, config.k, "validation")
-        val_points.append((round_index, val.hr, val.ndcg))
+        metrics = evaluate_round(clients, dataset, negatives, tiers, config.k)
+        val_points.append((round_index, metrics.validation.hr, metrics.validation.ndcg))
         return metrics
 
     records = run_federation(dataset, tiers, fed_config, eval_hook)

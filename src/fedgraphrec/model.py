@@ -141,7 +141,8 @@ def _forward(state: ClientState, item_rows: np.ndarray):
     A = X
     last = len(state.weights) - 1
     for li, (W, b) in enumerate(zip(state.weights, state.biases)):
-        Z = A @ W + b
+        Z = A @ W
+        Z += b
         pres.append(Z)
         if li < last:
             A = np.maximum(Z, 0.0)
@@ -210,14 +211,17 @@ def _sgd_step(
         grads_b[li] = delta.sum(axis=0)
         delta = delta @ state.weights[li].T
         if li > 0:
-            delta[pres[li - 1] <= 0.0] = 0.0
+            np.putmask(delta, pres[li - 1] <= 0.0, 0.0)
     grad_user = delta[:, :d].sum(axis=0)
     grad_item_rows = delta[:, d:]
 
     # Accumulate duplicate item rows; only rows present in the batch change.
+    # bincount adds each cell's contributions in batch row order.
     uniq_items, inverse = np.unique(batch_items, return_inverse=True)
-    grad_items = np.zeros((uniq_items.size, d))
-    np.add.at(grad_items, inverse, grad_item_rows)
+    cells = (inverse[:, None] * d + np.arange(d)).ravel()
+    grad_items = np.bincount(
+        cells, weights=grad_item_rows.ravel(), minlength=uniq_items.size * d
+    ).reshape(uniq_items.size, d)
 
     sq = float(grad_user @ grad_user) + float((grad_items * grad_items).sum())
     for gW, gb in zip(grads_W, grads_b):

@@ -7,6 +7,7 @@ sort-and-scan ranking, written separately from the library code paths.
 import math
 
 import numpy as np
+from scipy.special import expit
 
 from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier
@@ -76,6 +77,73 @@ def numeric_gradient(state, items, labels, array, index, eps=1e-5):
     minus = batch_loss(state, items, labels)
     array[index] = old
     return (plus - minus) / (2 * eps)
+
+
+def reference_forward(state, item_rows):
+    """The batch forward pass as first written: bias added out of place."""
+    d = state.user_vec.size
+    X = np.empty((item_rows.shape[0], 2 * d))
+    X[:, :d] = state.user_vec
+    X[:, d:] = item_rows
+    acts = [X]
+    pres = []
+    A = X
+    last = len(state.weights) - 1
+    for li, (W, b) in enumerate(zip(state.weights, state.biases)):
+        Z = A @ W + b
+        pres.append(Z)
+        if li < last:
+            A = np.maximum(Z, 0.0)
+            acts.append(A)
+    probs = expit(pres[-1].ravel())
+    return X, acts, pres, probs
+
+
+def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_norm):
+    """The SGD step as first written: boolean-mask ReLU and `np.add.at` scatter.
+
+    The library step must match it bit for bit.
+    """
+    d = state.user_vec.size
+    X, acts, pres, probs = reference_forward(state, state.item_table[batch_items])
+    loss = mdl._bce(probs, batch_labels)
+
+    # Gradient of the summed BCE w.r.t. the logits is simply (p - y).
+    delta = (probs - batch_labels)[:, None]
+    n_layers = len(state.weights)
+    grads_W = [None] * n_layers
+    grads_b = [None] * n_layers
+    for li in range(n_layers - 1, -1, -1):
+        grads_W[li] = acts[li].T @ delta
+        grads_b[li] = delta.sum(axis=0)
+        delta = delta @ state.weights[li].T
+        if li > 0:
+            delta[pres[li - 1] <= 0.0] = 0.0
+    grad_user = delta[:, :d].sum(axis=0)
+    grad_item_rows = delta[:, d:]
+
+    # Accumulate duplicate item rows; only rows present in the batch change.
+    uniq_items, inverse = np.unique(batch_items, return_inverse=True)
+    grad_items = np.zeros((uniq_items.size, d))
+    np.add.at(grad_items, inverse, grad_item_rows)
+
+    sq = float(grad_user @ grad_user) + float((grad_items * grad_items).sum())
+    for gW, gb in zip(grads_W, grads_b):
+        sq += float((gW * gW).sum()) + float(gb @ gb)
+    norm = float(np.sqrt(sq))
+
+    scale = learning_rate
+    effective_norm = norm
+    if clip_norm is not None and norm > clip_norm:
+        scale = learning_rate * (clip_norm / norm)
+        effective_norm = clip_norm
+
+    state.user_vec -= scale * grad_user
+    state.item_table[uniq_items] -= scale * grad_items
+    for W, b, gW, gb in zip(state.weights, state.biases, grads_W, grads_b):
+        W -= scale * gW
+        b -= scale * gb
+    return loss, effective_norm
 
 
 def random_instance(rng, max_dim=4):
@@ -216,3 +284,27 @@ def oracle_rank(item_scores, test_item):
         if item == test_item:
             return position
     raise AssertionError("test item missing from candidates")
+
+
+def reference_evaluate_round(clients, dataset, eval_negatives, tiers, k, target):
+    """One full ranking pass per held-out item, through `rank_items`' sort.
+
+    Returns (per-user ranks, hr, ndcg, {tier: (hr, ndcg, user_count)}).
+    """
+    n = dataset.num_users
+    hrs = np.empty(n)
+    ndcgs = np.empty(n)
+    ranks = np.empty(n, dtype=np.int64)
+    for u, state in enumerate(clients):
+        held = dataset.test[u] if target == "test" else dataset.validation[u]
+        candidates = np.concatenate([eval_negatives[u], [held]])
+        ranked = mdl.rank_items(state, candidates)
+        rank = next(pos for pos, (item, _score) in enumerate(ranked, start=1) if item == held)
+        hrs[u] = 1 if rank <= k else 0
+        ndcgs[u] = 1.0 / math.log2(rank + 1.0) if rank <= k else 0.0
+        ranks[u] = rank
+    per_tier = {}
+    for tier, mask in ((Tier.PUBLIC, tiers.is_public), (Tier.PRIVATE, ~tiers.is_public)):
+        if mask.any():
+            per_tier[tier] = (float(hrs[mask].mean()), float(ndcgs[mask].mean()), int(mask.sum()))
+    return ranks, float(hrs.mean()), float(ndcgs.mean()), per_tier

@@ -1,14 +1,32 @@
 """Ranking metric tests against a sort-and-scan oracle and closed-form values."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedgraphrec.data import Tier
+from fedgraphrec.data import (
+    FileFormat,
+    Tier,
+    assign_privacy,
+    leave_one_out_split,
+    load_interactions,
+    sample_eval_negatives,
+)
 from fedgraphrec.evaluation import evaluate_round, evaluate_user
-from fedgraphrec.model import ModelConfig, init_client, score_items
-from oracles import dataset_from_train_sets, make_score_state, oracle_rank, tiers_from_mask
+from fedgraphrec.federation import FederationConfig, run_federation
+from fedgraphrec.model import ModelConfig, init_client, rank_items, score_items
+from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rng
+from oracles import (
+    dataset_from_train_sets,
+    make_score_state,
+    oracle_rank,
+    reference_evaluate_round,
+    tiers_from_mask,
+)
+
+BUNDLED = Path(__file__).resolve().parents[1] / "data" / "synthetic-50.tsv"
 
 
 def scored_eval(values, test_item, negatives, k=10):
@@ -153,14 +171,25 @@ def test_k_bounds():
 
 
 def round_fixture(test_items, per_user_values, mask, num_items=30):
-    """Clients with pinned logits plus a dataset whose test items are given."""
+    """Clients with pinned logits plus a dataset whose test items are given.
+
+    Each validation item is the next item the client can score after the
+    test item. Like the test item, it is left out of the negatives, as
+    `sample_eval_negatives` leaves it out.
+    """
     n = len(test_items)
     ds = dataset_from_train_sets([set() for _ in range(n)], num_items)
     ds.test = list(test_items)
-    ds.validation = [(t + 1) % num_items for t in test_items]
+    ds.validation = [(t + 1) % len(v) for t, v in zip(test_items, per_user_values)]
     clients = [make_score_state(v) for v in per_user_values]
     negatives = [
-        np.array([j for j in range(len(per_user_values[u])) if j != test_items[u]])
+        np.array(
+            [
+                j
+                for j in range(len(per_user_values[u]))
+                if j not in (ds.test[u], ds.validation[u])
+            ]
+        )
         for u in range(n)
     ]
     return clients, ds, negatives, tiers_from_mask(mask)
@@ -236,19 +265,78 @@ def test_round_validation_target_uses_validation_item():
     v = np.zeros(10)
     v[val_item] = 5.0
     clients, ds, negs, tiers = round_fixture(test_items, [v], [True], num_items=10)
-    negs_val = [np.array([j for j in range(10) if j != val_item])]
-    on_val = evaluate_round(clients, ds, negs_val, tiers, k=1, target="validation")
-    assert on_val.hr == 1.0
-    on_test = evaluate_round(clients, ds, negs, tiers, k=1, target="test")
-    assert on_test.hr == 0.0
+    metrics = evaluate_round(clients, ds, negs, tiers, k=1)
+    assert metrics.validation.hr == 1.0
+    assert list(metrics.validation.per_user_rank) == [1]
+    assert metrics.hr == 0.0
+    # the test item ties the other negatives at 0 and ranks by item index
+    assert list(metrics.per_user_rank) == [4]
 
 
 def test_round_validates_inputs():
-    clients, ds, negs, tiers = round_fixture([0], [np.zeros(5)], [True], num_items=5)
-    with pytest.raises(ValueError, match="target"):
-        evaluate_round(clients, ds, negs, tiers, target="train")
+    clients, ds, negs, tiers = round_fixture([0, 2], [np.zeros(5)] * 2, [True, True], num_items=5)
     with pytest.raises(ValueError, match="user count"):
         evaluate_round(clients * 2, ds, negs, tiers)
-    ds.validation = [None]
-    with pytest.raises(ValueError, match="no validation item"):
-        evaluate_round(clients, ds, negs, tiers, target="validation")
+    with pytest.raises(ValueError, match="among the negatives"):
+        evaluate_round(clients, ds, [np.arange(4), negs[1]], tiers, k=2)
+    ds.validation = [None, 3]
+    with pytest.raises(ValueError, match="user 0 has no validation item"):
+        evaluate_round(clients, ds, negs, tiers)
+    # a dataset split without validation items gives test metrics only
+    ds.validation = [None, None]
+    metrics = evaluate_round(clients, ds, negs, tiers, k=2)
+    assert metrics.validation is None
+    assert list(metrics.per_user_rank) == [1, 3]
+
+
+def test_round_one_pass_matches_two_reference_passes():
+    # Bundled file after 3 trained rounds: the one scoring pass gives the
+    # test and validation metrics of two separate sort-based passes.
+    dataset = leave_one_out_split(load_interactions(BUNDLED, FileFormat.TAB))
+    tiers = assign_privacy(dataset.num_users, 0.5, 1)
+    negatives = [
+        sample_eval_negatives(dataset, u, 49, derive_rng(1, u, EVAL_NEG_SALT))
+        for u in range(dataset.num_users)
+    ]
+    config = FederationConfig(rounds=3, model=ModelConfig(learning_rate=0.05), seed=1)
+    compared = []
+
+    def hook(round_index, clients):
+        if round_index != 3:
+            return None
+        metrics = evaluate_round(clients, dataset, negatives, tiers, k=10)
+        for got, target in ((metrics, "test"), (metrics.validation, "validation")):
+            ranks, hr, ndcg, per_tier = reference_evaluate_round(
+                clients, dataset, negatives, tiers, 10, target
+            )
+            assert np.array_equal(got.per_user_rank, ranks)
+            assert (got.hr, got.ndcg) == (hr, ndcg)
+            assert {
+                tier: (m.hr, m.ndcg, m.user_count) for tier, m in got.per_tier.items()
+            } == per_tier
+            compared.append(target)
+        assert metrics.validation.validation is None
+        return metrics
+
+    run_federation(dataset, tiers, config, hook)
+    assert compared == ["test", "validation"]
+
+
+def test_all_equal_scores_rank_by_item_index():
+    # Every candidate scores the same: the held item's rank is 1 + the number
+    # of negatives with a smaller index, its position in rank_items' order.
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        items = rng.permutation(40)[: int(rng.integers(3, 20))]
+        test_item, val_item, negatives = int(items[0]), int(items[1]), items[2:]
+        state = make_score_state(np.zeros(40))
+        _hr, _ndcg, rank = evaluate_user(state, test_item, negatives, k=1)
+        assert rank == 1 + int((negatives < test_item).sum())
+        ranked = [item for item, _score in rank_items(state, np.append(negatives, test_item))]
+        assert rank == ranked.index(test_item) + 1
+
+        ds = dataset_from_train_sets([set()], 40)
+        ds.test, ds.validation = [test_item], [val_item]
+        metrics = evaluate_round([state], ds, [negatives], tiers_from_mask([True]), k=1)
+        assert list(metrics.per_user_rank) == [rank]
+        assert list(metrics.validation.per_user_rank) == [1 + int((negatives < val_item).sum())]

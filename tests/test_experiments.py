@@ -507,6 +507,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--rounds", "0", "--dataset", BUNDLED]) == 1
     assert cli.main(["sweep", "--axis", "alpha", "--values", "0.1",
                      "--values2", "0.5", "--dataset", BUNDLED]) == 1
+    capsys.readouterr()
+    # a negative clip norm, and a public-only global table with nobody
+    # sharing, fail before any training
+    run_args = ["run", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "1",
+                "--reps", "1", "--lr", "0.05", "--out", str(tmp_path)]
+    assert cli.main([*run_args, "--clip-norm", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert "--clip-norm" in err and "0 disables clipping" in err
+    assert cli.main([*run_args, "--global-from-public-only", "--public-ratio", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "--global-from-public-only needs at least one sharing user" in err
+    assert not list(tmp_path.rglob("rounds.csv"))
     # runtime failures exit 2
     assert (
         cli.main(

@@ -26,6 +26,7 @@ from oracles import (
     naive_bce,
     naive_forward,
     random_instance,
+    reference_sgd_step,
 )
 
 
@@ -231,6 +232,35 @@ def test_single_step_decreases_single_example_loss():
                 break
             rate /= 10
         assert succeeded, f"no decrease down to rate {rate}"
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.05])
+def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
+    # 60 batches of 40 items drawn from 12 with replacement, so rows repeat
+    # within a batch. Hidden unit 0 of the first layer has zero weights and
+    # bias: its pre-activation is exactly 0.0 in every batch, and stays so.
+    config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
+    state = init_client(config, 12, Tier.PUBLIC, seed=41)
+    state.weights[0][:, 0] = 0.0
+    reference = clone_state(state)
+    rng = np.random.default_rng(42)
+    clipped = 0
+    for _ in range(60):
+        items = rng.integers(0, 12, size=40)
+        labels = rng.integers(0, 2, size=40).astype(np.float64)
+        pres = mdl._forward(state, state.item_table[items])[2]
+        assert np.any(pres[0] == 0.0)
+        assert np.unique(items).size < items.size
+        got = mdl._sgd_step(state, items, labels, 0.2, clip_norm)
+        want = reference_sgd_step(reference, items, labels, 0.2, clip_norm)
+        assert got == want
+        clipped += clip_norm is not None and got[1] == clip_norm
+        assert np.array_equal(state.user_vec, reference.user_vec)
+        assert np.array_equal(state.item_table, reference.item_table)
+        for mine, theirs in zip(state.weights + state.biases, reference.weights + reference.biases):
+            assert np.array_equal(mine, theirs)
+    if clip_norm is not None:
+        assert clipped == 60
 
 
 # --- train_local --------------------------------------------------------------
