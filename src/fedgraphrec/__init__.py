@@ -22,10 +22,7 @@ from fedgraphrec.model import (
     ClientState,
     ModelConfig,
     TrainReport,
-    bce_loss,
     init_client,
-    predict,
-    rank_items,
     train_local,
 )
 from fedgraphrec.graph import (
@@ -67,10 +64,7 @@ __all__ = [
     "ClientState",
     "ModelConfig",
     "TrainReport",
-    "bce_loss",
     "init_client",
-    "predict",
-    "rank_items",
     "train_local",
     "ServerState",
     "UserGraph",

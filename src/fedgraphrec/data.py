@@ -157,9 +157,6 @@ class InteractionDataset:
         """
         return self.train[user]
 
-    def held_out(self, user: int) -> tuple[int | None, int]:
-        return self.validation[user], self.test[user]
-
     def negative_pool(self, user: int) -> np.ndarray:
         """All item indices the user never touched in any split (cached)."""
         if self._neg_pools is None:
@@ -312,14 +309,20 @@ class PrivacyAssignment:
         return int(self.is_public.size - self.is_public.sum())
 
 
+def public_count(num_users: int, public_ratio: float) -> int:
+    """round(public_ratio * num_users): how many users assign_privacy marks
+    as sharing, for any seed."""
+    # floor(x + 0.5): round-half-up, independent of the platform rounding mode
+    return int(math.floor(public_ratio * num_users + 0.5))
+
+
 def assign_privacy(num_users: int, public_ratio: float, seed: int) -> PrivacyAssignment:
     """Mark round(public_ratio * num_users) uniformly chosen users as sharing."""
     if num_users <= 0:
         raise ValueError(f"num_users must be positive, got {num_users}")
     if not 0.0 <= public_ratio <= 1.0:
         raise ValueError(f"public_ratio must be in [0, 1], got {public_ratio}")
-    # floor(x + 0.5): round-half-up, independent of the platform rounding mode
-    count = int(math.floor(public_ratio * num_users + 0.5))
+    count = public_count(num_users, public_ratio)
     rng = derive_rng(seed, TIER_SALT)
     is_public = np.zeros(num_users, dtype=bool)
     is_public[rng.permutation(num_users)[:count]] = True

@@ -41,8 +41,8 @@ def _held_ranks(state: ClientState, negatives: np.ndarray, held: list, k: int) -
     scoring pass over the negatives and all held items.
 
     An item's rank counts the negatives that sort before it: a higher score,
-    or an equal score and a smaller item index. This is the order of
-    `rank_items`. The held items do not compete with each other.
+    or an equal score and a smaller item index. The held items do not
+    compete with each other.
     """
     for item in held:
         if np.any(negatives == item):

@@ -21,6 +21,7 @@ from fedgraphrec.data import (
     assign_privacy,
     leave_one_out_split,
     load_interactions,
+    public_count,
     sample_eval_negatives,
 )
 from fedgraphrec.evaluation import evaluate_round
@@ -38,16 +39,16 @@ GRID_LEARNING_RATES = (0.0001, 0.001, 0.01, 0.1)
 # Probability mass a synthetic user puts on their own cluster's item pool.
 CLUSTER_BIAS = 0.8
 
-SWEEP_AXES = ("alpha", "public_ratio", "delta", "layers", "embed_dim", "learning_rate")
-# axis name -> (config field, value parser)
+# axis name -> config field; the field's parser reads the axis values
 _AXIS_FIELDS = {
-    "alpha": ("alpha", float),
-    "public_ratio": ("public_ratio", float),
-    "delta": ("ldp_delta", float),
-    "layers": ("layers", int),
-    "embed_dim": ("embed_dim", int),
-    "learning_rate": ("lr", float),
+    "alpha": "alpha",
+    "public_ratio": "public_ratio",
+    "delta": "ldp_delta",
+    "layers": "layers",
+    "embed_dim": "embed_dim",
+    "learning_rate": "lr",
 }
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 
 ABLATION_VARIANTS = (
     ("full", {}),
@@ -80,6 +81,10 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return widths
 
 
+def _parse_optional(text: str) -> str | None:
+    return text or None
+
+
 def parse_learning_rate(text) -> "float | str":
     """A positive float, or the literal 'grid' for validation-based selection."""
     if isinstance(text, (int, float)):
@@ -96,42 +101,76 @@ def parse_learning_rate(text) -> "float | str":
     return value
 
 
+def resolve_seed(seed: int | None = None, env=None) -> int:
+    """`seed` when set, else the FEDREC_SEED environment variable, else 0."""
+    env = os.environ if env is None else env
+    if seed is None and env.get("FEDREC_SEED"):
+        try:
+            seed = int(env["FEDREC_SEED"])
+        except ValueError:
+            raise ConfigError(f"FEDREC_SEED must be an integer, got {env['FEDREC_SEED']!r}") from None
+    seed = 0 if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {seed}")
+    return seed
+
+
+def _option(default, help_text: str, **metadata):
+    """One config field. It is also the flag `--<name with hyphens>` and the
+    config-file key `<name>`. Metadata: `help`; `parse`, text to value, where
+    the default's type is not enough; `choices` for the flag."""
+    return field(default=default, metadata={"help": help_text, **metadata})
+
+
 @dataclass
 class ExperimentConfig:
     """Everything one experiment needs; every field has a working default.
+
+    This class is the config schema: the CLI flags, the config-file keys and
+    `resolved_config.txt` are all derived from its fields.
 
     `lr` is either a float or the string "grid", which selects the best rate
     from GRID_LEARNING_RATES by validation HR before the real repetitions.
     """
 
-    dataset: str | None = None
-    format: str = "tsv"
-    public_ratio: float = 1.0
-    alpha: float = 0.3
-    ldp_delta: float = 0.0
-    layers: int = 1
-    embed_dim: int = 32
-    mlp_hidden: tuple[int, ...] = (32, 16)
-    lr: object = "grid"
-    rounds: int = 100
-    local_epochs: int = 1
-    neg_ratio: int = 4
-    batch_size: int = 256
-    init_scale: float = 0.01
-    mlp_init: str = "he"
-    clip_norm: float = 0.0
-    ablate_iei: bool = False
-    ablate_ugc: bool = False
-    ablate_upie: bool = False
-    global_from_public_only: bool = False
-    k: int = 10
-    eval_negatives: int = 99
-    eval_every: int = 1
-    seed: int = 0
-    reps: int = 5
-    out: str = "runs"
-    label: str = "experiment"
-    workers: int = 1
+    dataset: str | None = _option(None, "interaction file path", parse=_parse_optional)
+    format: str = _option("tsv", "dataset layout", choices=tuple(f.value for f in FileFormat))
+    public_ratio: float = _option(1.0, "fraction of users who share data")
+    alpha: float = _option(0.3, "personalization blend weight in [0, 1]")
+    ldp_delta: float = _option(0.0, "Laplace noise scale on uploads")
+    layers: int = _option(1, "graph smoothing hops")
+    embed_dim: int = _option(32, "embedding width")
+    mlp_hidden: tuple[int, ...] = _option(
+        (32, 16), "comma-separated hidden widths, e.g. 32,16", parse=_parse_hidden
+    )
+    lr: object = _option(
+        "grid", "learning rate, or 'grid' to select on validation", parse=parse_learning_rate
+    )
+    rounds: int = _option(100, "federated rounds")
+    local_epochs: int = _option(1, "local passes per round")
+    neg_ratio: int = _option(4, "train negatives per positive")
+    batch_size: int = _option(256, "local mini-batch size")
+    init_scale: float = _option(0.01, "parameter init standard deviation")
+    mlp_init: str = _option("he", "MLP weight init scheme", choices=MLP_INIT_CHOICES)
+    clip_norm: float = _option(0.0, "gradient norm clip (0 disables)")
+    ablate_iei: bool = _option(
+        False, "server distributes nothing; clients keep their own tables", parse=_parse_bool
+    )
+    ablate_ugc: bool = _option(
+        False, "skip graph smoothing; average and blend raw uploads", parse=_parse_bool
+    )
+    ablate_upie: bool = _option(False, "send every user the global table", parse=_parse_bool)
+    global_from_public_only: bool = _option(
+        False, "average only sharing users' tables into the global table", parse=_parse_bool
+    )
+    k: int = _option(10, "ranking cutoff")
+    eval_negatives: int = _option(99, "sampled negatives per evaluation")
+    eval_every: int = _option(1, "evaluation stride in rounds")
+    seed: int = _option(0, "seed base (env FEDREC_SEED as fallback)")
+    reps: int = _option(5, "independent repetitions")
+    out: str = _option("runs", "output directory")
+    label: str = _option("experiment", "run label (subdirectory of --out)")
+    workers: int = _option(1, "parallel repetition workers")
 
     def validate(self) -> None:
         if not 0.0 <= self.public_ratio <= 1.0:
@@ -141,6 +180,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self.lr = parse_learning_rate(self.lr)
+        if self.seed < 0:
+            raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {self.seed}")
         if self.reps < 1:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.workers < 1:
@@ -153,8 +194,6 @@ class ExperimentConfig:
             )
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.mlp_init not in MLP_INIT_CHOICES:
-            raise ConfigError(f"mlp_init must be one of {MLP_INIT_CHOICES}, got {self.mlp_init!r}")
         if self.clip_norm < 0:
             raise ConfigError(
                 f"--clip-norm must be >= 0 (0 disables clipping), got {self.clip_norm}"
@@ -204,36 +243,13 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_PARSERS = {
-    "dataset": str,
-    "format": str,
-    "public_ratio": float,
-    "alpha": float,
-    "ldp_delta": float,
-    "layers": int,
-    "embed_dim": int,
-    "mlp_hidden": _parse_hidden,
-    "lr": parse_learning_rate,
-    "rounds": int,
-    "local_epochs": int,
-    "neg_ratio": int,
-    "batch_size": int,
-    "init_scale": float,
-    "mlp_init": str,
-    "clip_norm": float,
-    "ablate_iei": _parse_bool,
-    "ablate_ugc": _parse_bool,
-    "ablate_upie": _parse_bool,
-    "global_from_public_only": _parse_bool,
-    "k": int,
-    "eval_negatives": int,
-    "eval_every": int,
-    "seed": int,
-    "reps": int,
-    "out": str,
-    "label": str,
-    "workers": int,
-}
+CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+
+def field_parser(name: str):
+    """Text -> value for one config field."""
+    f = CONFIG_FIELDS[name]
+    return f.metadata.get("parse", type(f.default))
 
 
 def load_config_file(path) -> dict:
@@ -254,13 +270,10 @@ def load_config_file(path) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in CONFIG_FIELDS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        if key == "dataset" and raw == "":
-            overrides[key] = None
-            continue
         try:
-            overrides[key] = _FIELD_PARSERS[key](raw)
+            overrides[key] = field_parser(key)(raw)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -271,28 +284,14 @@ def load_config_file(path) -> dict:
 def build_config(file_path=None, overrides=None, env=None) -> ExperimentConfig:
     """Defaults <- config file <- explicit overrides; FEDREC_SEED fills in a
     seed when neither file nor overrides set one."""
-    env = os.environ if env is None else env
-    config = ExperimentConfig()
-    seed_set = False
-    if file_path is not None:
-        file_values = load_config_file(file_path)
-        seed_set = "seed" in file_values
-        for key, value in file_values.items():
-            setattr(config, key, value)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _FIELD_PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if value is None:
-                continue
-            setattr(config, key, value)
-            if key == "seed":
-                seed_set = True
-    if not seed_set and env.get("FEDREC_SEED"):
-        try:
-            config.seed = int(env["FEDREC_SEED"])
-        except ValueError:
-            raise ConfigError(f"FEDREC_SEED must be an integer, got {env['FEDREC_SEED']!r}") from None
+    values = {} if file_path is None else load_config_file(file_path)
+    for key, value in (overrides or {}).items():
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is not None:
+            values[key] = value
+    values["seed"] = resolve_seed(values.get("seed"), env)
+    config = ExperimentConfig(**values)
     config.validate()
     return config
 
@@ -325,22 +324,30 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
         )
 
 
-def run_repetition(config: ExperimentConfig, lr: float, rep: int) -> RepetitionResult:
-    """One full federated run with seed base + rep."""
+def load_dataset(config: ExperimentConfig) -> InteractionDataset:
+    """Parse and split the configured file, and fail before any training when
+    it cannot carry the run. Every repetition and grid candidate shares it."""
     if config.dataset is None:
         raise ConfigError("no dataset configured (--dataset or config file)")
-    rep_seed = config.seed + rep
-    fmt = FileFormat.from_string(config.format)
-    interactions = load_interactions(config.dataset, fmt)
+    interactions = load_interactions(config.dataset, FileFormat.from_string(config.format))
     dataset = leave_one_out_split(interactions, hold_validation=True)
     check_eval_negatives(dataset, config.eval_negatives)
-    tiers = assign_privacy(dataset.num_users, config.public_ratio, rep_seed)
-    if config.global_from_public_only and not tiers.is_public.any():
+    # assign_privacy marks the same number of users whatever the seed.
+    if config.global_from_public_only and public_count(dataset.num_users, config.public_ratio) == 0:
         raise ConfigError(
             f"--global-from-public-only needs at least one sharing user, but "
             f"--public-ratio {config.public_ratio} makes none of the {dataset.num_users} "
             f"users share; raise --public-ratio or drop the flag"
         )
+    return dataset
+
+
+def run_repetition(
+    config: ExperimentConfig, dataset: InteractionDataset, lr: float, rep: int
+) -> RepetitionResult:
+    """One full federated run with seed base + rep."""
+    rep_seed = config.seed + rep
+    tiers = assign_privacy(dataset.num_users, config.public_ratio, rep_seed)
     negatives = [
         sample_eval_negatives(
             dataset, u, config.eval_negatives, derive_rng(rep_seed, u, EVAL_NEG_SALT)
@@ -402,22 +409,24 @@ def run_repetition(config: ExperimentConfig, lr: float, rep: int) -> RepetitionR
     )
 
 
-def _worker(payload):
-    config_values, lr, rep = payload
-    config = ExperimentConfig(**config_values)
-    return run_repetition(config, lr, rep)
+def _worker(job):
+    return run_repetition(*job)
 
 
-def _run_repetitions(config: ExperimentConfig, lr: float) -> list[RepetitionResult]:
+def _run_repetitions(
+    config: ExperimentConfig, dataset: InteractionDataset, lr: float
+) -> list[RepetitionResult]:
     """All repetitions, optionally across a process pool; results in rep order."""
-    jobs = [(dataclasses.asdict(config), lr, rep) for rep in range(config.reps)]
+    jobs = [(config, dataset, lr, rep) for rep in range(config.reps)]
     if config.workers > 1 and config.reps > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_worker, jobs))
     return [_worker(job) for job in jobs]
 
 
-def select_learning_rate(config: ExperimentConfig) -> tuple[float, list[tuple[float, float]]]:
+def select_learning_rate(
+    config: ExperimentConfig, dataset: InteractionDataset
+) -> tuple[float, list[tuple[float, float]]]:
     """Grid phase: one repetition per candidate rate, winner by validation HR.
 
     Returns (chosen rate, [(rate, best validation HR)] in grid order); ties
@@ -426,7 +435,7 @@ def select_learning_rate(config: ExperimentConfig) -> tuple[float, list[tuple[fl
     outcomes = []
     for lr in GRID_LEARNING_RATES:
         try:
-            result = run_repetition(config, lr, rep=0)
+            result = run_repetition(config, dataset, lr, rep=0)
         except TrainingError as exc:
             # A diverging candidate loses the grid; it must not kill the run.
             log.warning("grid: lr=%s diverged (%s)", lr, exc)
@@ -583,10 +592,11 @@ def execute_run(config: ExperimentConfig) -> RunSummary:
     out_dir = Path(config.out) / config.label
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "resolved_config.txt", config.to_text())
+    dataset = load_dataset(config)
 
     lr = config.lr
     if lr == "grid":
-        lr, grid_rows = select_learning_rate(config)
+        lr, grid_rows = select_learning_rate(config, dataset)
         rows = [
             [_full(rate), _pct(val_hr), "1" if rate == lr else "0"]
             for rate, val_hr in grid_rows
@@ -596,7 +606,7 @@ def execute_run(config: ExperimentConfig) -> RunSummary:
             _csv_text(["learning_rate", "validation_hr_best", "selected"], rows),
         )
 
-    results = _run_repetitions(config, lr)
+    results = _run_repetitions(config, dataset, lr)
     for result in results:
         rep_dir = out_dir / f"rep{result.rep}"
         rep_dir.mkdir(parents=True, exist_ok=True)
@@ -628,26 +638,50 @@ def _cell_metric_cells(summary: RunSummary | None) -> list[str]:
 def parse_axis_values(axis: str, text: str) -> list:
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r} (choices: {', '.join(SWEEP_AXES)})")
-    parser = _AXIS_FIELDS[axis][1]
+    parse = field_parser(_AXIS_FIELDS[axis])
     values = []
     for part in str(text).split(","):
         part = part.strip()
         if not part:
             continue
         try:
-            values.append(parser(part))
+            value = parse(part)
+            if isinstance(value, str):  # "grid" is a learning rate, not an axis value
+                raise ValueError(part)
         except ValueError:
             raise ConfigError(f"bad value {part!r} for axis {axis}") from None
+        values.append(value)
     if not values:
         raise ConfigError(f"no values given for axis {axis}")
     return values
 
 
+def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str) -> int:
+    """Run each (leading row cells, cell config) of `cells` in turn and write
+    one `csv_name` row per cell; a failing cell is recorded as `failed: ...`
+    and the next one runs."""
+    config.validate()
+    base_dir = Path(config.out) / config.label
+    base_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for lead, cell_config in cells:
+        try:
+            summary = execute_run(cell_config)
+            status = "ok"
+        except Exception as exc:  # record and continue with the next cell
+            log.warning("cell %s failed: %s", cell_config.label, exc)
+            summary = None
+            status = f"failed: {exc}"
+        rows.append(lead + [status] + _cell_metric_cells(summary))
+    header = header + ["status", "learning_rate"] + SUMMARY_CSV_HEADER[3:]
+    _atomic_write(base_dir / csv_name, _csv_text(header, rows))
+    print(f"wrote {base_dir / csv_name}")
+    return 0
+
+
 def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
     """CLI verb: cross product over one axis (or two for the blend-ratio x
-    sharing-ratio grid); per-cell failures are recorded and the sweep
-    continues."""
-    config.validate()
+    sharing-ratio grid)."""
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"sweep takes one or two axes, got {len(axes)}")
     for axis, _values in axes:
@@ -657,54 +691,22 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("sweep axes must be distinct")
 
-    base_dir = Path(config.out) / config.label
-    base_dir.mkdir(parents=True, exist_ok=True)
-
-    header = axis_names + ["status", "learning_rate"] + SUMMARY_CSV_HEADER[3:]
-    rows = []
+    cells = []
     for combo in product(*(values for _axis, values in axes)):
         cell_name = ",".join(f"{a}={v:g}" for a, v in zip(axis_names, combo))
-        cell_config = replace(config)
-        for (axis, _values), value in zip(axes, combo):
-            setattr(cell_config, _AXIS_FIELDS[axis][0], value)
-        cell_config.label = f"{config.label}/{cell_name}"
-        try:
-            summary = execute_run(cell_config)
-            status = "ok"
-        except Exception as exc:  # record and continue with the next cell
-            log.warning("sweep cell %s failed: %s", cell_name, exc)
-            summary = None
-            status = f"failed: {exc}"
-        rows.append(
-            [f"{v:g}" for v in combo] + [status] + _cell_metric_cells(summary)
-        )
-    _atomic_write(base_dir / "sweep.csv", _csv_text(header, rows))
-    print(f"wrote {base_dir / 'sweep.csv'}")
-    return 0
+        settings = {_AXIS_FIELDS[axis]: value for axis, value in zip(axis_names, combo)}
+        cell_config = replace(config, **settings, label=f"{config.label}/{cell_name}")
+        cells.append(([f"{v:g}" for v in combo], cell_config))
+    return _run_cells(config, axis_names, cells, "sweep.csv")
 
 
 def ablation_suite(config: ExperimentConfig) -> int:
     """CLI verb: full configuration plus each single-mechanism ablation."""
-    config.validate()
-    base_dir = Path(config.out) / config.label
-    base_dir.mkdir(parents=True, exist_ok=True)
-
-    header = ["variant", "status", "learning_rate"] + SUMMARY_CSV_HEADER[3:]
-    rows = []
+    cells = []
     for variant, flags in ABLATION_VARIANTS:
-        cell_config = replace(config, **flags)
-        cell_config.label = f"{config.label}/{variant.replace('/', '').replace(' ', '_')}"
-        try:
-            summary = execute_run(cell_config)
-            status = "ok"
-        except Exception as exc:
-            log.warning("ablation %s failed: %s", variant, exc)
-            summary = None
-            status = f"failed: {exc}"
-        rows.append([variant, status] + _cell_metric_cells(summary))
-    _atomic_write(base_dir / "ablation.csv", _csv_text(header, rows))
-    print(f"wrote {base_dir / 'ablation.csv'}")
-    return 0
+        directory = variant.replace("/", "").replace(" ", "_")
+        cells.append(([variant], replace(config, **flags, label=f"{config.label}/{directory}")))
+    return _run_cells(config, ["variant"], cells, "ablation.csv")
 
 
 def gen_synthetic(

@@ -156,37 +156,11 @@ def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)).sum())
 
 
-def bce_loss(pairs) -> float:
-    """Summed binary cross-entropy over (probability, label) pairs."""
-    arr = np.asarray(pairs, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("bce_loss needs at least one (prediction, label) pair")
-    arr = arr.reshape(-1, 2)
-    return _bce(arr[:, 0], arr[:, 1])
-
-
-def predict(state: ClientState, item: int) -> float:
-    """Interaction probability for one item, strictly inside (0, 1)."""
-    rows = state.item_table[np.asarray([item], dtype=np.int64)]
-    probs = _forward(state, rows)[3]
-    return float(np.clip(probs[0], PROB_FLOOR, 1.0 - PROB_FLOOR))
-
-
 def score_items(state: ClientState, items: np.ndarray) -> np.ndarray:
     """Vectorized interaction probabilities for a batch of item indices."""
     items = np.asarray(items, dtype=np.int64)
     probs = _forward(state, state.item_table[items])[3]
     return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-
-def rank_items(state: ClientState, candidates) -> list[tuple[int, float]]:
-    """Score candidates, sorted by descending score; ties by ascending item index."""
-    cands = np.asarray(candidates, dtype=np.int64)
-    if cands.size == 0:
-        raise ValueError("no candidate items to rank")
-    scores = score_items(state, cands)
-    order = np.lexsort((cands, -scores))
-    return [(int(cands[i]), float(scores[i])) for i in order]
 
 
 def _sgd_step(

@@ -31,6 +31,31 @@ def naive_forward(state, item):
     return 1.0 / (1.0 + math.exp(-x[0]))
 
 
+def predict(state, item):
+    """Interaction probability for one item, through the library's scoring."""
+    return float(mdl.score_items(state, np.asarray([item]))[0])
+
+
+def bce_loss(pairs):
+    """Summed binary cross-entropy over (probability, label) pairs, through
+    the library's loss."""
+    arr = np.asarray(pairs, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("bce_loss needs at least one (prediction, label) pair")
+    arr = arr.reshape(-1, 2)
+    return mdl._bce(arr[:, 0], arr[:, 1])
+
+
+def rank_items(state, candidates):
+    """Score candidates, sorted by descending score; ties by ascending item index."""
+    cands = np.asarray(candidates, dtype=np.int64)
+    if cands.size == 0:
+        raise ValueError("no candidate items to rank")
+    scores = mdl.score_items(state, cands)
+    order = np.lexsort((cands, -scores))
+    return [(int(cands[i]), float(scores[i])) for i in order]
+
+
 def naive_bce(pairs):
     total = 0.0
     for p, y in pairs:
@@ -298,7 +323,7 @@ def reference_evaluate_round(clients, dataset, eval_negatives, tiers, k, target)
     for u, state in enumerate(clients):
         held = dataset.test[u] if target == "test" else dataset.validation[u]
         candidates = np.concatenate([eval_negatives[u], [held]])
-        ranked = mdl.rank_items(state, candidates)
+        ranked = rank_items(state, candidates)
         rank = next(pos for pos, (item, _score) in enumerate(ranked, start=1) if item == held)
         hrs[u] = 1 if rank <= k else 0
         ndcgs[u] = 1.0 / math.log2(rank + 1.0) if rank <= k else 0.0

@@ -16,12 +16,13 @@ from fedgraphrec.data import (
 )
 from fedgraphrec.evaluation import evaluate_round, evaluate_user
 from fedgraphrec.federation import FederationConfig, run_federation
-from fedgraphrec.model import ModelConfig, init_client, rank_items, score_items
+from fedgraphrec.model import ModelConfig, init_client, score_items
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rng
 from oracles import (
     dataset_from_train_sets,
     make_score_state,
     oracle_rank,
+    rank_items,
     reference_evaluate_round,
     tiers_from_mask,
 )

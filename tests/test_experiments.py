@@ -1,7 +1,9 @@
 """Experiment front-end tests: config handling, artifacts, sweeps, CLI contract."""
 
 import csv
+import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from fedgraphrec.experiments import (
     execute_run,
     gen_synthetic,
     load_config_file,
+    load_dataset,
     parse_learning_rate,
     run_repetition,
     select_learning_rate,
@@ -140,6 +143,7 @@ def test_validate_rejects_bad_values():
         dict(format="parquet"),
         dict(rounds=0),
         dict(alpha=2.0),
+        dict(seed=-1),
     ]
     for overrides in cases:
         config = ExperimentConfig(**overrides)
@@ -165,12 +169,68 @@ def test_resolved_config_round_trips(tmp_path):
     assert rebuilt == config
 
 
+# Every config field at a value other than its default.
+NON_DEFAULT = dict(
+    dataset=BUNDLED, format="csv", public_ratio=0.25, alpha=0.7, ldp_delta=0.05, layers=2,
+    embed_dim=8, mlp_hidden=(8, 4), lr=0.05, rounds=7, local_epochs=2, neg_ratio=3,
+    batch_size=32, init_scale=0.02, mlp_init="gaussian", clip_norm=0.5, ablate_iei=True,
+    ablate_ugc=True, ablate_upie=True, global_from_public_only=True, k=5, eval_negatives=20,
+    eval_every=2, seed=4, reps=3, out="elsewhere", label="all", workers=2,
+)
+
+
+def test_every_config_field_is_a_flag_a_key_and_round_trips(tmp_path, capsys):
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(NON_DEFAULT) == sorted(names)
+
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "--help"])
+    help_text = capsys.readouterr().out
+    flags = {name: "--" + name.replace("_", "-") for name in names}
+    for flag in flags.values():
+        assert re.search(re.escape(flag) + r"(?![\w-])", help_text), flag
+
+    argv = ["run"]
+    for name, value in NON_DEFAULT.items():
+        if value is True:
+            argv.append(flags[name])
+        elif isinstance(value, tuple):
+            argv += [flags[name], ",".join(str(v) for v in value)]
+        else:
+            argv += [flags[name], str(value)]
+    config = cli._config_from_args(cli.build_parser().parse_args(argv))
+    assert config == ExperimentConfig(**NON_DEFAULT)
+
+    path = tmp_path / "resolved_config.txt"
+    path.write_text(config.to_text())
+    assert set(load_config_file(path)) == set(names)
+    rebuilt = cli._config_from_args(cli.build_parser().parse_args(["run", "--config", str(path)]))
+    assert rebuilt == config
+
+
+def test_negative_seed_fails_before_any_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("FEDREC_SEED", raising=False)
+    run_args = ["run", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "1",
+                "--reps", "1", "--lr", "0.05", "--out", str(tmp_path / "runs")]
+    gen_args = ["gen-synth", "--users", "10", "--items", "20", "--per-user", "4",
+                "--clusters", "2", "--out", str(tmp_path / "g.tsv")]
+    inspect_args = ["inspect-graph", "--dataset", BUNDLED, "--out", str(tmp_path / "dump")]
+    for argv in (run_args, gen_args, inspect_args):
+        assert cli.main([*argv, "--seed", "-3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+    monkeypatch.setenv("FEDREC_SEED", "-2")
+    for argv in (run_args, gen_args, inspect_args):
+        assert cli.main(argv) == 1
+        assert "FEDREC_SEED" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # --- run_repetition ---------------------------------------------------------------
 
 
 def test_repetition_row_and_snapshot_shape(tmp_path):
     config = tiny_config(tmp_path, rounds=4)
-    result = run_repetition(config, lr=0.05, rep=1)
+    result = run_repetition(config, load_dataset(config), lr=0.05, rep=1)
     assert result.rep == 1
     assert result.seed == config.seed + 1
     assert [row["round"] for row in result.rounds] == [1, 2, 3, 4]
@@ -188,7 +248,7 @@ def test_repetition_row_and_snapshot_shape(tmp_path):
 
 def test_repetition_eval_stride(tmp_path):
     config = tiny_config(tmp_path, rounds=5, eval_every=2)
-    result = run_repetition(config, lr=0.05, rep=0)
+    result = run_repetition(config, load_dataset(config), lr=0.05, rep=0)
     evaluated = [row["round"] for row in result.rounds if row["hr"] is not None]
     assert evaluated == [2, 4, 5]  # stride hits plus the forced final round
     skipped = [row["round"] for row in result.rounds if row["hr"] is None]
@@ -199,14 +259,14 @@ def test_repetition_requires_dataset(tmp_path):
     config = tiny_config(tmp_path)
     config.dataset = None
     with pytest.raises(ConfigError, match="no dataset"):
-        run_repetition(config, lr=0.05, rep=0)
+        load_dataset(config)
 
 
 # --- grid selection ----------------------------------------------------------------
 
 
 def stub_results(hr_by_lr):
-    def fake(config, lr, rep):
+    def fake(config, dataset, lr, rep):
         hr = hr_by_lr[lr]
         if hr is None:
             raise TrainingError("boom")
@@ -220,7 +280,7 @@ def test_grid_picks_best_validation_hr(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "run_repetition", stub_results({0.0001: 0.1, 0.001: 0.4, 0.01: 0.3, 0.1: 0.2})
     )
-    lr, outcomes = select_learning_rate(config)
+    lr, outcomes = select_learning_rate(config, None)
     assert lr == 0.001
     assert [pair[0] for pair in outcomes] == list(GRID_LEARNING_RATES)
 
@@ -230,7 +290,7 @@ def test_grid_tie_goes_to_earlier_rate(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "run_repetition", stub_results({0.0001: 0.4, 0.001: 0.4, 0.01: 0.4, 0.1: 0.1})
     )
-    lr, _ = select_learning_rate(config)
+    lr, _ = select_learning_rate(config, None)
     assert lr == 0.0001
 
 
@@ -239,7 +299,7 @@ def test_grid_survives_diverging_candidates(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "run_repetition", stub_results({0.0001: 0.2, 0.001: None, 0.01: 0.5, 0.1: None})
     )
-    lr, outcomes = select_learning_rate(config)
+    lr, outcomes = select_learning_rate(config, None)
     assert lr == 0.01
     nan_rates = [rate for rate, hr in outcomes if math.isnan(hr)]
     assert nan_rates == [0.001, 0.1]
@@ -252,10 +312,23 @@ def test_grid_all_diverged_is_an_error(monkeypatch, tmp_path):
         stub_results({lr: None for lr in GRID_LEARNING_RATES}),
     )
     with pytest.raises(TrainingError, match="every grid learning rate"):
-        select_learning_rate(config)
+        select_learning_rate(config, None)
 
 
 # --- execute_run artifacts -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("extra", [dict(reps=3), dict(lr="grid", reps=2)])
+def test_dataset_is_loaded_once_per_run(tmp_path, monkeypatch, extra):
+    calls = []
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load_interactions(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "load_interactions", counting_load)
+    execute_run(tiny_config(tmp_path, rounds=1, **extra))
+    assert len(calls) == 1
 
 
 def test_execute_run_writes_all_artifacts(tmp_path):

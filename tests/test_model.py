@@ -11,21 +11,21 @@ from fedgraphrec.model import (
     ClientState,
     ModelConfig,
     TrainingError,
-    bce_loss,
     init_client,
-    predict,
-    rank_items,
     score_items,
     train_local,
 )
 from fedgraphrec.seeding import derive_rng
 from oracles import (
     batch_loss,
+    bce_loss,
     check_instance_gradients,
     clone_state,
     naive_bce,
     naive_forward,
+    predict,
     random_instance,
+    rank_items,
     reference_sgd_step,
 )
 
