@@ -139,7 +139,7 @@ class InteractionDataset:
     num_users: int
     num_items: int
     train: list[np.ndarray]
-    validation: list[int | None]
+    validation: list[int]
     test: list[int]
     user_tokens: list[str]
     item_tokens: list[str]
@@ -165,8 +165,7 @@ class InteractionDataset:
         if pool is None:
             seen = np.zeros(self.num_items, dtype=bool)
             seen[self.train[user]] = True
-            if self.validation[user] is not None:
-                seen[self.validation[user]] = True
+            seen[self.validation[user]] = True
             seen[self.test[user]] = True
             pool = np.flatnonzero(~seen)
             self._neg_pools[user] = pool
@@ -174,13 +173,11 @@ class InteractionDataset:
 
     @property
     def total_interactions(self) -> int:
-        held = sum(1 for v in self.validation if v is not None) + len(self.test)
+        held = len(self.validation) + len(self.test)
         return int(sum(arr.size for arr in self.train)) + held
 
 
-def leave_one_out_split(
-    interactions: list[RawInteraction], hold_validation: bool = True
-) -> InteractionDataset:
+def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDataset:
     """Split each user's history: most recent item to test, next to validation.
 
     Recency is (timestamp, file position); records without timestamps fall
@@ -188,7 +185,7 @@ def leave_one_out_split(
     every split are dropped with a logged warning. User and item indices are
     assigned in order of first appearance among the surviving records.
     """
-    need = 3 if hold_validation else 2
+    need = 3  # a test item, a validation item and at least one to train on
     per_user: dict[str, list[tuple[int, RawInteraction]]] = {}
     for line_no, inter in enumerate(interactions):
         per_user.setdefault(inter.user, []).append((line_no, inter))
@@ -223,7 +220,7 @@ def leave_one_out_split(
             item_tokens.append(inter.item)
 
     train: list[np.ndarray] = []
-    validation: list[int | None] = []
+    validation: list[int] = []
     test: list[int] = []
     for token in user_tokens:
         ordered = sorted(
@@ -235,13 +232,8 @@ def leave_one_out_split(
         )
         items = [item_index[inter.item] for _line, inter in ordered]
         test.append(items[-1])
-        if hold_validation:
-            validation.append(items[-2])
-            items = items[:-2]
-        else:
-            validation.append(None)
-            items = items[:-1]
-        train.append(np.asarray(items, dtype=np.int64))
+        validation.append(items[-2])
+        train.append(np.asarray(items[:-2], dtype=np.int64))
 
     return InteractionDataset(
         num_users=len(user_tokens),

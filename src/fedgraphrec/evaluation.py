@@ -25,7 +25,7 @@ class RoundMetrics:
     Values live in [0, 1]; formatting as percentages happens at output time.
     Tiers with no users are absent from per_tier. From `evaluate_round`, the
     metrics are those of the test items and `validation` holds the same
-    metrics for the validation items (None when the dataset holds none).
+    metrics for the validation items.
     """
 
     hr: float
@@ -113,25 +113,17 @@ def evaluate_round(
     n = dataset.num_users
     if len(clients) != n or len(eval_negatives) != n or tiers.is_public.size != n:
         raise ValueError("clients, negatives, tiers, and dataset disagree on user count")
-    has_validation = any(item is not None for item in dataset.validation)
-    held_count = 2 if has_validation else 1
 
     # Rows 0 and 1 hold the test and the validation results.
-    hrs = np.zeros((held_count, n))
-    ndcgs = np.zeros((held_count, n))
-    ranks = np.empty((held_count, n), dtype=np.int64)
+    hrs = np.zeros((2, n))
+    ndcgs = np.zeros((2, n))
+    ranks = np.empty((2, n), dtype=np.int64)
     for u, state in enumerate(clients):
-        held = [dataset.test[u]]
-        if has_validation:
-            if dataset.validation[u] is None:
-                raise ValueError(f"user {u} has no validation item")
-            held.append(dataset.validation[u])
+        held = [dataset.test[u], dataset.validation[u]]
         negatives = np.asarray(eval_negatives[u], dtype=np.int64)
         for row, rank in enumerate(_held_ranks(state, negatives, held, k)):
             ranks[row, u] = rank
             hrs[row, u], ndcgs[row, u] = _hit(rank, k)
 
-    validation = None
-    if has_validation:
-        validation = _summarize(hrs[1], ndcgs[1], ranks[1], tiers, k)
+    validation = _summarize(hrs[1], ndcgs[1], ranks[1], tiers, k)
     return _summarize(hrs[0], ndcgs[0], ranks[0], tiers, k, validation)

@@ -9,6 +9,7 @@ import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -25,16 +26,13 @@ from fedgraphrec.data import (
     sample_eval_negatives,
 )
 from fedgraphrec.evaluation import evaluate_round
-from fedgraphrec.federation import FederationConfig, run_federation
+from fedgraphrec.federation import FederationConfig, RoundRecord, run_federation
 from fedgraphrec.graph import build_user_graph, dump_triplets, normalize
 from fedgraphrec.model import MLP_INIT_CHOICES, ModelConfig, TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng
 
 log = logging.getLogger(__name__)
 
-ROUNDS_CSV_HEADER = (
-    "round,loss,hr,ndcg,hr_public,ndcg_public,hr_private,ndcg_private,wall_time"
-)
 GRID_LEARNING_RATES = (0.0001, 0.001, 0.01, 0.1)
 # Probability mass a synthetic user puts on their own cluster's item pool.
 CLUSTER_BIAS = 0.8
@@ -298,15 +296,14 @@ def build_config(file_path=None, overrides=None, env=None) -> ExperimentConfig:
 
 @dataclass
 class RepetitionResult:
-    """Per-round rows plus the two headline test-metric snapshots."""
+    """Per-round records plus the two headline test-metric snapshots."""
 
     rep: int
     seed: int
     learning_rate: float
-    rounds: list
+    rounds: list[RoundRecord]
     best_round: int
     best_val_hr: float
-    best_val_ndcg: float
     best_hr: float
     best_ndcg: float
     final_hr: float
@@ -324,22 +321,30 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
         )
 
 
+def _split_file(path, format_name: str) -> InteractionDataset:
+    return leave_one_out_split(load_interactions(path, FileFormat.from_string(format_name)))
+
+
 def load_dataset(config: ExperimentConfig) -> InteractionDataset:
     """Parse and split the configured file, and fail before any training when
-    it cannot carry the run. Every repetition and grid candidate shares it."""
+    it cannot carry the evaluation. Every run, repetition and grid candidate
+    of one command shares it."""
     if config.dataset is None:
         raise ConfigError("no dataset configured (--dataset or config file)")
-    interactions = load_interactions(config.dataset, FileFormat.from_string(config.format))
-    dataset = leave_one_out_split(interactions, hold_validation=True)
+    dataset = _split_file(config.dataset, config.format)
     check_eval_negatives(dataset, config.eval_negatives)
-    # assign_privacy marks the same number of users whatever the seed.
+    return dataset
+
+
+def check_sharing_users(config: ExperimentConfig, dataset: InteractionDataset) -> None:
+    """Fail before any training when a public-only global table would average
+    nobody; assign_privacy marks the same number of users whatever the seed."""
     if config.global_from_public_only and public_count(dataset.num_users, config.public_ratio) == 0:
         raise ConfigError(
             f"--global-from-public-only needs at least one sharing user, but "
             f"--public-ratio {config.public_ratio} makes none of the {dataset.num_users} "
             f"users share; raise --public-ratio or drop the flag"
         )
-    return dataset
 
 
 def run_repetition(
@@ -355,55 +360,29 @@ def run_repetition(
         for u in range(dataset.num_users)
     ]
 
-    fed_config = config.to_federation_config(rep_seed, lr)
-
-    val_points = []
-
     def eval_hook(round_index, clients):
         # Stride-skipped rounds stay unevaluated, but the final round always runs.
         if round_index % config.eval_every != 0 and round_index != config.rounds:
             return None
-        metrics = evaluate_round(clients, dataset, negatives, tiers, config.k)
-        val_points.append((round_index, metrics.validation.hr, metrics.validation.ndcg))
-        return metrics
+        return evaluate_round(clients, dataset, negatives, tiers, config.k)
 
-    records = run_federation(dataset, tiers, fed_config, eval_hook)
+    records = run_federation(dataset, tiers, config.to_federation_config(rep_seed, lr), eval_hook)
 
-    rows = []
-    for record in records:
-        metrics = record.metrics
-        pub = metrics.per_tier.get(Tier.PUBLIC) if metrics else None
-        priv = metrics.per_tier.get(Tier.PRIVATE) if metrics else None
-        rows.append(
-            {
-                "round": record.round_index,
-                "loss": record.mean_train_loss,
-                "hr": metrics.hr if metrics else None,
-                "ndcg": metrics.ndcg if metrics else None,
-                "hr_public": pub.hr if pub else None,
-                "ndcg_public": pub.ndcg if pub else None,
-                "hr_private": priv.hr if priv else None,
-                "ndcg_private": priv.ndcg if priv else None,
-                "wall_time": record.wall_time,
-            }
-        )
-
-    best_round, best_val_hr, best_val_ndcg = max(
-        val_points, key=lambda point: (point[1], -point[0])
+    # Highest validation HR; ties go to the earlier round.
+    best = max(
+        (record for record in records if record.metrics is not None),
+        key=lambda record: (record.metrics.validation.hr, -record.round_index),
     )
-    by_round = {record.round_index: record.metrics for record in records}
-    best_metrics = by_round[best_round]
     final_metrics = records[-1].metrics
     return RepetitionResult(
         rep=rep,
         seed=rep_seed,
         learning_rate=lr,
-        rounds=rows,
-        best_round=best_round,
-        best_val_hr=best_val_hr,
-        best_val_ndcg=best_val_ndcg,
-        best_hr=best_metrics.hr,
-        best_ndcg=best_metrics.ndcg,
+        rounds=records,
+        best_round=best.round_index,
+        best_val_hr=best.metrics.validation.hr,
+        best_hr=best.metrics.hr,
+        best_ndcg=best.metrics.ndcg,
         final_hr=final_metrics.hr,
         final_ndcg=final_metrics.ndcg,
     )
@@ -477,22 +456,31 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _write_rounds_csv(path: Path, result: RepetitionResult) -> None:
-    rows = []
-    for row in result.rounds:
-        rows.append(
-            [
-                str(row["round"]),
-                _full(row["loss"]),
-                _pct(row["hr"]),
-                _pct(row["ndcg"]),
-                _pct(row["hr_public"]),
-                _pct(row["ndcg_public"]),
-                _pct(row["hr_private"]),
-                _pct(row["ndcg_private"]),
-                _full(row["wall_time"]),
-            ]
-        )
+def _round_metric(record: RoundRecord, tier: Tier | None, name: str) -> str:
+    """One test metric of the round, over all users (tier None) or one tier;
+    empty when the round or the tier was not evaluated."""
+    metrics = record.metrics
+    if metrics is not None and tier is not None:
+        metrics = metrics.per_tier.get(tier)
+    return _pct(None if metrics is None else getattr(metrics, name))
+
+
+# rounds.csv: (column, cell text from a RoundRecord), in column order.
+ROUNDS_CSV_COLUMNS = (
+    ("round", lambda record: str(record.round_index)),
+    ("loss", lambda record: _full(record.mean_train_loss)),
+    *(
+        (name + suffix, partial(_round_metric, tier=tier, name=name))
+        for suffix, tier in (("", None), ("_public", Tier.PUBLIC), ("_private", Tier.PRIVATE))
+        for name in ("hr", "ndcg")
+    ),
+    ("wall_time", lambda record: _full(record.wall_time)),
+)
+ROUNDS_CSV_HEADER = ",".join(name for name, _cell in ROUNDS_CSV_COLUMNS)
+
+
+def _write_rounds_csv(path: Path, records: list[RoundRecord]) -> None:
+    rows = [[cell(record) for _name, cell in ROUNDS_CSV_COLUMNS] for record in records]
     _atomic_write(path, _csv_text(ROUNDS_CSV_HEADER.split(","), rows))
 
 
@@ -540,35 +528,21 @@ def summarize(results: list[RepetitionResult], lr: float) -> RunSummary:
     )
 
 
-SUMMARY_CSV_HEADER = [
-    "reps",
-    "learning_rate",
-    "best_round_mean",
-    "hr_best_mean",
-    "hr_best_std",
-    "ndcg_best_mean",
-    "ndcg_best_std",
-    "hr_final_mean",
-    "hr_final_std",
-    "ndcg_final_mean",
-    "ndcg_final_std",
+SUMMARY_CSV_HEADER = [f.name for f in dataclasses.fields(RunSummary)]
+# sweep.csv and ablation.csv columns after each cell's status
+CELL_SUMMARY_COLUMNS = [
+    name for name in SUMMARY_CSV_HEADER if name not in ("reps", "best_round_mean")
 ]
 
 
-def _summary_row(summary: RunSummary) -> list[str]:
-    return [
-        str(summary.reps),
-        _full(summary.learning_rate),
-        _full(summary.best_round_mean),
-        _full(summary.hr_best_mean),
-        _full(summary.hr_best_std),
-        _full(summary.ndcg_best_mean),
-        _full(summary.ndcg_best_std),
-        _full(summary.hr_final_mean),
-        _full(summary.hr_final_std),
-        _full(summary.ndcg_final_mean),
-        _full(summary.ndcg_final_std),
-    ]
+def _summary_cells(summary: RunSummary) -> dict[str, str]:
+    """summary.csv cell text by column: integers as they are, floats at full
+    precision."""
+    cells = {}
+    for name in SUMMARY_CSV_HEADER:
+        value = getattr(summary, name)
+        cells[name] = str(value) if isinstance(value, int) else _full(value)
+    return cells
 
 
 def _summary_text(summary: RunSummary, k: int) -> str:
@@ -585,14 +559,21 @@ def _summary_text(summary: RunSummary, k: int) -> str:
     )
 
 
-def execute_run(config: ExperimentConfig) -> RunSummary:
+def execute_run(
+    config: ExperimentConfig, dataset: InteractionDataset | None = None
+) -> RunSummary:
     """Grid selection (when asked), all repetitions, and every artifact file
-    for one configuration. Returns the cross-repetition summary."""
+    for one configuration. Returns the cross-repetition summary.
+
+    `dataset` is the configured file as `load_dataset` returns it; omitted,
+    the run loads it."""
     config.validate()
     out_dir = Path(config.out) / config.label
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "resolved_config.txt", config.to_text())
-    dataset = load_dataset(config)
+    if dataset is None:
+        dataset = load_dataset(config)
+    check_sharing_users(config, dataset)
 
     lr = config.lr
     if lr == "grid":
@@ -610,12 +591,12 @@ def execute_run(config: ExperimentConfig) -> RunSummary:
     for result in results:
         rep_dir = out_dir / f"rep{result.rep}"
         rep_dir.mkdir(parents=True, exist_ok=True)
-        _write_rounds_csv(rep_dir / "rounds.csv", result)
+        _write_rounds_csv(rep_dir / "rounds.csv", result.rounds)
 
     summary = summarize(results, lr)
+    cells = _summary_cells(summary)
     _atomic_write(
-        out_dir / "summary.csv",
-        _csv_text(SUMMARY_CSV_HEADER, [_summary_row(summary)]),
+        out_dir / "summary.csv", _csv_text(SUMMARY_CSV_HEADER, [list(cells.values())])
     )
     _atomic_write(out_dir / "summary.txt", _summary_text(summary, config.k))
     return summary
@@ -631,8 +612,9 @@ def run(config: ExperimentConfig) -> int:
 
 def _cell_metric_cells(summary: RunSummary | None) -> list[str]:
     if summary is None:
-        return [""] * 9
-    return _summary_row(summary)[1:2] + _summary_row(summary)[3:]
+        return [""] * len(CELL_SUMMARY_COLUMNS)
+    cells = _summary_cells(summary)
+    return [cells[name] for name in CELL_SUMMARY_COLUMNS]
 
 
 def parse_axis_values(axis: str, text: str) -> list:
@@ -657,23 +639,27 @@ def parse_axis_values(axis: str, text: str) -> list:
 
 
 def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str) -> int:
-    """Run each (leading row cells, cell config) of `cells` in turn and write
-    one `csv_name` row per cell; a failing cell is recorded as `failed: ...`
-    and the next one runs."""
+    """Run each (leading row cells, cell config) of `cells` in turn on one
+    load of the dataset and write one `csv_name` row per cell; a failing
+    cell is recorded as `failed: ...` and the next one runs.
+
+    No cell changes what `load_dataset` reads, so a dataset problem stops
+    the command before any cell runs."""
     config.validate()
+    dataset = load_dataset(config)
     base_dir = Path(config.out) / config.label
     base_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for lead, cell_config in cells:
         try:
-            summary = execute_run(cell_config)
+            summary = execute_run(cell_config, dataset)
             status = "ok"
         except Exception as exc:  # record and continue with the next cell
             log.warning("cell %s failed: %s", cell_config.label, exc)
             summary = None
             status = f"failed: {exc}"
         rows.append(lead + [status] + _cell_metric_cells(summary))
-    header = header + ["status", "learning_rate"] + SUMMARY_CSV_HEADER[3:]
+    header = header + ["status"] + CELL_SUMMARY_COLUMNS
     _atomic_write(base_dir / csv_name, _csv_text(header, rows))
     print(f"wrote {base_dir / csv_name}")
     return 0
@@ -759,9 +745,7 @@ def gen_synthetic(
 
 def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
     """CLI verb: build the user graph for a dataset and dump sparse triplets."""
-    fmt = FileFormat.from_string(format_name)
-    interactions = load_interactions(dataset_path, fmt)
-    dataset = leave_one_out_split(interactions, hold_validation=True)
+    dataset = _split_file(dataset_path, format_name)
     tiers = assign_privacy(dataset.num_users, public_ratio, seed)
     graph = normalize(build_user_graph(dataset, tiers))
 

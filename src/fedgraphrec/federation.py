@@ -78,19 +78,15 @@ def distribute(
     tiers: PrivacyAssignment,
     alpha: float,
     *,
-    disable_iei: bool = False,
     disable_upie: bool = False,
     out: np.ndarray | None = None,
-) -> np.ndarray | None:
-    """Item tables to install on clients this round, or None when distribution
-    is ablated.
+) -> np.ndarray:
+    """Item tables to install on clients this round.
 
     Without personalization every user gets the global table (returned as a
     zero-copy broadcast view). Otherwise sharing users get their blended
     table and everyone else the global one.
     """
-    if disable_iei:
-        return None
     if disable_upie:
         n = tiers.is_public.size
         return np.broadcast_to(server.global_table, (n,) + server.global_table.shape)
@@ -159,7 +155,6 @@ def run_federation(
                 store,
                 tiers,
                 layers=config.gcn_layers,
-                use_graph=smoothing,
                 global_from_public_only=config.global_from_public_only,
                 out=buffer,
             )

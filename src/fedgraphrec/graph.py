@@ -196,13 +196,9 @@ def personalize(
 
     # Row-at-a-time keeps peak memory flat at desk scale (no (N, M, d) temps).
     global_part = (1.0 - alpha) * global_table
-    in_place = out is propagated
     for u in range(n):
         if tiers.is_public[u]:
-            if in_place:
-                out[u] *= alpha
-            else:
-                np.multiply(propagated[u], alpha, out=out[u])
+            np.multiply(propagated[u], alpha, out=out[u])
             out[u] += global_part
         else:
             np.copyto(out[u], global_table)
@@ -228,17 +224,15 @@ def server_update(
     tiers: PrivacyAssignment,
     *,
     layers: int = 1,
-    use_graph: bool = True,
     global_from_public_only: bool = False,
     out: np.ndarray | None = None,
 ) -> ServerState:
-    """One aggregation step over the stacked uploaded item tables."""
-    if use_graph:
-        if graph is None:
-            raise ValueError("graph smoothing requested but no graph supplied")
-        propagated = propagate(graph, uploads, layers=layers, out=out)
-    else:
+    """One aggregation step over the stacked uploaded item tables; smoothed
+    over `graph`, or passed through unsmoothed when `graph` is None."""
+    if graph is None:
         propagated = uploads
+    else:
+        propagated = propagate(graph, uploads, layers=layers, out=out)
     if global_from_public_only:
         public = tiers.public_users()
         if public.size == 0:

@@ -37,7 +37,6 @@ class ModelConfig:
     # round budget, so "he" is the default.
     mlp_init: str = "he"
     clip_norm: float | None = None
-    seed: int = 0
 
     def validate(self) -> None:
         if self.embed_dim < 1:
@@ -93,18 +92,14 @@ class TrainReport:
     grad_norm: float
 
 
-def init_client(
-    config: ModelConfig, num_items: int, tier: Tier, seed=None
-) -> ClientState:
+def init_client(config: ModelConfig, num_items: int, tier: Tier, seed) -> ClientState:
     """Fresh client: Gaussian embeddings and MLP weights, zero biases.
 
-    `seed` may be an int or a tuple of ints; omitted, config.seed is used.
+    `seed` may be an int or a tuple of ints.
     """
     config.validate()
     if num_items < 1:
         raise ValueError(f"num_items must be >= 1, got {num_items}")
-    if seed is None:
-        seed = config.seed
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     rng = derive_rng(*parts, INIT_SALT)
     d = config.embed_dim

@@ -189,14 +189,6 @@ def test_split_drops_short_users_and_counts(tmp_path, caplog):
     assert "dropped 1 users" in caplog.text
 
 
-def test_split_without_validation_needs_two(tmp_path):
-    path = write(tmp_path, "a.tsv", lines(("u", "a", 1, 1), ("u", "b", 1, 2)))
-    ds = leave_one_out_split(load_interactions(path), hold_validation=False)
-    assert ds.validation[0] is None
-    assert ds.item_tokens[ds.test[0]] == "b"
-    assert [ds.item_tokens[i] for i in ds.train[0]] == ["a"]
-
-
 def test_split_errors_when_no_user_survives(tmp_path):
     path = write(tmp_path, "a.tsv", lines(("u", "a", 1, 1)))
     with pytest.raises(ValueError, match="no users with at least"):

@@ -280,14 +280,6 @@ def test_round_validates_inputs():
         evaluate_round(clients * 2, ds, negs, tiers)
     with pytest.raises(ValueError, match="among the negatives"):
         evaluate_round(clients, ds, [np.arange(4), negs[1]], tiers, k=2)
-    ds.validation = [None, 3]
-    with pytest.raises(ValueError, match="user 0 has no validation item"):
-        evaluate_round(clients, ds, negs, tiers)
-    # a dataset split without validation items gives test metrics only
-    ds.validation = [None, None]
-    metrics = evaluate_round(clients, ds, negs, tiers, k=2)
-    assert metrics.validation is None
-    assert list(metrics.per_user_rank) == [1, 3]
 
 
 def test_round_one_pass_matches_two_reference_passes():

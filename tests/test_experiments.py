@@ -233,25 +233,27 @@ def test_repetition_row_and_snapshot_shape(tmp_path):
     result = run_repetition(config, load_dataset(config), lr=0.05, rep=1)
     assert result.rep == 1
     assert result.seed == config.seed + 1
-    assert [row["round"] for row in result.rounds] == [1, 2, 3, 4]
-    for row in result.rounds:
-        assert row["loss"] > 0.0
-        assert 0.0 <= row["hr"] <= 1.0
-        assert 0.0 <= row["ndcg"] <= row["hr"]
+    assert [record.round_index for record in result.rounds] == [1, 2, 3, 4]
+    for record in result.rounds:
+        assert record.mean_train_loss > 0.0
+        assert 0.0 <= record.metrics.hr <= 1.0
+        assert 0.0 <= record.metrics.ndcg <= record.metrics.hr
     assert 1 <= result.best_round <= 4
-    assert result.final_hr == result.rounds[-1]["hr"]
-    assert result.final_ndcg == result.rounds[-1]["ndcg"]
+    assert result.final_hr == result.rounds[-1].metrics.hr
+    assert result.final_ndcg == result.rounds[-1].metrics.ndcg
     # best test metrics are read at the best-validation round
-    best_row = result.rounds[result.best_round - 1]
-    assert result.best_hr == best_row["hr"]
+    best = result.rounds[result.best_round - 1]
+    assert result.best_hr == best.metrics.hr
+    assert result.best_val_hr == best.metrics.validation.hr
+    assert result.best_val_hr == max(r.metrics.validation.hr for r in result.rounds)
 
 
 def test_repetition_eval_stride(tmp_path):
     config = tiny_config(tmp_path, rounds=5, eval_every=2)
     result = run_repetition(config, load_dataset(config), lr=0.05, rep=0)
-    evaluated = [row["round"] for row in result.rounds if row["hr"] is not None]
+    evaluated = [r.round_index for r in result.rounds if r.metrics is not None]
     assert evaluated == [2, 4, 5]  # stride hits plus the forced final round
-    skipped = [row["round"] for row in result.rounds if row["hr"] is None]
+    skipped = [r.round_index for r in result.rounds if r.metrics is None]
     assert skipped == [1, 3]
 
 
@@ -318,7 +320,15 @@ def test_grid_all_diverged_is_an_error(monkeypatch, tmp_path):
 # --- execute_run artifacts -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("extra", [dict(reps=3), dict(lr="grid", reps=2)])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        dict(reps=3),
+        dict(lr="grid", reps=2),
+        dict(command="ablate", reps=1),
+        dict(command="sweep", reps=1),
+    ],
+)
 def test_dataset_is_loaded_once_per_run(tmp_path, monkeypatch, extra):
     calls = []
 
@@ -327,8 +337,33 @@ def test_dataset_is_loaded_once_per_run(tmp_path, monkeypatch, extra):
         return load_interactions(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "load_interactions", counting_load)
-    execute_run(tiny_config(tmp_path, rounds=1, **extra))
+    extra = dict(extra)
+    command = extra.pop("command", "run")
+    config = tiny_config(tmp_path, rounds=1, **extra)
+    if command == "run":
+        execute_run(config)
+    elif command == "ablate":
+        assert experiments.ablation_suite(config) == 0
+    else:  # four cells over two axes
+        axes = [("alpha", [0.0, 0.5]), ("public_ratio", [0.5, 1.0])]
+        assert experiments.sweep(config, axes) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("verb, extra", [
+    ("ablate", []),
+    ("sweep", ["--axis", "alpha", "--values", "0,0.5"]),
+])
+def test_cell_commands_check_the_dataset_before_any_cell(tmp_path, capsys, verb, extra):
+    # The bundled file's users have at most 90 unseen items: no cell can run.
+    argv = [verb, "--dataset", BUNDLED, "--eval-negatives", "99", "--rounds", "1",
+            "--reps", "1", "--lr", "0.05", "--out", str(tmp_path), "--label", "cells", *extra]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error: --eval-negatives 99 is too large" in err
+    assert "--eval-negatives 90 or less" in err
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not list(tmp_path.rglob("resolved_config.txt"))
 
 
 def test_execute_run_writes_all_artifacts(tmp_path):

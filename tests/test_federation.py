@@ -59,13 +59,6 @@ def random_server(rng, n=5, m=4, d=2):
     return ServerState(propagated=propagated, global_table=propagated.mean(axis=0))
 
 
-def test_distribute_ablated_returns_none():
-    rng = np.random.default_rng(60)
-    server = random_server(rng)
-    tiers = tiers_from_mask([True] * 5)
-    assert distribute(server, tiers, 0.3, disable_iei=True) is None
-
-
 def test_distribute_without_personalization_broadcasts_global():
     rng = np.random.default_rng(61)
     server = random_server(rng)
@@ -123,7 +116,7 @@ def test_first_round_serves_blend_of_initial_tables():
     inits = init_tables(config, ds, tiers)
 
     graph = normalize(build_user_graph(ds, tiers))
-    server = server_update(graph, inits, tiers, layers=1, use_graph=True)
+    server = server_update(graph, inits, tiers, layers=1)
     expected = personalize(server.propagated, server.global_table, 0.4, tiers)
 
     sink = []
@@ -177,9 +170,7 @@ def test_global_from_public_only_variant():
     )
     inits = init_tables(config, ds, tiers)
     graph = normalize(build_user_graph(ds, tiers))
-    server = server_update(
-        graph, inits, tiers, layers=1, use_graph=True, global_from_public_only=True
-    )
+    server = server_update(graph, inits, tiers, layers=1, global_from_public_only=True)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
     # alpha 0 serves the global table to everyone; here it averages only

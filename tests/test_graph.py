@@ -419,7 +419,7 @@ def test_server_update_without_graph_aliases_uploads():
     rng = np.random.default_rng(18)
     uploads = rng.normal(size=(4, 3, 2))
     tiers = tiers_from_mask([True, True, False, False])
-    state = server_update(None, uploads, tiers, use_graph=False)
+    state = server_update(None, uploads, tiers)
     assert state.propagated is uploads
     np.testing.assert_allclose(state.global_table, uploads.mean(axis=0), atol=1e-12)
 
@@ -442,19 +442,13 @@ def test_server_update_public_only_global():
     rng = np.random.default_rng(20)
     uploads = rng.normal(size=(4, 3, 2))
     tiers = tiers_from_mask([True, False, True, False])
-    state = server_update(None, uploads, tiers, use_graph=False, global_from_public_only=True)
+    state = server_update(None, uploads, tiers, global_from_public_only=True)
     np.testing.assert_allclose(
         state.global_table, (uploads[0] + uploads[2]) / 2.0, atol=1e-12
     )
     all_private = tiers_from_mask([False] * 4)
     with pytest.raises(ValueError, match="sharing"):
-        server_update(None, uploads, all_private, use_graph=False, global_from_public_only=True)
-
-
-def test_server_update_requires_graph_when_smoothing():
-    tiers = tiers_from_mask([True, True])
-    with pytest.raises(ValueError, match="no graph"):
-        server_update(None, np.zeros((2, 2)), tiers, use_graph=True)
+        server_update(None, uploads, all_private, global_from_public_only=True)
 
 
 # --- helpers ---------------------------------------------------------------------

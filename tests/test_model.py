@@ -63,13 +63,6 @@ def test_init_scale_zero_gives_all_zero_parameters():
     assert all(not W.any() for W in state.weights)
 
 
-def test_init_seed_falls_back_to_config():
-    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), seed=77)
-    a = init_client(config, 5, Tier.PUBLIC)
-    b = init_client(config, 5, Tier.PUBLIC, seed=77)
-    np.testing.assert_array_equal(a.item_table, b.item_table)
-
-
 def test_init_he_scales_mlp_only():
     config = ModelConfig(embed_dim=32, mlp_hidden=(32, 16), init_scale=0.01, mlp_init="he")
     state = init_client(config, 400, Tier.PUBLIC, seed=5)
