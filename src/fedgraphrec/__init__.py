@@ -20,9 +20,11 @@ from fedgraphrec.data import (
 )
 from fedgraphrec.model import (
     ClientState,
+    ClientStore,
     ModelConfig,
     TrainReport,
     init_client,
+    train_clients,
     train_local,
 )
 from fedgraphrec.graph import (
@@ -62,9 +64,11 @@ __all__ = [
     "sample_eval_negatives",
     "sample_train_negatives",
     "ClientState",
+    "ClientStore",
     "ModelConfig",
     "TrainReport",
     "init_client",
+    "train_clients",
     "train_local",
     "ServerState",
     "UserGraph",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier
-from fedgraphrec.model import ClientState, score_items
+from fedgraphrec.model import COHORT_ROWS, ClientState, ClientStore, score_cohort
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,45 @@ class RoundMetrics:
     validation: RoundMetrics | None = None
 
 
-def _held_ranks(state: ClientState, negatives: np.ndarray, held: list, k: int) -> list[int]:
-    """1-based rank of each held-out item among the negatives, from one
-    scoring pass over the negatives and all held items.
+def _first_problem(negatives: np.ndarray, held: np.ndarray, k: int):
+    """The first row of (C, K) negatives and (C, H) held items that cannot be
+    ranked, with its message, or None. A row's held items are checked in
+    order before its k."""
+    inside = (negatives[:, :, None] == held[:, None, :]).any(axis=1)
+    bad = inside.any(axis=1)
+    k_ok = 1 <= k <= negatives.shape[1] + 1
+    if k_ok and not bad.any():
+        return None
+    row = int(np.argmax(bad)) if k_ok else 0
+    if bad[row]:
+        item = held[row, int(np.argmax(inside[row]))]
+        return row, f"held-out item {item} appears among the negatives"
+    return row, f"k must be in [1, {negatives.shape[1] + 1}], got {k}"
+
+
+def _held_ranks(
+    store: ClientStore, rows: np.ndarray, negatives: np.ndarray, held: np.ndarray
+) -> np.ndarray:
+    """1-based rank (C, H) of each held item of clients `rows` among that
+    client's (C, K) negatives, scored in stacked chunks of at most
+    COHORT_ROWS candidates.
 
     An item's rank counts the negatives that sort before it: a higher score,
     or an equal score and a smaller item index. The held items do not
     compete with each other.
     """
-    for item in held:
-        if np.any(negatives == item):
-            raise ValueError(f"held-out item {item} appears among the negatives")
-    if not 1 <= k <= negatives.size + 1:
-        raise ValueError(f"k must be in [1, {negatives.size + 1}], got {k}")
-    scores = score_items(state, np.concatenate([negatives, held]))
-    neg_scores = scores[: negatives.size]
-    ranks = []
-    for item, score in zip(held, scores[negatives.size :]):
-        ahead = (neg_scores > score) | ((neg_scores == score) & (negatives < item))
-        ranks.append(1 + int(np.count_nonzero(ahead)))
+    K = negatives.shape[1]
+    ranks = np.empty(held.shape, dtype=np.int64)
+    per = max(1, COHORT_ROWS // (K + held.shape[1]))
+    for start in range(0, rows.size, per):
+        part = slice(start, start + per)
+        negs, items = negatives[part], held[part]
+        scores = score_cohort(store, rows[part], np.concatenate([negs, items], axis=1))
+        neg_scores, held_scores = scores[:, :K, None], scores[:, None, K:]
+        ahead = (neg_scores > held_scores) | (
+            (neg_scores == held_scores) & (negs[:, :, None] < items[:, None, :])
+        )
+        ranks[part] = 1 + np.count_nonzero(ahead, axis=1)
     return ranks
 
 
@@ -72,7 +92,12 @@ def evaluate_user(
     Returns (hr, ndcg, rank): hr is 1 iff the 1-based rank is within the top
     k, ndcg is 1/log2(rank + 1) for hits and 0 otherwise.
     """
-    (rank,) = _held_ranks(state, np.asarray(negatives, dtype=np.int64), [test_item], k)
+    negatives = np.asarray(negatives, dtype=np.int64)[None]
+    held = np.array([[test_item]], dtype=np.int64)
+    problem = _first_problem(negatives, held, k)
+    if problem is not None:
+        raise ValueError(problem[1])
+    rank = int(_held_ranks(ClientStore.of(state), np.zeros(1, dtype=np.int64), negatives, held)[0, 0])
     return (*_hit(rank, k), rank)
 
 
@@ -106,24 +131,41 @@ def evaluate_round(
 ) -> RoundMetrics:
     """Average per-user metrics over all users and per tier.
 
-    One scoring pass per user ranks both held-out items among the same
+    One scoring pass ranks both held-out items of every user among the same
     negatives: the test item, for the returned metrics, and the validation
-    item, for their `validation` field.
+    item, for their `validation` field. Users with equally many negatives
+    are scored together in stacked chunks. `clients` is a ClientStore, or
+    any sequence of ClientStates, which is stacked first.
     """
     n = dataset.num_users
     if len(clients) != n or len(eval_negatives) != n or tiers.is_public.size != n:
         raise ValueError("clients, negatives, tiers, and dataset disagree on user count")
 
+    held = np.array([dataset.test, dataset.validation], dtype=np.int64).T
+    groups: dict[int, list[int]] = {}
+    for u, negatives in enumerate(eval_negatives):
+        groups.setdefault(np.size(negatives), []).append(u)
+    blocks = []
+    problems = []
+    for users in groups.values():
+        users = np.asarray(users)
+        negatives = np.stack([np.asarray(eval_negatives[u], dtype=np.int64) for u in users])
+        problem = _first_problem(negatives, held[users], k)
+        if problem is not None:
+            problems.append((users[problem[0]], problem[1]))
+        blocks.append((users, negatives))
+    if problems:
+        raise ValueError(min(problems)[1])
+
+    store = clients if isinstance(clients, ClientStore) else ClientStore.collect(n, clients)
     # Rows 0 and 1 hold the test and the validation results.
-    hrs = np.zeros((2, n))
-    ndcgs = np.zeros((2, n))
     ranks = np.empty((2, n), dtype=np.int64)
-    for u, state in enumerate(clients):
-        held = [dataset.test[u], dataset.validation[u]]
-        negatives = np.asarray(eval_negatives[u], dtype=np.int64)
-        for row, rank in enumerate(_held_ranks(state, negatives, held, k)):
-            ranks[row, u] = rank
-            hrs[row, u], ndcgs[row, u] = _hit(rank, k)
+    for users, negatives in blocks:
+        ranks[:, users] = _held_ranks(store, users, negatives, held[users]).T
+    hits = ranks <= k
+    gains = np.array([_hit(rank, k)[1] for rank in range(1, k + 1)])
+    hrs = hits.astype(np.float64)
+    ndcgs = np.where(hits, gains[np.minimum(ranks, k) - 1], 0.0)
 
     validation = _summarize(hrs[1], ndcgs[1], ranks[1], tiers, k)
     return _summarize(hrs[0], ndcgs[0], ranks[0], tiers, k, validation)

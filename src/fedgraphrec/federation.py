@@ -17,7 +17,14 @@ from fedgraphrec.graph import (
     personalize,
     server_update,
 )
-from fedgraphrec.model import ModelConfig, TrainingError, init_client, train_local
+from fedgraphrec.model import (
+    ClientStore,
+    ModelConfig,
+    TrainingError,
+    init_client,
+    train_clients,
+    train_local,  # noqa: F401  perfbench/traced.py wraps federation.train_local by name
+)
 from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
 
 
@@ -101,33 +108,30 @@ def run_federation(
 ) -> list[RoundRecord]:
     """Execute the full round loop and return one record per round.
 
-    Every item table lives in one (n, m, d) store; client u's table is the
-    view ``store[u]``. Per round: the server adds the upload noise of the
-    previous round's training (when configured), smooths and blends the
-    store into a second buffer of the same shape, and the two buffers swap,
-    so installing moves no data. (With smoothing ablated the blend runs in
-    place on the store; without personalization the global table is copied
-    into every row.) Round 1 serves the clients' freshly initialized tables,
-    unnoised. Clients then train locally and `eval_hook(round_index,
-    clients)` may return RoundMetrics (or None) for the round's record; it
-    reads the clean tables. The final round's tables are never noised,
-    because no server step reads them.
+    Every client's parameters live in one ClientStore: item tables (n, m, d),
+    user vectors and MLP weights, stacked on the client axis. Per round: the
+    server adds the upload noise of the previous round's training (when
+    configured), smooths and blends the item tables into a second buffer of
+    the same shape, and the two buffers swap, so installing moves no data.
+    (With smoothing ablated the blend runs in place on the store; without
+    personalization the global table is copied into every row.) Round 1
+    serves the clients' freshly initialized tables, unnoised. Clients then
+    train locally, in cohorts, and `eval_hook(round_index, clients)` may
+    return RoundMetrics (or None) for the round's record; `clients` is the
+    store, and `clients[u]` is client u. The hook reads the clean tables.
+    The final round's tables are never noised, because no server step reads
+    them.
     """
     config.validate()
     n = dataset.num_users
     if tiers.is_public.size != n:
         raise ValueError(f"dataset has {n} users but tiers cover {tiers.is_public.size}")
     m = dataset.num_items
-    d = config.model.embed_dim
 
     # One client at a time, so at most one stray (m, d) table is alive.
-    store = np.empty((n, m, d), dtype=np.float64)
-    clients = []
-    for u in range(n):
-        client = init_client(config.model, m, tiers.tier(u), seed=(config.seed, u))
-        np.copyto(store[u], client.item_table)
-        client.item_table = store[u]
-        clients.append(client)
+    clients = ClientStore.collect(
+        n, (init_client(config.model, m, tiers.tier(u), seed=(config.seed, u)) for u in range(n))
+    )
 
     # With distribution ablated the server consumes nothing, so skip the
     # graph, the second buffer, and the aggregation work entirely.
@@ -138,13 +142,14 @@ def run_federation(
     buffer = None
     if smoothing:
         graph = normalize(build_user_graph(dataset, tiers))
-        buffer = np.empty_like(store)
+        buffer = np.empty_like(clients.item_tables)
 
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
         start = time.perf_counter()
 
         if serving:
+            store = clients.item_tables
             if round_index > 1 and config.ldp_scale > 0.0:
                 # Noise drawn per (seed, user, round that trained the table).
                 for u in range(n):
@@ -166,19 +171,17 @@ def run_federation(
                 out=server.propagated,
             )
             if tables is buffer:
-                store, buffer = buffer, store
-                for u, client in enumerate(clients):
-                    client.item_table = store[u]
+                buffer, clients.item_tables = clients.item_tables, tables
             elif tables is not store:
                 np.copyto(store, tables)
 
+        rngs = (derive_rng(config.seed, u, round_index, TRAIN_SALT) for u in range(n))
+        try:
+            reports = train_clients(clients, dataset, config.model, rngs)
+        except (TrainingError, ValueError) as exc:
+            raise TrainingError(f"round {round_index}: {exc}") from exc
         loss_sum = 0.0
-        for u, client in enumerate(clients):
-            client.rng = derive_rng(config.seed, u, round_index, TRAIN_SALT)
-            try:
-                report = train_local(client, dataset, u, config.model)
-            except (TrainingError, ValueError) as exc:
-                raise TrainingError(f"round {round_index}: {exc}") from exc
+        for report in reports:
             loss_sum += report.mean_loss
 
         metrics = eval_hook(round_index, clients) if eval_hook is not None else None

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import expit
 
 from fedgraphrec import model as mdl
-from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier
+from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier, sample_train_negatives
 from fedgraphrec.model import ClientState, ModelConfig, init_client
 
 
@@ -169,6 +169,45 @@ def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_nor
         W -= scale * gW
         b -= scale * gb
     return loss, effective_norm
+
+
+def reference_train_local(state, dataset, user, config):
+    """One client's local pass as first written: a loop of
+    `reference_sgd_step` calls, drawing from `state.rng` epoch by epoch.
+
+    Cohort training must match it bit for bit, client by client.
+    """
+    positives = dataset.train[user]
+    if positives.size == 0:
+        raise ValueError(f"user {user}: no training interactions")
+    total_loss = 0.0
+    total_examples = 0
+    step = 0
+    norms = []
+    for _epoch in range(config.local_epochs):
+        negatives = sample_train_negatives(dataset, user, config.neg_ratio, state.rng)
+        items = np.concatenate([positives, negatives])
+        labels = np.concatenate([np.ones(positives.size), np.zeros(negatives.size)])
+        order = state.rng.permutation(items.size)
+        items = items[order]
+        labels = labels[order]
+        for start in range(0, items.size, config.batch_size):
+            batch_items = items[start : start + config.batch_size]
+            batch_labels = labels[start : start + config.batch_size]
+            loss, norm = reference_sgd_step(
+                state, batch_items, batch_labels, config.learning_rate, config.clip_norm
+            )
+            step += 1
+            if not np.isfinite(loss) or not np.isfinite(norm):
+                raise mdl.TrainingError(
+                    f"user {user}: non-finite loss or gradient at local step {step}"
+                )
+            total_loss += loss
+            total_examples += batch_items.size
+            norms.append(norm)
+    return mdl.TrainReport(
+        mean_loss=total_loss / total_examples, steps=step, grad_norm=float(np.mean(norms))
+    )
 
 
 def random_instance(rng, max_dim=4):

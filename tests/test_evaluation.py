@@ -16,9 +16,10 @@ from fedgraphrec.data import (
 )
 from fedgraphrec.evaluation import evaluate_round, evaluate_user
 from fedgraphrec.federation import FederationConfig, run_federation
-from fedgraphrec.model import ModelConfig, init_client, score_items
+from fedgraphrec.model import COHORT_ROWS, ClientStore, ModelConfig, init_client, score_items
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rng
 from oracles import (
+    clone_state,
     dataset_from_train_sets,
     make_score_state,
     oracle_rank,
@@ -333,3 +334,57 @@ def test_all_equal_scores_rank_by_item_index():
         metrics = evaluate_round([state], ds, [negatives], tiers_from_mask([True]), k=1)
         assert list(metrics.per_user_rank) == [rank]
         assert list(metrics.validation.per_user_rank) == [1 + int((negatives < val_item).sum())]
+
+
+def store_world(n=30, num_items=60, seed=56):
+    """Store-backed clients with distinct held items and 49 negatives each.
+
+    Users 0, 7, 14, ... score every item alike (a zero output layer), so
+    their held items rank by item index alone.
+    """
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(embed_dim=4, mlp_hidden=(6,), init_scale=0.5)
+    tiers = tiers_from_mask(rng.random(n) < 0.5)
+    store = ClientStore.collect(
+        n, (init_client(config, num_items, tiers.tier(u), seed=(seed, u)) for u in range(n))
+    )
+    for u in range(0, n, 7):
+        store.weights[-1][u] = 0.0
+        store.biases[-1][u] = 0.0
+    ds = dataset_from_train_sets([set() for _ in range(n)], num_items)
+    negatives = []
+    for u in range(n):
+        items = rng.permutation(num_items)[:51]
+        ds.test[u], ds.validation[u] = int(items[0]), int(items[1])
+        negatives.append(items[2:])
+    return store, ds, negatives, tiers
+
+
+def assert_matches_reference(metrics, clients, ds, negatives, tiers, k):
+    for got, target in ((metrics, "test"), (metrics.validation, "validation")):
+        ranks, hr, ndcg, per_tier = reference_evaluate_round(clients, ds, negatives, tiers, k, target)
+        assert np.array_equal(got.per_user_rank, ranks)
+        assert (got.hr, got.ndcg) == (hr, ndcg)
+        assert {tier: (m.hr, m.ndcg, m.user_count) for tier, m in got.per_tier.items()} == per_tier
+
+
+def test_store_backed_round_matches_reference_across_chunks():
+    store, ds, negatives, tiers = store_world()
+    # 51 candidates per user: more users than one chunk of COHORT_ROWS holds
+    assert len(store) * 51 > COHORT_ROWS
+    metrics = evaluate_round(store, ds, negatives, tiers, k=10)
+    assert_matches_reference(metrics, list(store), ds, negatives, tiers, 10)
+    for u in range(0, len(store), 7):
+        for got, held in ((metrics, ds.test[u]), (metrics.validation, ds.validation[u])):
+            assert got.per_user_rank[u] == 1 + int((negatives[u] < held).sum())
+
+
+def test_plain_client_list_evaluates_like_the_store():
+    store, ds, negatives, tiers = store_world()
+    plain = [clone_state(client) for client in store]
+    from_store = evaluate_round(store, ds, negatives, tiers, k=5)
+    from_list = evaluate_round(plain, ds, negatives, tiers, k=5)
+    for a, b in ((from_store, from_list), (from_store.validation, from_list.validation)):
+        assert np.array_equal(a.per_user_rank, b.per_user_rank)
+        assert (a.hr, a.ndcg) == (b.hr, b.ndcg)
+    assert_matches_reference(from_list, plain, ds, negatives, tiers, 5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedgraphrec import federation
+from fedgraphrec import model as mdl
 from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import (
     FederationConfig,
@@ -14,8 +15,8 @@ from fedgraphrec.federation import (
     run_federation,
 )
 from fedgraphrec.graph import ServerState, build_user_graph, normalize, personalize, server_update
-from fedgraphrec.model import ModelConfig, TrainingError, init_client
-from fedgraphrec.seeding import LDP_SALT, derive_rng
+from fedgraphrec.model import ClientStore, ModelConfig, TrainingError, init_client, train_clients
+from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
 from oracles import dataset_from_train_sets, tiers_from_mask
 
 
@@ -345,6 +346,35 @@ def test_run_keeps_two_table_buffers(share_every):
         tracemalloc.stop()
     table_bytes = n * m * d * 8
     assert peak < 2.5 * table_bytes, f"peak {peak} bytes for {table_bytes}-byte tables"
+
+
+def test_round_memory_is_bounded_by_the_row_cap():
+    # 300 clients with 100-example batches and 51 ranking candidates each.
+    # Uncapped, one cohort's hidden layer alone would take 300 * 100 * 32 * 8
+    # bytes = 7.7 MB; capped, a round of training plus evaluation allocates a
+    # few (COHORT_ROWS, width) temporaries beyond the drawn batches.
+    n, m, d, hidden = 300, 80, 8, 32
+    rng = np.random.default_rng(5)
+    train_sets = [set(rng.choice(m - 2, size=20, replace=False).tolist()) for _ in range(n)]
+    ds = dataset_from_train_sets(train_sets, m)
+    ds.validation = [m - 2] * n
+    ds.test = [m - 1] * n
+    tiers = tiers_from_mask([u % 2 == 0 for u in range(n)])
+    negatives = [np.setdiff1d(np.arange(m - 2), sorted(s))[:49] for s in train_sets]
+    config = ModelConfig(embed_dim=d, mlp_hidden=(hidden,), learning_rate=0.05)
+    store = ClientStore.collect(
+        n, (init_client(config, m, tiers.tier(u), seed=(1, u)) for u in range(n))
+    )
+    tracemalloc.start()
+    try:
+        train_clients(store, ds, config, (derive_rng(1, u, 1, TRAIN_SALT) for u in range(n)))
+        evaluate_round(store, ds, negatives, tiers, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    batch_bytes = n * 5 * 20 * (8 + 8)
+    budget = 2 * batch_bytes + 16 * mdl.COHORT_ROWS * max(2 * d, hidden) * 8
+    assert peak < budget, f"peak {peak} bytes over the {budget}-byte budget"
 
 
 # --- privacy boundary ---------------------------------------------------------------

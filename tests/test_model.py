@@ -9,24 +9,28 @@ from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, Tier
 from fedgraphrec.model import (
     ClientState,
+    ClientStore,
     ModelConfig,
     TrainingError,
     init_client,
     score_items,
+    train_clients,
     train_local,
 )
-from fedgraphrec.seeding import derive_rng
+from fedgraphrec.seeding import TRAIN_SALT, derive_rng
 from oracles import (
     batch_loss,
     bce_loss,
     check_instance_gradients,
     clone_state,
+    dataset_from_train_sets,
     naive_bce,
     naive_forward,
     predict,
     random_instance,
     rank_items,
     reference_sgd_step,
+    reference_train_local,
 )
 
 
@@ -254,6 +258,114 @@ def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
             assert np.array_equal(mine, theirs)
     if clip_norm is not None:
         assert clipped == 60
+
+
+def stacked_clients(config, count, num_items, seed):
+    return ClientStore.collect(
+        count,
+        (init_client(config, num_items, Tier.PUBLIC, seed=(seed, c)) for c in range(count)),
+    )
+
+
+def assert_same_parameters(state, reference):
+    assert np.array_equal(state.user_vec, reference.user_vec)
+    assert np.array_equal(state.item_table, reference.item_table)
+    for mine, theirs in zip(state.weights + state.biases, reference.weights + reference.biases):
+        assert np.array_equal(mine, theirs)
+
+
+def test_cohort_step_matches_reference_bit_for_bit():
+    # 30 clients with batches of 40 items drawn from 12, so rows repeat: 1200
+    # example rows, more than one chunk holds. Hidden unit 0 of the first
+    # layer has zero weights and bias, so its pre-activation is exactly 0.0.
+    # The clip sits at the median first-step norm: it fires for some clients
+    # and not for others.
+    config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
+    count, batch = 30, 40
+    assert count * batch > mdl.COHORT_ROWS >= batch
+    store = stacked_clients(config, count, 12, seed=41)
+    store.weights[0][:, :, 0] = 0.0
+    references = [clone_state(client) for client in store]
+    rng = np.random.default_rng(43)
+    items = rng.integers(0, 12, size=(count, batch))
+    labels = rng.integers(0, 2, size=(count, batch)).astype(np.float64)
+    probes = [clone_state(client) for client in store]
+    first_norms = [reference_sgd_step(p, items[c], labels[c], 0.2, None)[1] for c, p in enumerate(probes)]
+    clip_norm = float(np.median(first_norms))
+    clipped = set()
+    for _ in range(5):
+        rows = rng.permutation(count)
+        got_loss, got_norm = mdl._cohort_step(store, rows, items[rows], labels[rows], 0.2, clip_norm)
+        for c, row in enumerate(rows):
+            assert np.any(mdl._forward(references[row], references[row].item_table[items[row]])[2][0] == 0.0)
+            want = reference_sgd_step(references[row], items[row], labels[row], 0.2, clip_norm)
+            assert (got_loss[c], got_norm[c]) == want
+            if want[1] == clip_norm:
+                clipped.add(int(row))
+        for client, reference in zip(store, references):
+            assert_same_parameters(client, reference)
+        items = rng.integers(0, 12, size=(count, batch))
+        labels = rng.integers(0, 2, size=(count, batch)).astype(np.float64)
+    assert 0 < len(clipped) < count
+
+
+def ragged_dataset(sizes, num_items=40, seed=3):
+    """Users with the given train sizes; held-out items are the last two."""
+    rng = np.random.default_rng(seed)
+    train_sets = [set(rng.choice(num_items - 2, size=size, replace=False).tolist()) for size in sizes]
+    ds = dataset_from_train_sets(train_sets, num_items)
+    ds.validation = [num_items - 2] * len(sizes)
+    ds.test = [num_items - 1] * len(sizes)
+    return ds
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.5])
+def test_cohort_training_matches_reference_train_local(clip_norm):
+    # Unequal train sizes with batch size 16 and 2 epochs: clients take
+    # different numbers of steps, and their last batches differ in length.
+    sizes = [3, 7, 4, 9, 3, 12, 5, 8, 6, 4, 10, 2]
+    ds = ragged_dataset(sizes)
+    config = ModelConfig(
+        embed_dim=5, mlp_hidden=(6, 3), learning_rate=0.1, batch_size=16,
+        local_epochs=2, neg_ratio=4, init_scale=0.3, clip_norm=clip_norm,
+    )
+    store = stacked_clients(config, len(sizes), ds.num_items, seed=7)
+    references = [clone_state(client) for client in store]
+    reports = train_clients(store, ds, config, (derive_rng(7, u, 1, TRAIN_SALT) for u in range(len(sizes))))
+    assert len({report.steps for report in reports}) > 1
+    for u, reference in enumerate(references):
+        reference.rng = derive_rng(7, u, 1, TRAIN_SALT)
+        assert reports[u] == reference_train_local(reference, ds, u, config)
+        assert_same_parameters(store[u], reference)
+
+
+def test_cohort_training_error_names_lowest_user_at_its_first_step():
+    # User 1 diverges at its third step and user 3 at its first: a loop over
+    # users stops at user 1's third step, and cohort training says the same.
+    sizes = [8, 8, 8, 8, 8]
+    ds = ragged_dataset(sizes)
+    config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.05, batch_size=8)
+    store = stacked_clients(config, len(sizes), ds.num_items, seed=5)
+    rngs = [derive_rng(5, u, 1, TRAIN_SALT) for u in range(len(sizes))]
+    batches = [mdl.local_batches(ds, u, config, derive_rng(5, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
+
+    def first_seen_at(user, step):
+        # An item that user's batches first contain at the given 1-based step.
+        seen = set().union(*(set(items.tolist()) for items, _ in batches[user][: step - 1]))
+        return next(i for i in batches[user][step - 1][0].tolist() if i not in seen)
+
+    for user, step in ((1, 3), (3, 1)):
+        store.item_tables[user, first_seen_at(user, step), 0] = np.inf
+    references = [clone_state(client) for client in store]
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(TrainingError) as cohort:
+            train_clients(store, ds, config, iter(rngs))
+        with pytest.raises(TrainingError) as loop:
+            for u, reference in enumerate(references):
+                reference.rng = derive_rng(5, u, 1, TRAIN_SALT)
+                reference_train_local(reference, ds, u, config)
+    assert str(cohort.value) == str(loop.value)
+    assert str(cohort.value) == "user 1: non-finite loss or gradient at local step 3"
 
 
 # --- train_local --------------------------------------------------------------
