@@ -196,6 +196,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"--clip-norm must be >= 0 (0 disables clipping), got {self.clip_norm}"
             )
+        if self.layers < 1:
+            raise ConfigError(f"--layers must be >= 1, got {self.layers}")
+        if self.ldp_delta < 0:
+            raise ConfigError(f"--ldp-delta must be >= 0 (0 adds no noise), got {self.ldp_delta}")
         try:
             self.to_federation_config(self.seed, lr=0.01).validate()
         except ValueError as exc:

@@ -111,10 +111,9 @@ def run_federation(
     Every client's parameters live in one ClientStore: item tables (n, m, d),
     user vectors and MLP weights, stacked on the client axis. Per round: the
     server adds the upload noise of the previous round's training (when
-    configured), smooths and blends the item tables into a second buffer of
-    the same shape, and the two buffers swap, so installing moves no data.
-    (With smoothing ablated the blend runs in place on the store; without
-    personalization the global table is copied into every row.) Round 1
+    configured), then smooths and blends the item tables in place on the
+    store, so installing moves no data and no second (n, m, d) buffer exists.
+    (Without personalization the global table is copied into every row.) Round 1
     serves the clients' freshly initialized tables, unnoised. Clients then
     train locally, in cohorts, and `eval_hook(round_index, clients)` may
     return RoundMetrics (or None) for the round's record; `clients` is the
@@ -134,15 +133,11 @@ def run_federation(
     )
 
     # With distribution ablated the server consumes nothing, so skip the
-    # graph, the second buffer, and the aggregation work entirely.
+    # graph and the aggregation work entirely.
     serving = not config.disable_iei
-    smoothing = serving and not config.disable_ugc
-
     graph: UserGraph | None = None
-    buffer = None
-    if smoothing:
+    if serving and not config.disable_ugc:
         graph = normalize(build_user_graph(dataset, tiers))
-        buffer = np.empty_like(clients.item_tables)
 
     records: list[RoundRecord] = []
     for round_index in range(1, config.rounds + 1):
@@ -161,18 +156,12 @@ def run_federation(
                 tiers,
                 layers=config.gcn_layers,
                 global_from_public_only=config.global_from_public_only,
-                out=buffer,
+                out=store,
             )
             tables = distribute(
-                server,
-                tiers,
-                config.alpha,
-                disable_upie=config.disable_upie,
-                out=server.propagated,
+                server, tiers, config.alpha, disable_upie=config.disable_upie, out=store
             )
-            if tables is buffer:
-                buffer, clients.item_tables = clients.item_tables, tables
-            elif tables is not store:
+            if tables is not store:
                 np.copyto(store, tables)
 
         rngs = (derive_rng(config.seed, u, round_index, TRAIN_SALT) for u in range(n))

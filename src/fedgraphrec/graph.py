@@ -14,9 +14,8 @@ from fedgraphrec.data import InteractionDataset, PrivacyAssignment
 # its rows, it runs as a dense matmul, which is far faster than CSR at the
 # near-complete co-interaction blocks sharing users produce.
 DENSE_DENSITY_CUTOFF = 0.05
-# Column slab width of every product except the dense one over all rows:
-# each hop's temporaries are (rows with neighbours) x SLAB_COLUMNS, never the
-# size of the tables.
+# Column slab width of every product: each hop's temporaries are
+# (rows with neighbours) x SLAB_COLUMNS, never the size of the tables.
 SLAB_COLUMNS = 2048
 
 
@@ -91,7 +90,7 @@ def normalize(graph: UserGraph) -> UserGraph:
     inv_sqrt = sp.diags(1.0 / np.sqrt(degree))
     mat = (inv_sqrt @ graph.adjacency @ inv_sqrt).tocsr()
     # An identity row holds one unit entry on the diagonal, and nothing else
-    # in its column reads it; propagation copies such rows.
+    # in its column reads it; propagation leaves such rows as they are.
     row_entries = np.diff(mat.indptr)
     col_entries = np.bincount(mat.indices, minlength=mat.shape[1])
     identity = (row_entries == 1) & (col_entries == 1) & (mat.diagonal() == 1.0)
@@ -110,7 +109,11 @@ def propagate(
 
     Parameter-free and linear: one hop multiplies by the normalized
     adjacency. `tables` is (num_users, ...) with any trailing shape; `out`,
-    when given, receives the result and must not alias `tables`.
+    when given, receives the result. `out=tables` runs in place; any other
+    overlap between the two is rejected. Every hop acts along the user axis
+    only, so the rows with neighbours run one column slab at a time, with
+    (rows with neighbours) x SLAB_COLUMNS temporaries, and identity rows are
+    never touched after the result holds a copy of `tables`.
     """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
@@ -119,37 +122,22 @@ def propagate(
     n = graph.num_users
     if tables.shape[0] != n:
         raise ValueError(f"tables cover {tables.shape[0]} users, graph has {n}")
-    if out is not None:
-        if out.shape != tables.shape:
-            raise ValueError(f"out shape {out.shape} != tables shape {tables.shape}")
-        if out is tables or np.shares_memory(out, tables):
-            raise ValueError("out must not alias tables")
-
-    flat = tables.reshape(n, -1)
-    flat_out = out.reshape(n, -1) if out is not None else None
     block = graph._block
+    if out is None:
+        out = np.array(tables, dtype=np.result_type(tables.dtype, block.dtype))
+    elif out.shape != tables.shape:
+        raise ValueError(f"out shape {out.shape} != tables shape {tables.shape}")
+    elif out is not tables:
+        if np.shares_memory(out, tables):
+            raise ValueError("out must not alias tables; pass out=tables to run in place")
+        np.copyto(out, tables)
+
+    flat = out.reshape(n, -1)
     k = block.shape[0]
     dense = k > 64 and block.nnz >= DENSE_DENSITY_CUTOFF * k * k
     if dense and graph._dense_normalized is None:
         graph._dense_normalized = block.toarray()
     op = graph._dense_normalized if dense else block
-
-    if dense and k == n:
-        # Every row has neighbours: the block is the whole operator.
-        current = flat
-        for _ in range(layers - 1):
-            current = op @ current
-        if flat_out is None:
-            return (op @ current).reshape(tables.shape)
-        np.matmul(op, current, out=flat_out)
-        return out
-
-    result = flat_out
-    if result is None:
-        result = np.empty(flat.shape, dtype=np.result_type(flat.dtype, block.dtype))
-    # Identity rows are copied one at a time: no table-sized gather.
-    for u in np.setdiff1d(np.arange(n), graph.linked, assume_unique=True):
-        np.copyto(result[u], flat[u])
     # A plain slice when every row has neighbours: no fancy-index copies.
     rows = graph.linked if k < n else slice(None)
     if k:
@@ -158,10 +146,8 @@ def propagate(
             current = flat[rows, cols]
             for _ in range(layers):
                 current = op @ current
-            result[rows, cols] = current
-    if out is not None:
-        return out
-    return result.reshape(tables.shape)
+            flat[rows, cols] = current
+    return out
 
 
 def global_embedding(propagated: np.ndarray) -> np.ndarray:
@@ -210,8 +196,8 @@ class ServerState:
     """What the server derives from one round of uploads.
 
     Holds only item-embedding aggregates; client user vectors and MLP weights
-    are structurally absent. ``propagated`` may alias the store of item
-    tables when smoothing is disabled.
+    are structurally absent. In the round loop ``propagated`` is the store of
+    item tables itself: the server smooths it in place.
     """
 
     propagated: np.ndarray
@@ -228,7 +214,8 @@ def server_update(
     out: np.ndarray | None = None,
 ) -> ServerState:
     """One aggregation step over the stacked uploaded item tables; smoothed
-    over `graph`, or passed through unsmoothed when `graph` is None."""
+    over `graph` (in place with `out=uploads`), or passed through unsmoothed
+    when `graph` is None."""
     if graph is None:
         propagated = uploads
     else:

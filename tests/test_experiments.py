@@ -144,6 +144,8 @@ def test_validate_rejects_bad_values():
         dict(rounds=0),
         dict(alpha=2.0),
         dict(seed=-1),
+        dict(layers=0),
+        dict(ldp_delta=-1.0),
     ]
     for overrides in cases:
         config = ExperimentConfig(**overrides)
@@ -623,6 +625,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main([*run_args, "--clip-norm", "-5"]) == 1
     err = capsys.readouterr().err
     assert "--clip-norm" in err and "0 disables clipping" in err
+    assert cli.main([*run_args, "--layers", "0"]) == 1
+    assert "--layers must be >= 1, got 0" in capsys.readouterr().err
+    assert cli.main([*run_args, "--ldp-delta", "-1"]) == 1
+    assert "--ldp-delta must be >= 0" in capsys.readouterr().err
     assert cli.main([*run_args, "--global-from-public-only", "--public-ratio", "0"]) == 1
     err = capsys.readouterr().err
     assert "--global-from-public-only needs at least one sharing user" in err

@@ -229,12 +229,15 @@ def test_propagate_out_buffer_receives_result():
 
 
 def test_propagate_rejects_out_aliasing_tables():
+    # out=tables itself runs in place; any other overlap is an error.
     graph = normalize(built(HAND_SETS, 10, HAND_MASK))
-    tables = np.zeros((4, 2))
-    with pytest.raises(ValueError, match="alias"):
-        propagate(graph, tables, out=tables)
-    with pytest.raises(ValueError, match="alias"):
-        propagate(graph, tables, out=tables[:, :])
+    tables = np.arange(8.0).reshape(4, 2)
+    expected = propagate(graph, tables)
+    assert propagate(graph, tables, out=tables) is tables
+    np.testing.assert_array_equal(tables, expected)
+    for view in (tables[:, :], tables.view(), tables[::-1]):
+        with pytest.raises(ValueError, match="alias"):
+            propagate(graph, tables, out=view)
 
 
 def dense_scale_graph(rng, n=80):
@@ -321,6 +324,54 @@ def test_propagate_block_path_allocates_slabs_only():
     tracemalloc.start()
     try:
         propagate(graph, tables, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph._dense_normalized is not None
+    assert peak < 0.1 * tables.nbytes, f"peak {peak} bytes for {tables.nbytes}-byte tables"
+
+
+@pytest.mark.parametrize("branch", ["identity", "csr block", "csr all", "dense block", "dense all"])
+def test_propagate_in_place_matches_out_buffer(monkeypatch, branch):
+    # Narrow slabs so the tables span several, the last one partial.
+    monkeypatch.setattr(graph_module, "SLAB_COLUMNS", 4)
+    rng = np.random.default_rng(34)
+    if branch == "identity":
+        train_sets, m, mask = [{0, 1}, {1}, {2}], 3, np.zeros(3, dtype=bool)
+    elif branch == "csr block":
+        train_sets, m, mask = HAND_SETS, 10, HAND_MASK
+    elif branch == "csr all":
+        # A ring of 40 sharers, each sharing one item with each neighbour.
+        train_sets, m, mask = [{u, (u + 1) % 40} for u in range(40)], 40, np.ones(40, dtype=bool)
+    elif branch == "dense block":
+        train_sets, mask, _ = mixed_tier_graph(rng)
+        m = 16
+    else:
+        train_sets, mask = dense_scale_graph(rng)
+        m = 12
+    graph = normalize(built(train_sets, m, mask))
+    n = len(train_sets)
+    k = graph.linked.size
+    assert k == {"identity": 0, "csr block": 2, "dense block": n // 2 - 1}.get(branch, n)
+    tables = rng.normal(size=(n, 5, 3))
+    for layers in (1, 3):
+        expected = propagate(graph, tables, layers=layers, out=np.full_like(tables, np.nan))
+        in_place = tables.copy()
+        assert propagate(graph, in_place, layers=layers, out=in_place) is in_place
+        assert np.array_equal(in_place, expected)
+    assert (graph._dense_normalized is not None) == branch.startswith("dense")
+
+
+def test_in_place_dense_propagation_allocates_slabs_only():
+    rng = np.random.default_rng(35)
+    train_sets, mask = dense_scale_graph(rng)
+    graph = normalize(built(train_sets, 12, mask))
+    assert graph.linked.size == graph.num_users
+    tables = rng.normal(size=(graph.num_users, 1536, 32))
+    propagate(graph, tables[:, :1], out=np.empty_like(tables[:, :1]))  # caches the dense operator
+    tracemalloc.start()
+    try:
+        assert propagate(graph, tables, layers=2, out=tables) is tables
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
