@@ -36,10 +36,10 @@ class RoundMetrics:
     validation: RoundMetrics | None = None
 
 
-def _first_problem(negatives: np.ndarray, held: np.ndarray, k: int):
-    """The first row of (C, K) negatives and (C, H) held items that cannot be
-    ranked, with its message, or None. A row's held items are checked in
-    order before its k."""
+def _first_problem(negatives: np.ndarray, held: np.ndarray, k: int) -> str | None:
+    """Why the first row of (C, K) negatives and (C, H) held items that cannot
+    be ranked cannot be, or None. A row's held items are checked in order
+    before its k."""
     inside = (negatives[:, :, None] == held[:, None, :]).any(axis=1)
     bad = inside.any(axis=1)
     k_ok = 1 <= k <= negatives.shape[1] + 1
@@ -48,8 +48,8 @@ def _first_problem(negatives: np.ndarray, held: np.ndarray, k: int):
     row = int(np.argmax(bad)) if k_ok else 0
     if bad[row]:
         item = held[row, int(np.argmax(inside[row]))]
-        return row, f"held-out item {item} appears among the negatives"
-    return row, f"k must be in [1, {negatives.shape[1] + 1}], got {k}"
+        return f"held-out item {item} appears among the negatives"
+    return f"k must be in [1, {negatives.shape[1] + 1}], got {k}"
 
 
 def _held_ranks(
@@ -96,7 +96,7 @@ def evaluate_user(
     held = np.array([[test_item]], dtype=np.int64)
     problem = _first_problem(negatives, held, k)
     if problem is not None:
-        raise ValueError(problem[1])
+        raise ValueError(problem)
     rank = int(_held_ranks(ClientStore.of(state), np.zeros(1, dtype=np.int64), negatives, held)[0, 0])
     return (*_hit(rank, k), rank)
 
@@ -123,45 +123,30 @@ def _summarize(hrs, ndcgs, ranks, tiers, k, validation=None) -> RoundMetrics:
 
 
 def evaluate_round(
-    clients: list[ClientState],
+    clients: ClientStore,
     dataset: InteractionDataset,
-    eval_negatives: list[np.ndarray],
+    eval_negatives: np.ndarray,
     tiers: PrivacyAssignment,
     k: int = 10,
 ) -> RoundMetrics:
     """Average per-user metrics over all users and per tier.
 
     One scoring pass ranks both held-out items of every user among the same
-    negatives: the test item, for the returned metrics, and the validation
-    item, for their `validation` field. Users with equally many negatives
-    are scored together in stacked chunks. `clients` is a ClientStore, or
-    any sequence of ClientStates, which is stacked first.
+    negatives, row u of the (n, K) `eval_negatives`: the test item, for the
+    returned metrics, and the validation item, for their `validation` field.
+    Users are scored in stacked chunks.
     """
     n = dataset.num_users
-    if len(clients) != n or len(eval_negatives) != n or tiers.is_public.size != n:
+    if len(clients) != n or eval_negatives.shape[0] != n or tiers.is_public.size != n:
         raise ValueError("clients, negatives, tiers, and dataset disagree on user count")
 
     held = np.array([dataset.test, dataset.validation], dtype=np.int64).T
-    groups: dict[int, list[int]] = {}
-    for u, negatives in enumerate(eval_negatives):
-        groups.setdefault(np.size(negatives), []).append(u)
-    blocks = []
-    problems = []
-    for users in groups.values():
-        users = np.asarray(users)
-        negatives = np.stack([np.asarray(eval_negatives[u], dtype=np.int64) for u in users])
-        problem = _first_problem(negatives, held[users], k)
-        if problem is not None:
-            problems.append((users[problem[0]], problem[1]))
-        blocks.append((users, negatives))
-    if problems:
-        raise ValueError(min(problems)[1])
+    problem = _first_problem(eval_negatives, held, k)
+    if problem is not None:
+        raise ValueError(problem)
 
-    store = clients if isinstance(clients, ClientStore) else ClientStore.collect(n, clients)
     # Rows 0 and 1 hold the test and the validation results.
-    ranks = np.empty((2, n), dtype=np.int64)
-    for users, negatives in blocks:
-        ranks[:, users] = _held_ranks(store, users, negatives, held[users]).T
+    ranks = _held_ranks(clients, np.arange(n), eval_negatives, held).T
     hits = ranks <= k
     gains = np.array([_hit(rank, k)[1] for rank in range(1, k + 1)])
     hrs = hits.astype(np.float64)

@@ -113,6 +113,11 @@ def resolve_seed(seed: int | None = None, env=None) -> int:
     return seed
 
 
+def _check_public_ratio(public_ratio: float) -> None:
+    if not 0.0 <= public_ratio <= 1.0:
+        raise ConfigError(f"public_ratio must be in [0, 1], got {public_ratio}")
+
+
 def _option(default, help_text: str, **metadata):
     """One config field. It is also the flag `--<name with hyphens>` and the
     config-file key `<name>`. Metadata: `help`; `parse`, text to value, where
@@ -171,8 +176,7 @@ class ExperimentConfig:
     workers: int = _option(1, "parallel repetition workers")
 
     def validate(self) -> None:
-        if not 0.0 <= self.public_ratio <= 1.0:
-            raise ConfigError(f"public_ratio must be in [0, 1], got {self.public_ratio}")
+        _check_public_ratio(self.public_ratio)
         try:
             FileFormat.from_string(self.format)
         except ValueError as exc:
@@ -326,6 +330,8 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
 
 
 def _split_file(path, format_name: str) -> InteractionDataset:
+    if not Path(path).is_file():
+        raise ConfigError(f"dataset file not found: {path}")
     return leave_one_out_split(load_interactions(path, FileFormat.from_string(format_name)))
 
 
@@ -357,12 +363,12 @@ def run_repetition(
     """One full federated run with seed base + rep."""
     rep_seed = config.seed + rep
     tiers = assign_privacy(dataset.num_users, config.public_ratio, rep_seed)
-    negatives = [
+    negatives = np.stack([
         sample_eval_negatives(
             dataset, u, config.eval_negatives, derive_rng(rep_seed, u, EVAL_NEG_SALT)
         )
         for u in range(dataset.num_users)
-    ]
+    ])
 
     def eval_hook(round_index, clients):
         # Stride-skipped rounds stay unevaluated, but the final round always runs.
@@ -572,12 +578,12 @@ def execute_run(
     `dataset` is the configured file as `load_dataset` returns it; omitted,
     the run loads it."""
     config.validate()
-    out_dir = Path(config.out) / config.label
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "resolved_config.txt", config.to_text())
     if dataset is None:
         dataset = load_dataset(config)
     check_sharing_users(config, dataset)
+    out_dir = Path(config.out) / config.label
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _atomic_write(out_dir / "resolved_config.txt", config.to_text())
 
     lr = config.lr
     if lr == "grid":
@@ -644,13 +650,20 @@ def parse_axis_values(axis: str, text: str) -> list:
 
 def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str) -> int:
     """Run each (leading row cells, cell config) of `cells` in turn on one
-    load of the dataset and write one `csv_name` row per cell; a failing
-    cell is recorded as `failed: ...` and the next one runs.
+    load of the dataset and write one `csv_name` row per cell; a cell that
+    fails at run time is recorded as `failed: ...` and the next one runs.
 
-    No cell changes what `load_dataset` reads, so a dataset problem stops
-    the command before any cell runs."""
+    No cell changes what `load_dataset` reads, so a dataset problem, or a
+    cell config that fails its checks, stops the command before any cell
+    runs."""
     config.validate()
     dataset = load_dataset(config)
+    for _lead, cell_config in cells:
+        try:
+            cell_config.validate()
+            check_sharing_users(cell_config, dataset)
+        except ConfigError as exc:
+            raise ConfigError(f"cell {cell_config.label}: {exc}") from None
     base_dir = Path(config.out) / config.label
     base_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -749,6 +762,7 @@ def gen_synthetic(
 
 def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
     """CLI verb: build the user graph for a dataset and dump sparse triplets."""
+    _check_public_ratio(public_ratio)
     dataset = _split_file(dataset_path, format_name)
     tiers = assign_privacy(dataset.num_users, public_ratio, seed)
     graph = normalize(build_user_graph(dataset, tiers))

@@ -14,7 +14,6 @@ from fedgraphrec.graph import (
     UserGraph,
     build_user_graph,
     normalize,
-    personalize,
     server_update,
 )
 from fedgraphrec.model import (
@@ -86,18 +85,29 @@ def distribute(
     alpha: float,
     *,
     disable_upie: bool = False,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Item tables to install on clients this round.
+    """Blend `server.propagated` in place into the item tables to install this
+    round, and return it.
 
-    Without personalization every user gets the global table (returned as a
-    zero-copy broadcast view). Otherwise sharing users get their blended
-    table and everyone else the global one.
+    Sharing users get alpha * own + (1 - alpha) * global; everyone else, and
+    every user without personalization, gets the global table. Row by row, so
+    no (n, m, d) temporary exists: each row is read before it is written, and
+    the global table is its own array.
     """
-    if disable_upie:
-        n = tiers.is_public.size
-        return np.broadcast_to(server.global_table, (n,) + server.global_table.shape)
-    return personalize(server.propagated, server.global_table, alpha, tiers, out=out)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    tables = server.propagated
+    n = tables.shape[0]
+    if tiers.is_public.size != n:
+        raise ValueError(f"tables cover {n} users, tiers cover {tiers.is_public.size}")
+    global_part = (1.0 - alpha) * server.global_table
+    for u in range(n):
+        if tiers.is_public[u] and not disable_upie:
+            np.multiply(tables[u], alpha, out=tables[u])
+            tables[u] += global_part
+        else:
+            np.copyto(tables[u], server.global_table)
+    return tables
 
 
 def run_federation(
@@ -111,15 +121,14 @@ def run_federation(
     Every client's parameters live in one ClientStore: item tables (n, m, d),
     user vectors and MLP weights, stacked on the client axis. Per round: the
     server adds the upload noise of the previous round's training (when
-    configured), then smooths and blends the item tables in place on the
-    store, so installing moves no data and no second (n, m, d) buffer exists.
-    (Without personalization the global table is copied into every row.) Round 1
-    serves the clients' freshly initialized tables, unnoised. Clients then
-    train locally, in cohorts, and `eval_hook(round_index, clients)` may
-    return RoundMetrics (or None) for the round's record; `clients` is the
-    store, and `clients[u]` is client u. The hook reads the clean tables.
-    The final round's tables are never noised, because no server step reads
-    them.
+    configured), then smooths the item tables in place on the store and
+    `distribute` blends them in place, so installing moves no data and no
+    second (n, m, d) buffer exists. Round 1 serves the clients' freshly
+    initialized tables, unnoised. Clients then train locally, in cohorts, and
+    `eval_hook(round_index, clients)` may return RoundMetrics (or None) for
+    the round's record; `clients` is the store, and `clients[u]` is client u.
+    The hook reads the clean tables. The final round's tables are never
+    noised, because no server step reads them.
     """
     config.validate()
     n = dataset.num_users
@@ -158,11 +167,7 @@ def run_federation(
                 global_from_public_only=config.global_from_public_only,
                 out=store,
             )
-            tables = distribute(
-                server, tiers, config.alpha, disable_upie=config.disable_upie, out=store
-            )
-            if tables is not store:
-                np.copyto(store, tables)
+            distribute(server, tiers, config.alpha, disable_upie=config.disable_upie)
 
         rngs = (derive_rng(config.seed, u, round_index, TRAIN_SALT) for u in range(n))
         try:

@@ -1,4 +1,4 @@
-"""Server-side mathematics: co-interaction user graph, embedding smoothing, blending."""
+"""Server-side mathematics: co-interaction user graph, embedding smoothing, averaging."""
 
 from __future__ import annotations
 
@@ -157,47 +157,14 @@ def global_embedding(propagated: np.ndarray) -> np.ndarray:
     return propagated.mean(axis=0)
 
 
-def personalize(
-    propagated: np.ndarray,
-    global_table: np.ndarray,
-    alpha: float,
-    tiers: PrivacyAssignment,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Blend each sharing user's smoothed table with the global average.
-
-    Sharing users get alpha * own + (1 - alpha) * global; everyone else gets
-    the global table. `out` may alias `propagated`: each user's row is fully
-    read before it is written, and the global table is precomputed.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = propagated.shape[0]
-    if tiers.is_public.size != n:
-        raise ValueError(f"tables cover {n} users, tiers cover {tiers.is_public.size}")
-    if out is None:
-        out = np.empty_like(propagated)
-    elif out.shape != propagated.shape:
-        raise ValueError(f"out shape {out.shape} != tables shape {propagated.shape}")
-
-    # Row-at-a-time keeps peak memory flat at desk scale (no (N, M, d) temps).
-    global_part = (1.0 - alpha) * global_table
-    for u in range(n):
-        if tiers.is_public[u]:
-            np.multiply(propagated[u], alpha, out=out[u])
-            out[u] += global_part
-        else:
-            np.copyto(out[u], global_table)
-    return out
-
-
 @dataclass(eq=False)
 class ServerState:
     """What the server derives from one round of uploads.
 
     Holds only item-embedding aggregates; client user vectors and MLP weights
     are structurally absent. In the round loop ``propagated`` is the store of
-    item tables itself: the server smooths it in place.
+    item tables itself: the server smooths it in place, and `distribute`
+    blends it in place.
     """
 
     propagated: np.ndarray
@@ -221,13 +188,11 @@ def server_update(
     else:
         propagated = propagate(graph, uploads, layers=layers, out=out)
     if global_from_public_only:
-        public = tiers.public_users()
-        if public.size == 0:
+        if tiers.num_public == 0:
             raise ValueError("global_from_public_only needs at least one sharing user")
-        acc = np.zeros(propagated.shape[1:], dtype=np.float64)
-        for u in public:
-            acc += propagated[u]
-        global_table = acc / public.size
+        # Sums the sharing rows in user order, as a loop accumulating them would.
+        sharing = tiers.is_public.reshape((-1,) + (1,) * (propagated.ndim - 1))
+        global_table = propagated.sum(axis=0, where=sharing) / tiers.num_public
     else:
         global_table = global_embedding(propagated)
     return ServerState(propagated=propagated, global_table=global_table)

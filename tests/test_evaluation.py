@@ -183,17 +183,13 @@ def round_fixture(test_items, per_user_values, mask, num_items=30):
     ds = dataset_from_train_sets([set() for _ in range(n)], num_items)
     ds.test = list(test_items)
     ds.validation = [(t + 1) % len(v) for t, v in zip(test_items, per_user_values)]
-    clients = [make_score_state(v) for v in per_user_values]
-    negatives = [
-        np.array(
-            [
-                j
-                for j in range(len(per_user_values[u]))
-                if j not in (ds.test[u], ds.validation[u])
-            ]
-        )
-        for u in range(n)
-    ]
+    clients = ClientStore.collect(n, (make_score_state(v) for v in per_user_values))
+    negatives = np.array(
+        [
+            [j for j in range(len(per_user_values[u])) if j not in (ds.test[u], ds.validation[u])]
+            for u in range(n)
+        ]
+    )
     return clients, ds, negatives, tiers_from_mask(mask)
 
 
@@ -278,9 +274,13 @@ def test_round_validation_target_uses_validation_item():
 def test_round_validates_inputs():
     clients, ds, negs, tiers = round_fixture([0, 2], [np.zeros(5)] * 2, [True, True], num_items=5)
     with pytest.raises(ValueError, match="user count"):
-        evaluate_round(clients * 2, ds, negs, tiers)
+        evaluate_round(ClientStore.collect(4, [*clients, *clients]), ds, negs, tiers)
+    with pytest.raises(ValueError, match="user count"):
+        evaluate_round(clients, ds, negs[:1], tiers)
+    leaky = negs.copy()
+    leaky[0, 0] = ds.test[0]
     with pytest.raises(ValueError, match="among the negatives"):
-        evaluate_round(clients, ds, [np.arange(4), negs[1]], tiers, k=2)
+        evaluate_round(clients, ds, leaky, tiers, k=2)
 
 
 def test_round_one_pass_matches_two_reference_passes():
@@ -288,10 +288,10 @@ def test_round_one_pass_matches_two_reference_passes():
     # test and validation metrics of two separate sort-based passes.
     dataset = leave_one_out_split(load_interactions(BUNDLED, FileFormat.TAB))
     tiers = assign_privacy(dataset.num_users, 0.5, 1)
-    negatives = [
+    negatives = np.stack([
         sample_eval_negatives(dataset, u, 49, derive_rng(1, u, EVAL_NEG_SALT))
         for u in range(dataset.num_users)
-    ]
+    ])
     config = FederationConfig(rounds=3, model=ModelConfig(learning_rate=0.05), seed=1)
     compared = []
 
@@ -331,7 +331,9 @@ def test_all_equal_scores_rank_by_item_index():
 
         ds = dataset_from_train_sets([set()], 40)
         ds.test, ds.validation = [test_item], [val_item]
-        metrics = evaluate_round([state], ds, [negatives], tiers_from_mask([True]), k=1)
+        metrics = evaluate_round(
+            ClientStore.of(state), ds, negatives[None], tiers_from_mask([True]), k=1
+        )
         assert list(metrics.per_user_rank) == [rank]
         assert list(metrics.validation.per_user_rank) == [1 + int((negatives < val_item).sum())]
 
@@ -352,11 +354,11 @@ def store_world(n=30, num_items=60, seed=56):
         store.weights[-1][u] = 0.0
         store.biases[-1][u] = 0.0
     ds = dataset_from_train_sets([set() for _ in range(n)], num_items)
-    negatives = []
+    negatives = np.empty((n, 49), dtype=np.int64)
     for u in range(n):
         items = rng.permutation(num_items)[:51]
         ds.test[u], ds.validation[u] = int(items[0]), int(items[1])
-        negatives.append(items[2:])
+        negatives[u] = items[2:]
     return store, ds, negatives, tiers
 
 
@@ -380,10 +382,11 @@ def test_store_backed_round_matches_reference_across_chunks():
 
 
 def test_plain_client_list_evaluates_like_the_store():
+    # Plain clients, stacked into a store of their own, rank as the original.
     store, ds, negatives, tiers = store_world()
     plain = [clone_state(client) for client in store]
     from_store = evaluate_round(store, ds, negatives, tiers, k=5)
-    from_list = evaluate_round(plain, ds, negatives, tiers, k=5)
+    from_list = evaluate_round(ClientStore.collect(len(plain), plain), ds, negatives, tiers, k=5)
     for a, b in ((from_store, from_list), (from_store.validation, from_list.validation)):
         assert np.array_equal(a.per_user_rank, b.per_user_rank)
         assert (a.hr, a.ndcg) == (b.hr, b.ndcg)

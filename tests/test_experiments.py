@@ -479,13 +479,40 @@ def test_sweep_single_axis(tmp_path):
     assert (out / "alpha=0.5" / "summary.csv").exists()
 
 
-def test_sweep_records_cell_failure_and_continues(tmp_path):
+def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
+    # A cell that fails at run time is recorded, and the next cell runs.
     config = tiny_config(tmp_path, rounds=2, reps=1)
-    assert experiments.sweep(config, [("alpha", [2.0, 0.5])]) == 0
+    execute_run = experiments.execute_run
+
+    def diverging_at_zero(cell_config, dataset):
+        if cell_config.alpha == 0.0:
+            raise TrainingError("diverged")
+        return execute_run(cell_config, dataset)
+
+    monkeypatch.setattr(experiments, "execute_run", diverging_at_zero)
+    assert experiments.sweep(config, [("alpha", [0.0, 0.5])]) == 0
     rows = read_csv(tmp_path / "runs" / "t" / "sweep.csv")
-    assert rows[1][0] == "2" and rows[1][1].startswith("failed")
+    assert rows[1][0] == "0" and rows[1][1] == "failed: diverged"
     assert all(cell == "" for cell in rows[1][2:])
     assert rows[2][0] == "0.5" and rows[2][1] == "ok"
+
+
+def test_sweep_rejects_bad_cell_before_any_cell_runs(tmp_path, capsys):
+    # An axis value the config checks reject stops the sweep at config time,
+    # naming the axis and the value, before the first (valid) cell runs.
+    base = ["sweep", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "1",
+            "--reps", "1", "--lr", "0.05", "--out", str(tmp_path)]
+    cases = [
+        (["--axis", "alpha", "--values", "0.5,1.5"], "alpha=1.5", "alpha must be in [0, 1]"),
+        (["--axis", "public_ratio", "--values", "0.5,2"], "public_ratio=2", "public_ratio must"),
+        (["--axis", "public_ratio", "--values", "0.5,0", "--global-from-public-only"],
+         "public_ratio=0", "needs at least one sharing user"),
+    ]
+    for flags, cell, problem in cases:
+        assert cli.main([*base, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and cell in err and problem in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_two_axes(tmp_path):
@@ -632,16 +659,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main([*run_args, "--global-from-public-only", "--public-ratio", "0"]) == 1
     err = capsys.readouterr().err
     assert "--global-from-public-only needs at least one sharing user" in err
-    assert not list(tmp_path.rglob("rounds.csv"))
+    # a missing dataset file, for every verb that reads one, writes nothing
+    absent = str(tmp_path / "absent.tsv")
+    for verb in (["run"], ["ablate"], ["sweep", "--axis", "alpha", "--values", "0.5"],
+                 ["inspect-graph"]):
+        assert cli.main([*verb, "--dataset", absent, "--out", str(tmp_path / "out")]) == 1
+        assert f"dataset file not found: {absent}" in capsys.readouterr().err
+    assert cli.main(["inspect-graph", "--dataset", BUNDLED, "--public-ratio", "1.5",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "config error: public_ratio must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
     # runtime failures exit 2
-    assert (
-        cli.main(
-            ["run", "--dataset", str(tmp_path / "absent.tsv"), "--rounds", "1",
-             "--lr", "0.05", "--reps", "1", "--out", str(tmp_path)]
-        )
-        == 2
-    )
-    capsys.readouterr()
+    malformed = tmp_path / "malformed.tsv"
+    malformed.write_text("1\t2\n")
+    assert cli.main([*run_args, "--dataset", str(malformed)]) == 2
+    assert "expected 3 or 4 fields" in capsys.readouterr().err
 
 
 def test_cli_quick_start_on_bundled_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from fedgraphrec.federation import (
     distribute,
     run_federation,
 )
-from fedgraphrec.graph import ServerState, build_user_graph, normalize, personalize, server_update
+from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate, server_update
 from fedgraphrec.model import ClientStore, ModelConfig, TrainingError, init_client, train_clients
 from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
 from oracles import dataset_from_train_sets, tiers_from_mask
@@ -65,21 +65,21 @@ def test_distribute_without_personalization_broadcasts_global():
     server = random_server(rng)
     tiers = tiers_from_mask([True, False, True, False, True])
     tables = distribute(server, tiers, 0.3, disable_upie=True)
-    assert tables.shape == (5, 4, 2)
+    assert tables is server.propagated
     for u in range(5):
         np.testing.assert_array_equal(tables[u], server.global_table)
-    # zero-copy: one shared global table, not five copies
-    assert np.shares_memory(tables, server.global_table)
 
 
 def test_distribute_blends_by_tier():
     rng = np.random.default_rng(62)
     server = random_server(rng)
     tiers = tiers_from_mask([True, False, True, False, True])
+    own = server.propagated.copy()
     tables = distribute(server, tiers, 1.0)
+    assert tables is server.propagated
     for u in range(5):
         if tiers.is_public[u]:
-            np.testing.assert_array_equal(tables[u], server.propagated[u])
+            np.testing.assert_array_equal(tables[u], own[u])
         else:
             np.testing.assert_array_equal(tables[u], server.global_table)
 
@@ -117,8 +117,7 @@ def test_first_round_serves_blend_of_initial_tables():
     inits = init_tables(config, ds, tiers)
 
     graph = normalize(build_user_graph(ds, tiers))
-    server = server_update(graph, inits, tiers, layers=1)
-    expected = personalize(server.propagated, server.global_table, 0.4, tiers)
+    expected = distribute(server_update(graph, inits, tiers, layers=1), tiers, 0.4)
 
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
@@ -132,7 +131,7 @@ def test_smoothing_ablation_blends_raw_uploads():
         rounds=1, alpha=0.4, disable_ugc=True, model=small_model(learning_rate=0.0), seed=9
     )
     inits = init_tables(config, ds, tiers)
-    expected = personalize(inits, inits.mean(axis=0), 0.4, tiers)
+    expected = distribute(server_update(None, inits, tiers), tiers, 0.4)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
     for u, client in enumerate(sink[-1]):
@@ -152,15 +151,17 @@ def test_distribution_ablation_leaves_tables_local():
 
 
 def test_personalization_ablation_serves_identical_tables():
+    # Every client holds the mean of the smoothed initial tables.
     ds, tiers = small_world()
     config = FederationConfig(
         rounds=1, disable_upie=True, model=small_model(learning_rate=0.0), seed=9
     )
+    inits = init_tables(config, ds, tiers)
+    expected = propagate(normalize(build_user_graph(ds, tiers)), inits).mean(axis=0)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
-    tables = [client.item_table for client in sink[-1]]
-    for table in tables[1:]:
-        np.testing.assert_array_equal(table, tables[0])
+    for client in sink[-1]:
+        np.testing.assert_array_equal(client.item_table, expected)
 
 
 def test_global_from_public_only_variant():
@@ -293,7 +294,7 @@ def test_evaluation_reads_clean_tables():
     # Noise is added at the next server step, so round 1's loss and metrics
     # match a run without noise exactly.
     ds, tiers = small_world()
-    negatives = [np.arange(9, 12)] * ds.num_users
+    negatives = np.tile(np.arange(9, 12), (ds.num_users, 1))
     firsts = []
     for scale in (0.0, 0.5):
         config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
@@ -361,7 +362,7 @@ def test_round_memory_is_bounded_by_the_row_cap():
     ds.validation = [m - 2] * n
     ds.test = [m - 1] * n
     tiers = tiers_from_mask([u % 2 == 0 for u in range(n)])
-    negatives = [np.setdiff1d(np.arange(m - 2), sorted(s))[:49] for s in train_sets]
+    negatives = np.stack([np.setdiff1d(np.arange(m - 2), sorted(s))[:49] for s in train_sets])
     config = ModelConfig(embed_dim=d, mlp_hidden=(hidden,), learning_rate=0.05)
     store = ClientStore.collect(
         n, (init_client(config, m, tiers.tier(u), seed=(1, u)) for u in range(n))

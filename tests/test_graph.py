@@ -13,13 +13,14 @@ from fedgraphrec.data import (
     leave_one_out_split,
     load_interactions,
 )
+from fedgraphrec.federation import distribute
 from fedgraphrec.graph import (
+    ServerState,
     UserGraph,
     build_user_graph,
     dump_triplets,
     global_embedding,
     normalize,
-    personalize,
     propagate,
     server_update,
 )
@@ -385,7 +386,7 @@ def test_small_graph_keeps_sparse_path():
     assert graph._dense_normalized is None
 
 
-# --- global_embedding / personalize ---------------------------------------------
+# --- global_embedding / the personalization blend (distribute) -----------------
 
 
 def test_global_embedding_hand_mean():
@@ -412,10 +413,18 @@ def mixed_blend_instance(rng, n=6):
     return propagated, global_embedding(propagated), tiers_from_mask(mask)
 
 
+def blend(propagated, global_table, alpha, tiers):
+    """distribute's in-place blend, run on a copy of `propagated`."""
+    server = ServerState(propagated=propagated.copy(), global_table=global_table)
+    blended = distribute(server, tiers, alpha)
+    assert blended is server.propagated
+    return blended
+
+
 def test_personalize_alpha_zero_serves_global_everywhere():
     rng = np.random.default_rng(13)
     propagated, global_table, tiers = mixed_blend_instance(rng)
-    blended = personalize(propagated, global_table, 0.0, tiers)
+    blended = blend(propagated, global_table, 0.0, tiers)
     for u in range(6):
         np.testing.assert_array_equal(blended[u], global_table)
 
@@ -423,7 +432,7 @@ def test_personalize_alpha_zero_serves_global_everywhere():
 def test_personalize_alpha_one_keeps_own_smoothed_table():
     rng = np.random.default_rng(14)
     propagated, global_table, tiers = mixed_blend_instance(rng)
-    blended = personalize(propagated, global_table, 1.0, tiers)
+    blended = blend(propagated, global_table, 1.0, tiers)
     for u in range(6):
         expected = propagated[u] if tiers.is_public[u] else global_table
         np.testing.assert_array_equal(blended[u], expected)
@@ -433,7 +442,7 @@ def test_personalize_matches_affine_formula():
     rng = np.random.default_rng(15)
     propagated, global_table, tiers = mixed_blend_instance(rng)
     alpha = 0.3
-    blended = personalize(propagated, global_table, alpha, tiers)
+    blended = blend(propagated, global_table, alpha, tiers)
     for u in range(6):
         if tiers.is_public[u]:
             expected = alpha * propagated[u] + (1 - alpha) * global_table
@@ -442,25 +451,13 @@ def test_personalize_matches_affine_formula():
         np.testing.assert_allclose(blended[u], expected, atol=1e-12)
 
 
-def test_personalize_in_place_matches_fresh_buffer():
-    rng = np.random.default_rng(16)
-    propagated, global_table, tiers = mixed_blend_instance(rng)
-    expected = personalize(propagated.copy(), global_table, 0.4, tiers)
-    aliased = propagated.copy()
-    result = personalize(aliased, global_table, 0.4, tiers, out=aliased)
-    assert result is aliased
-    np.testing.assert_array_equal(aliased, expected)
-
-
 def test_personalize_validates():
     rng = np.random.default_rng(17)
     propagated, global_table, tiers = mixed_blend_instance(rng)
     with pytest.raises(ValueError, match="alpha"):
-        personalize(propagated, global_table, 1.5, tiers)
+        blend(propagated, global_table, 1.5, tiers)
     with pytest.raises(ValueError, match="users"):
-        personalize(propagated[:4], global_table, 0.5, tiers)
-    with pytest.raises(ValueError, match="shape"):
-        personalize(propagated, global_table, 0.5, tiers, out=np.zeros((6, 4, 3)))
+        blend(propagated[:4], global_table, 0.5, tiers)
 
 
 # --- server_update ---------------------------------------------------------------
@@ -490,14 +487,17 @@ def test_server_update_with_graph_matches_oracles():
 
 
 def test_server_update_public_only_global():
+    # Bit for bit the mean of an accumulation over the sharing users in order.
     rng = np.random.default_rng(20)
-    uploads = rng.normal(size=(4, 3, 2))
-    tiers = tiers_from_mask([True, False, True, False])
-    state = server_update(None, uploads, tiers, global_from_public_only=True)
-    np.testing.assert_allclose(
-        state.global_table, (uploads[0] + uploads[2]) / 2.0, atol=1e-12
-    )
-    all_private = tiers_from_mask([False] * 4)
+    for n in (4, 50):
+        uploads = rng.normal(size=(n, 7, 3))
+        tiers = tiers_from_mask(rng.random(n) < 0.5)
+        acc = np.zeros((7, 3))
+        for u in tiers.public_users():
+            acc += uploads[u]
+        state = server_update(None, uploads, tiers, global_from_public_only=True)
+        np.testing.assert_array_equal(state.global_table, acc / tiers.num_public)
+    all_private = tiers_from_mask([False] * len(uploads))
     with pytest.raises(ValueError, match="sharing"):
         server_update(None, uploads, all_private, global_from_public_only=True)
 
