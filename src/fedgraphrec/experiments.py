@@ -319,9 +319,17 @@ class RepetitionResult:
 
 
 def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
-    """Fail before any training when some user has fewer unseen items than
-    the evaluation samples."""
-    largest = min(dataset.negative_pool(u).size for u in range(dataset.num_users))
+    """Fail before any training when some user has no unseen item to draw
+    training negatives from, or fewer unseen items than the evaluation
+    samples."""
+    sizes = [dataset.negative_pool(u).size for u in range(dataset.num_users)]
+    fewest = int(np.argmin(sizes))
+    largest = sizes[fewest]  # the most negatives every user can give
+    if largest == 0:
+        raise ConfigError(
+            f"user {dataset.user_tokens[fewest]} has interacted with every item, so no unseen "
+            f"item is left to draw negatives from; remove that user or add items to the file"
+        )
     if count > largest:
         raise ConfigError(
             f"--eval-negatives {count} is too large for this dataset: the user with "

@@ -136,10 +136,9 @@ def run_federation(
         raise ValueError(f"dataset has {n} users but tiers cover {tiers.is_public.size}")
     m = dataset.num_items
 
-    # One client at a time, so at most one stray (m, d) table is alive.
-    clients = ClientStore.collect(
-        n, (init_client(config.model, m, tiers.tier(u), seed=(config.seed, u)) for u in range(n))
-    )
+    clients = ClientStore.empty(n, m, config.model, [tiers.tier(u) for u in range(n)])
+    for u in range(n):
+        init_client(config.model, m, tiers.tier(u), seed=(config.seed, u), out=clients[u])
 
     # With distribution ablated the server consumes nothing, so skip the
     # graph and the aggregation work entirely.

@@ -6,7 +6,7 @@ stacked on a leading client axis, and one client is a cohort of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -74,7 +74,7 @@ class ModelConfig:
 
 @dataclass(eq=False)
 class ClientState:
-    """Everything one user holds locally.
+    """One user's parameters: views of the user's row of a ClientStore.
 
     Only ``item_table`` is ever shared; ``user_vec`` and the MLP weights stay
     on the client across all rounds.
@@ -85,15 +85,6 @@ class ClientState:
     weights: list
     biases: list
     tier: Tier
-    rng: np.random.Generator = field(repr=False, default=None)
-
-    @property
-    def embed_dim(self) -> int:
-        return int(self.user_vec.size)
-
-    @property
-    def num_items(self) -> int:
-        return int(self.item_table.shape[0])
 
 
 @dataclass(eq=False)
@@ -112,25 +103,18 @@ class ClientStore:
     tiers: list
 
     @classmethod
-    def collect(cls, n: int, states) -> ClientStore:
-        """Copy n client states, taken one at a time from `states`, into fresh
-        stacks, so at most one stray client is alive at once."""
-        store = None
-        for u, state in enumerate(states):
-            if store is None:
-                store = cls(
-                    user_vecs=np.empty((n,) + state.user_vec.shape),
-                    item_tables=np.empty((n,) + state.item_table.shape),
-                    weights=[np.empty((n,) + W.shape) for W in state.weights],
-                    biases=[np.empty((n,) + b.shape) for b in state.biases],
-                    tiers=[],
-                )
-            store.user_vecs[u] = state.user_vec
-            store.item_tables[u] = state.item_table
-            for stack, W in zip(store.weights + store.biases, state.weights + state.biases):
-                stack[u] = W
-            store.tiers.append(state.tier)
-        return store
+    def empty(cls, n: int, num_items: int, config: ModelConfig, tiers) -> ClientStore:
+        """Stacks for n clients of `config`'s shape, with zero biases; the
+        other parameters are left for `init_client` to draw."""
+        d = config.embed_dim
+        dims = [2 * d, *config.mlp_hidden, 1]
+        return cls(
+            user_vecs=np.empty((n, d)),
+            item_tables=np.empty((n, num_items, d)),
+            weights=[np.empty((n, a, b)) for a, b in zip(dims[:-1], dims[1:])],
+            biases=[np.zeros((n, fan_out)) for fan_out in dims[1:]],
+            tiers=list(tiers),
+        )
 
     @classmethod
     def of(cls, state: ClientState) -> ClientStore:
@@ -178,36 +162,39 @@ class TrainReport:
     grad_norm: float
 
 
-def init_client(config: ModelConfig, num_items: int, tier: Tier, seed) -> ClientState:
-    """Fresh client: Gaussian embeddings and MLP weights, zero biases.
+def init_client(
+    config: ModelConfig, num_items: int, tier: Tier, seed, out: ClientState | None = None
+) -> ClientState:
+    """Draw a fresh client into `out`, a row of a ClientStore, and return it:
+    Gaussian embeddings and MLP weights, zero biases. Without `out`, the
+    client is the one row of a new store, of tier `tier`.
 
     `seed` may be an int or a tuple of ints.
     """
     config.validate()
     if num_items < 1:
         raise ValueError(f"num_items must be >= 1, got {num_items}")
+    if out is None:
+        out = ClientStore.empty(1, num_items, config, [tier])[0]
+    d = config.embed_dim
+    dims = [2 * d, *config.mlp_hidden, 1]
+    arrays = [out.user_vec, out.item_table, *out.weights]
+    if [a.shape for a in arrays] != [(d,), (num_items, d), *zip(dims[:-1], dims[1:])]:
+        raise ValueError("out does not have the shape of this config and item count")
+    if config.mlp_init == "he":
+        mlp_scales = [np.sqrt(2.0 / fan_in) for fan_in in dims[:-1]]
+    else:
+        mlp_scales = [config.init_scale] * (len(dims) - 1)
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     rng = derive_rng(*parts, INIT_SALT)
-    d = config.embed_dim
-    user_vec = rng.normal(0.0, config.init_scale, size=d)
-    item_table = rng.normal(0.0, config.init_scale, size=(num_items, d))
-    dims = [2 * d, *config.mlp_hidden, 1]
-    weights = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        if config.mlp_init == "he":
-            scale = np.sqrt(2.0 / fan_in)
-        else:
-            scale = config.init_scale
-        weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-    biases = [np.zeros(fan_out) for fan_out in dims[1:]]
-    return ClientState(
-        user_vec=user_vec,
-        item_table=item_table,
-        weights=weights,
-        biases=biases,
-        tier=tier,
-        rng=rng,
-    )
+    # In place, z * scale equals the scale * z + 0 that rng.normal(0, scale)
+    # returns, bar the sign of a zero.
+    for array, scale in zip(arrays, [config.init_scale, config.init_scale, *mlp_scales]):
+        rng.standard_normal(out=array)
+        array *= scale
+    for b in out.biases:
+        b.fill(0.0)
+    return out
 
 
 def _cohort_forward(user_vecs, item_rows, weights, biases):
@@ -237,20 +224,6 @@ def _cohort_forward(user_vecs, item_rows, weights, biases):
     return acts, pres, probs
 
 
-def _forward(state: ClientState, item_rows: np.ndarray):
-    """One client's batch forward pass: the cohort pass over a cohort of one.
-    Returns input, hidden activations, pre-activations, and output
-    probabilities (unclamped)."""
-    acts, pres, probs = _cohort_forward(
-        state.user_vec[None],
-        item_rows[None],
-        [W[None] for W in state.weights],
-        [b[None] for b in state.biases],
-    )
-    acts = [A[0] for A in acts]
-    return acts[0], acts, [Z[0] for Z in pres], probs[0]
-
-
 def _bce(probs: np.ndarray, labels: np.ndarray):
     """Summed binary cross-entropy over the last axis."""
     p = np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
@@ -261,12 +234,6 @@ def score_cohort(store: ClientStore, rows: np.ndarray, items: np.ndarray) -> np.
     """Interaction probabilities of clients `rows` for their items (C, K)."""
     probs = _cohort_forward(*store.gather(rows, items))[2]
     return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-
-def score_items(state: ClientState, items: np.ndarray) -> np.ndarray:
-    """Vectorized interaction probabilities for a batch of item indices."""
-    items = np.asarray(items, dtype=np.int64)
-    return score_cohort(ClientStore.of(state), np.zeros(1, dtype=np.int64), items[None])[0]
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
@@ -358,26 +325,6 @@ def _cohort_step(
     return loss, norm
 
 
-def _sgd_step(
-    state: ClientState,
-    batch_items: np.ndarray,
-    batch_labels: np.ndarray,
-    learning_rate: float,
-    clip_norm: float | None,
-) -> tuple[float, float]:
-    """One mini-batch update of every parameter of one client: a cohort of
-    one. Returns (summed loss, grad norm)."""
-    loss, norm = _cohort_step(
-        ClientStore.of(state),
-        np.zeros(1, dtype=np.int64),
-        np.asarray(batch_items)[None],
-        np.asarray(batch_labels)[None],
-        learning_rate,
-        clip_norm,
-    )
-    return float(loss[0]), float(norm[0])
-
-
 def local_batches(
     dataset: InteractionDataset, user: int, config: ModelConfig, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -391,8 +338,6 @@ def local_batches(
     positives = dataset.train[user]
     if positives.size == 0:
         raise ValueError(f"user {user}: no training interactions")
-    if rng is None:
-        raise ValueError(f"user {user}: client has no RNG attached")
     batches = []
     for _epoch in range(config.local_epochs):
         negatives = sample_train_negatives(dataset, user, config.neg_ratio, rng)
@@ -459,11 +404,15 @@ def _train(store: ClientStore, batches: list, config: ModelConfig, users) -> lis
 
 
 def train_local(
-    state: ClientState, dataset: InteractionDataset, user: int, config: ModelConfig
+    state: ClientState,
+    dataset: InteractionDataset,
+    user: int,
+    config: ModelConfig,
+    rng: np.random.Generator,
 ) -> TrainReport:
-    """One local optimization pass over the user's training interactions:
-    the cohort training of a cohort of one."""
-    batches = local_batches(dataset, user, config, state.rng)
+    """One local optimization pass over the user's training interactions,
+    drawing its batches from `rng`: the cohort training of a cohort of one."""
+    batches = local_batches(dataset, user, config, rng)
     (report,) = _train(ClientStore.of(state), [batches], config, [user])
     return report
 
@@ -473,13 +422,5 @@ def train_clients(
 ) -> list[TrainReport]:
     """One local optimization pass of every client in the store; client u is
     dataset user u and draws its batches from the u-th generator of `rngs`."""
-    batches = []
-    try:
-        for user, rng in zip(range(len(store)), rngs):
-            batches.append(local_batches(dataset, user, config, rng))
-    except ValueError:
-        # The clients below the one that cannot draw train first, as a
-        # client-by-client loop would, so that a divergence among them wins.
-        _train(store, batches, config, range(len(batches)))
-        raise
+    batches = [local_batches(dataset, u, config, rng) for u, rng in zip(range(len(store)), rngs)]
     return _train(store, batches, config, range(len(batches)))

@@ -11,10 +11,40 @@ from scipy.special import expit
 
 from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier, sample_train_negatives
-from fedgraphrec.model import ClientState, ModelConfig, init_client
+from fedgraphrec.model import ClientState, ClientStore, ModelConfig, init_client
+from fedgraphrec.seeding import INIT_SALT, derive_rng
 
 
 # --- model oracles ------------------------------------------------------------
+
+
+def as_cohort(state):
+    """`state` as a cohort of one: the (store, rows) that the cohort kernels
+    take, viewing `state`'s own arrays."""
+    return ClientStore.of(state), np.zeros(1, dtype=np.int64)
+
+
+def init_store(config, num_items, tiers, seed):
+    """A store of len(tiers) fresh clients; client u is drawn from seed (seed, u)."""
+    store = ClientStore.empty(len(tiers), num_items, config, tiers)
+    for u, tier in enumerate(tiers):
+        init_client(config, num_items, tier, seed=(seed, u), out=store[u])
+    return store
+
+
+def reference_init(config, num_items, seed):
+    """(user vector, item table, weights, biases) of a fresh client, drawn
+    as first written: one `rng.normal(0, scale, size)` per array, in order."""
+    rng = derive_rng(*(tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)), INIT_SALT)
+    d = config.embed_dim
+    user_vec = rng.normal(0.0, config.init_scale, size=d)
+    item_table = rng.normal(0.0, config.init_scale, size=(num_items, d))
+    dims = [2 * d, *config.mlp_hidden, 1]
+    weights = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        scale = np.sqrt(2.0 / fan_in) if config.mlp_init == "he" else config.init_scale
+        weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+    return user_vec, item_table, weights, [np.zeros(fan_out) for fan_out in dims[1:]]
 
 
 def naive_forward(state, item):
@@ -33,7 +63,7 @@ def naive_forward(state, item):
 
 def predict(state, item):
     """Interaction probability for one item, through the library's scoring."""
-    return float(mdl.score_items(state, np.asarray([item]))[0])
+    return float(mdl.score_cohort(*as_cohort(state), np.asarray([[item]]))[0, 0])
 
 
 def bce_loss(pairs):
@@ -51,7 +81,7 @@ def rank_items(state, candidates):
     cands = np.asarray(candidates, dtype=np.int64)
     if cands.size == 0:
         raise ValueError("no candidate items to rank")
-    scores = mdl.score_items(state, cands)
+    scores = mdl.score_cohort(*as_cohort(state), cands[None])[0]
     order = np.lexsort((cands, -scores))
     return [(int(cands[i]), float(scores[i])) for i in order]
 
@@ -71,19 +101,20 @@ def clone_state(state):
         weights=[W.copy() for W in state.weights],
         biases=[b.copy() for b in state.biases],
         tier=state.tier,
-        rng=None,
     )
 
 
 def batch_loss(state, items, labels):
-    probs = mdl._forward(state, state.item_table[items])[3]
+    store, rows = as_cohort(state)
+    probs = mdl._cohort_forward(*store.gather(rows, np.asarray(items)[None]))[2][0]
     return mdl._bce(probs, np.asarray(labels, dtype=np.float64))
 
 
 def analytic_gradients(state, items, labels):
     """Recover the raw gradients by applying one unit-rate step to a copy."""
     clone = clone_state(state)
-    mdl._sgd_step(clone, np.asarray(items), np.asarray(labels, dtype=np.float64), 1.0, None)
+    labels = np.asarray(labels, dtype=np.float64)
+    mdl._cohort_step(*as_cohort(clone), items[None], labels[None], 1.0, None)
     grads = {
         "user_vec": state.user_vec - clone.user_vec,
         "item_table": state.item_table - clone.item_table,
@@ -171,9 +202,9 @@ def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_nor
     return loss, effective_norm
 
 
-def reference_train_local(state, dataset, user, config):
+def reference_train_local(state, dataset, user, config, rng):
     """One client's local pass as first written: a loop of
-    `reference_sgd_step` calls, drawing from `state.rng` epoch by epoch.
+    `reference_sgd_step` calls, drawing from `rng` epoch by epoch.
 
     Cohort training must match it bit for bit, client by client.
     """
@@ -185,10 +216,10 @@ def reference_train_local(state, dataset, user, config):
     step = 0
     norms = []
     for _epoch in range(config.local_epochs):
-        negatives = sample_train_negatives(dataset, user, config.neg_ratio, state.rng)
+        negatives = sample_train_negatives(dataset, user, config.neg_ratio, rng)
         items = np.concatenate([positives, negatives])
         labels = np.concatenate([np.ones(positives.size), np.zeros(negatives.size)])
-        order = state.rng.permutation(items.size)
+        order = rng.permutation(items.size)
         items = items[order]
         labels = labels[order]
         for start in range(0, items.size, config.batch_size):
@@ -230,7 +261,8 @@ def random_instance(rng, max_dim=4):
         batch = int(rng.integers(1, 6))
         items = rng.integers(0, num_items, size=batch)
         labels = rng.integers(0, 2, size=batch).astype(np.float64)
-        pres = mdl._forward(state, state.item_table[items])[2]
+        store, rows = as_cohort(state)
+        pres = mdl._cohort_forward(*store.gather(rows, items[None]))[1]
         margin = min(float(np.abs(p).min()) for p in pres[:-1]) if len(pres) > 1 else 1.0
         if margin > 1e-3:
             return state, items, labels
@@ -324,21 +356,26 @@ def random_graph_instance(rng, max_users=8, max_items=12):
 # --- evaluation oracles ---------------------------------------------------------
 
 
-def make_score_state(values):
-    """A client whose predicted logit for item j is exactly values[j].
+def make_score_store(per_user_values):
+    """Clients whose predicted logit for item j is exactly per_user_values[u][j].
 
     Uses h = [relu(v), relu(-v)] and output relu(v) - relu(-v) = v, so the
     sigmoid output is strictly monotone in the stored value.
     """
-    values = np.asarray(values, dtype=np.float64)
-    return ClientState(
-        user_vec=np.zeros(1),
-        item_table=values.reshape(-1, 1).copy(),
-        weights=[np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[1.0], [-1.0]])],
-        biases=[np.zeros(2), np.zeros(1)],
-        tier=Tier.PUBLIC,
-        rng=None,
-    )
+    values = np.asarray(per_user_values, dtype=np.float64)
+    n, num_items = values.shape
+    config = ModelConfig(embed_dim=1, mlp_hidden=(2,))
+    store = ClientStore.empty(n, num_items, config, [Tier.PUBLIC] * n)
+    store.user_vecs[:] = 0.0
+    store.item_tables[:] = values[:, :, None]
+    store.weights[0][:] = [[0.0, 0.0], [1.0, -1.0]]
+    store.weights[1][:] = [[1.0], [-1.0]]
+    return store
+
+
+def make_score_state(values):
+    """One client whose predicted logit for item j is exactly values[j]."""
+    return make_score_store([values])[0]
 
 
 def oracle_rank(item_scores, test_item):

@@ -16,12 +16,15 @@ from fedgraphrec.data import (
 )
 from fedgraphrec.evaluation import evaluate_round, evaluate_user
 from fedgraphrec.federation import FederationConfig, run_federation
-from fedgraphrec.model import COHORT_ROWS, ClientStore, ModelConfig, init_client, score_items
+from fedgraphrec.model import COHORT_ROWS, ClientStore, ModelConfig, init_client, score_cohort
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rng
 from oracles import (
+    as_cohort,
     clone_state,
     dataset_from_train_sets,
+    init_store,
     make_score_state,
+    make_score_store,
     oracle_rank,
     rank_items,
     reference_evaluate_round,
@@ -84,7 +87,7 @@ def test_make_score_state_is_exact():
     # the helper's MLP must reproduce the stored logits bit-for-bit
     values = np.array([-3.0, -0.5, 0.0, 0.25, 8.0])
     state = make_score_state(values)
-    scores = score_items(state, np.arange(5))
+    scores = score_cohort(*as_cohort(state), np.arange(5)[None])[0]
     from scipy.special import expit
 
     np.testing.assert_array_equal(scores, expit(values))
@@ -123,7 +126,7 @@ def test_oracle_agreement_with_trained_style_model():
         items = rng.permutation(25)[:12]
         test_item = int(items[0])
         negatives = items[1:]
-        scores = score_items(state, np.concatenate([negatives, [test_item]]))
+        scores = score_cohort(*as_cohort(state), np.concatenate([negatives, [test_item]])[None])[0]
         pairs = list(zip(negatives.tolist(), scores[:-1].tolist()))
         pairs.append((test_item, float(scores[-1])))
         _hr, _ndcg, rank = evaluate_user(state, test_item, negatives, k=5)
@@ -183,7 +186,7 @@ def round_fixture(test_items, per_user_values, mask, num_items=30):
     ds = dataset_from_train_sets([set() for _ in range(n)], num_items)
     ds.test = list(test_items)
     ds.validation = [(t + 1) % len(v) for t, v in zip(test_items, per_user_values)]
-    clients = ClientStore.collect(n, (make_score_state(v) for v in per_user_values))
+    clients = make_score_store(per_user_values)
     negatives = np.array(
         [
             [j for j in range(len(per_user_values[u])) if j not in (ds.test[u], ds.validation[u])]
@@ -274,7 +277,7 @@ def test_round_validation_target_uses_validation_item():
 def test_round_validates_inputs():
     clients, ds, negs, tiers = round_fixture([0, 2], [np.zeros(5)] * 2, [True, True], num_items=5)
     with pytest.raises(ValueError, match="user count"):
-        evaluate_round(ClientStore.collect(4, [*clients, *clients]), ds, negs, tiers)
+        evaluate_round(make_score_store([np.zeros(5)] * 4), ds, negs, tiers)
     with pytest.raises(ValueError, match="user count"):
         evaluate_round(clients, ds, negs[:1], tiers)
     leaky = negs.copy()
@@ -347,9 +350,7 @@ def store_world(n=30, num_items=60, seed=56):
     rng = np.random.default_rng(seed)
     config = ModelConfig(embed_dim=4, mlp_hidden=(6,), init_scale=0.5)
     tiers = tiers_from_mask(rng.random(n) < 0.5)
-    store = ClientStore.collect(
-        n, (init_client(config, num_items, tiers.tier(u), seed=(seed, u)) for u in range(n))
-    )
+    store = init_store(config, num_items, [tiers.tier(u) for u in range(n)], seed)
     for u in range(0, n, 7):
         store.weights[-1][u] = 0.0
         store.biases[-1][u] = 0.0
@@ -382,12 +383,11 @@ def test_store_backed_round_matches_reference_across_chunks():
 
 
 def test_plain_client_list_evaluates_like_the_store():
-    # Plain clients, stacked into a store of their own, rank as the original.
+    # Plain copies of the clients, each ranked alone, rank as the store does.
     store, ds, negatives, tiers = store_world()
     plain = [clone_state(client) for client in store]
     from_store = evaluate_round(store, ds, negatives, tiers, k=5)
-    from_list = evaluate_round(ClientStore.collect(len(plain), plain), ds, negatives, tiers, k=5)
-    for a, b in ((from_store, from_list), (from_store.validation, from_list.validation)):
-        assert np.array_equal(a.per_user_rank, b.per_user_rank)
-        assert (a.hr, a.ndcg) == (b.hr, b.ndcg)
-    assert_matches_reference(from_list, plain, ds, negatives, tiers, 5)
+    for u, client in enumerate(plain):
+        for got, held in ((from_store, ds.test[u]), (from_store.validation, ds.validation[u])):
+            assert evaluate_user(client, held, negatives[u], k=5)[2] == got.per_user_rank[u]
+    assert_matches_reference(from_store, plain, ds, negatives, tiers, 5)

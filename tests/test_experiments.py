@@ -669,6 +669,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "out")]) == 1
     assert "config error: public_ratio must be in [0, 1], got 1.5" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+    # a user who rated every item leaves nothing to draw negatives from,
+    # whatever the negative counts
+    rated_all = tmp_path / "rated_all.tsv"
+    rated_all.write_text("".join(f"{u}\t{i}\t5\n" for u in ("ann", "bob") for i in range(3)))
+    tiny = ["--dataset", str(rated_all), "--rounds", "1", "--reps", "1", "--lr", "0.01",
+            "--out", str(tmp_path / "out")]
+    for verb in (["run"], ["ablate"], ["sweep", "--axis", "alpha", "--values", "0.5"]):
+        for k, count in (("1", "0"), ("2", "5")):
+            assert cli.main([*verb, *tiny, "--k", k, "--eval-negatives", count]) == 1
+            err = capsys.readouterr().err
+            assert "user ann has interacted with every item" in err
+            assert "no unseen item is left to draw negatives from" in err
+    assert list(tmp_path.iterdir()) == [rated_all]
     # runtime failures exit 2
     malformed = tmp_path / "malformed.tsv"
     malformed.write_text("1\t2\n")

@@ -15,9 +15,9 @@ from fedgraphrec.federation import (
     run_federation,
 )
 from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate, server_update
-from fedgraphrec.model import ClientStore, ModelConfig, TrainingError, init_client, train_clients
+from fedgraphrec.model import ModelConfig, TrainingError, train_clients
 from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
-from oracles import dataset_from_train_sets, tiers_from_mask
+from oracles import dataset_from_train_sets, init_store, tiers_from_mask
 
 
 def small_model(**overrides):
@@ -44,12 +44,8 @@ def small_world(n=6, m=14, mask=None):
 
 def init_tables(config, ds, tiers):
     """Recompute every client's initial item table the way the loop does."""
-    return np.stack(
-        [
-            init_client(config.model, ds.num_items, tiers.tier(u), seed=(config.seed, u)).item_table
-            for u in range(ds.num_users)
-        ]
-    )
+    tier_list = [tiers.tier(u) for u in range(ds.num_users)]
+    return init_store(config.model, ds.num_items, tier_list, config.seed).item_tables
 
 
 # --- distribute -----------------------------------------------------------------
@@ -364,9 +360,7 @@ def test_round_memory_is_bounded_by_the_row_cap():
     tiers = tiers_from_mask([u % 2 == 0 for u in range(n)])
     negatives = np.stack([np.setdiff1d(np.arange(m - 2), sorted(s))[:49] for s in train_sets])
     config = ModelConfig(embed_dim=d, mlp_hidden=(hidden,), learning_rate=0.05)
-    store = ClientStore.collect(
-        n, (init_client(config, m, tiers.tier(u), seed=(1, u)) for u in range(n))
-    )
+    store = init_store(config, m, [tiers.tier(u) for u in range(n)], seed=1)
     tracemalloc.start()
     try:
         train_clients(store, ds, config, (derive_rng(1, u, 1, TRAIN_SALT) for u in range(n)))

@@ -1,6 +1,7 @@
 """Client model tests: forward pass, loss, hand-written gradients, SGD updates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,26 +10,27 @@ from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, Tier
 from fedgraphrec.model import (
     ClientState,
-    ClientStore,
     ModelConfig,
     TrainingError,
     init_client,
-    score_items,
     train_clients,
     train_local,
 )
 from fedgraphrec.seeding import TRAIN_SALT, derive_rng
 from oracles import (
+    as_cohort,
     batch_loss,
     bce_loss,
     check_instance_gradients,
     clone_state,
     dataset_from_train_sets,
+    init_store,
     naive_bce,
     naive_forward,
     predict,
     random_instance,
     rank_items,
+    reference_init,
     reference_sgd_step,
     reference_train_local,
 )
@@ -77,6 +79,49 @@ def test_init_he_scales_mlp_only():
     assert abs(float(state.weights[0].std()) - expected) < 0.25 * expected
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(embed_dim=32, mlp_hidden=(32, 16)),
+        dict(embed_dim=5, mlp_hidden=(7,), mlp_init="gaussian", init_scale=0.3),
+        dict(embed_dim=3, mlp_hidden=(4, 2), init_scale=0.0),
+        dict(embed_dim=3, mlp_hidden=(4, 2), init_scale=0.0, mlp_init="gaussian"),
+    ],
+)
+@pytest.mark.parametrize("num_items", [1, 257])
+def test_init_matches_reference_draws(overrides, num_items):
+    config = ModelConfig(**overrides)
+    for seed in (4, (4, 9)):
+        state = init_client(config, num_items, Tier.PRIVATE, seed)
+        user_vec, item_table, weights, biases = reference_init(config, num_items, seed)
+        assert np.array_equal(state.user_vec, user_vec)
+        assert np.array_equal(state.item_table, item_table)
+        for mine, theirs in zip(state.weights + state.biases, weights + biases, strict=True):
+            assert np.array_equal(mine, theirs)
+
+
+def test_init_into_store_row_draws_in_place():
+    # Store row 1 is redrawn in place, biases included; its neighbours keep
+    # their bytes, and the draw allocates no table-sized temporary.
+    config = ModelConfig(embed_dim=8, mlp_hidden=(8,))
+    store = init_store(config, 4000, [Tier.PUBLIC] * 3, seed=2)
+    store.biases[0][1] = 1.0
+    neighbours = store.item_tables[[0, 2]].copy()
+    row = store[1]
+    tracemalloc.start()
+    try:
+        init_client(config, 4000, Tier.PUBLIC, seed=(2, 1), out=row)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < store.item_tables[1].nbytes / 8, f"peak {peak} bytes"
+    assert np.array_equal(store.item_tables[1], reference_init(config, 4000, (2, 1))[1])
+    assert not store.biases[0][1].any()
+    assert np.array_equal(store.item_tables[[0, 2]], neighbours)
+    with pytest.raises(ValueError, match="shape"):
+        init_client(config, 3999, Tier.PUBLIC, seed=0, out=row)
+
+
 def test_init_validates():
     with pytest.raises(ValueError):
         init_client(ModelConfig(embed_dim=0), 5, Tier.PUBLIC, seed=0)
@@ -102,7 +147,6 @@ def hand_built_state():
         ],
         biases=[np.array([0.05, -0.1]), np.array([0.2])],
         tier=Tier.PUBLIC,
-        rng=None,
     )
     return state
 
@@ -161,7 +205,7 @@ def test_rank_all_ties_ascending_item_order():
 def test_rank_is_sorted_permutation():
     rng = np.random.default_rng(11)
     state, _items, _labels = random_instance(rng)
-    candidates = list(range(state.num_items))
+    candidates = list(range(state.item_table.shape[0]))
     ranked = rank_items(state, candidates)
     assert sorted(item for item, _ in ranked) == candidates
     scores = [score for _, score in ranked]
@@ -223,7 +267,7 @@ def test_single_step_decreases_single_example_loss():
         succeeded = False
         while rate >= 1e-5:
             clone = clone_state(state)
-            mdl._sgd_step(clone, items, labels, rate, None)
+            mdl._cohort_step(*as_cohort(clone), items[None], labels[None], rate, None)
             if batch_loss(clone, items, labels) < before:
                 succeeded = True
                 break
@@ -240,15 +284,17 @@ def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
     state = init_client(config, 12, Tier.PUBLIC, seed=41)
     state.weights[0][:, 0] = 0.0
     reference = clone_state(state)
+    store, rows = as_cohort(state)
     rng = np.random.default_rng(42)
     clipped = 0
     for _ in range(60):
         items = rng.integers(0, 12, size=40)
         labels = rng.integers(0, 2, size=40).astype(np.float64)
-        pres = mdl._forward(state, state.item_table[items])[2]
+        pres = mdl._cohort_forward(*store.gather(rows, items[None]))[1]
         assert np.any(pres[0] == 0.0)
         assert np.unique(items).size < items.size
-        got = mdl._sgd_step(state, items, labels, 0.2, clip_norm)
+        loss, norm = mdl._cohort_step(store, rows, items[None], labels[None], 0.2, clip_norm)
+        got = (float(loss[0]), float(norm[0]))
         want = reference_sgd_step(reference, items, labels, 0.2, clip_norm)
         assert got == want
         clipped += clip_norm is not None and got[1] == clip_norm
@@ -258,13 +304,6 @@ def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
             assert np.array_equal(mine, theirs)
     if clip_norm is not None:
         assert clipped == 60
-
-
-def stacked_clients(config, count, num_items, seed):
-    return ClientStore.collect(
-        count,
-        (init_client(config, num_items, Tier.PUBLIC, seed=(seed, c)) for c in range(count)),
-    )
 
 
 def assert_same_parameters(state, reference):
@@ -283,7 +322,7 @@ def test_cohort_step_matches_reference_bit_for_bit():
     config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
     count, batch = 30, 40
     assert count * batch > mdl.COHORT_ROWS >= batch
-    store = stacked_clients(config, count, 12, seed=41)
+    store = init_store(config, 12, [Tier.PUBLIC] * count, seed=41)
     store.weights[0][:, :, 0] = 0.0
     references = [clone_state(client) for client in store]
     rng = np.random.default_rng(43)
@@ -297,7 +336,9 @@ def test_cohort_step_matches_reference_bit_for_bit():
         rows = rng.permutation(count)
         got_loss, got_norm = mdl._cohort_step(store, rows, items[rows], labels[rows], 0.2, clip_norm)
         for c, row in enumerate(rows):
-            assert np.any(mdl._forward(references[row], references[row].item_table[items[row]])[2][0] == 0.0)
+            reference_store, reference_rows = as_cohort(references[row])
+            pres = mdl._cohort_forward(*reference_store.gather(reference_rows, items[row][None]))[1]
+            assert np.any(pres[0] == 0.0)
             want = reference_sgd_step(references[row], items[row], labels[row], 0.2, clip_norm)
             assert (got_loss[c], got_norm[c]) == want
             if want[1] == clip_norm:
@@ -329,13 +370,13 @@ def test_cohort_training_matches_reference_train_local(clip_norm):
         embed_dim=5, mlp_hidden=(6, 3), learning_rate=0.1, batch_size=16,
         local_epochs=2, neg_ratio=4, init_scale=0.3, clip_norm=clip_norm,
     )
-    store = stacked_clients(config, len(sizes), ds.num_items, seed=7)
+    store = init_store(config, ds.num_items, [Tier.PUBLIC] * len(sizes), seed=7)
     references = [clone_state(client) for client in store]
     reports = train_clients(store, ds, config, (derive_rng(7, u, 1, TRAIN_SALT) for u in range(len(sizes))))
     assert len({report.steps for report in reports}) > 1
     for u, reference in enumerate(references):
-        reference.rng = derive_rng(7, u, 1, TRAIN_SALT)
-        assert reports[u] == reference_train_local(reference, ds, u, config)
+        rng = derive_rng(7, u, 1, TRAIN_SALT)
+        assert reports[u] == reference_train_local(reference, ds, u, config, rng)
         assert_same_parameters(store[u], reference)
 
 
@@ -345,7 +386,7 @@ def test_cohort_training_error_names_lowest_user_at_its_first_step():
     sizes = [8, 8, 8, 8, 8]
     ds = ragged_dataset(sizes)
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.05, batch_size=8)
-    store = stacked_clients(config, len(sizes), ds.num_items, seed=5)
+    store = init_store(config, ds.num_items, [Tier.PUBLIC] * len(sizes), seed=5)
     rngs = [derive_rng(5, u, 1, TRAIN_SALT) for u in range(len(sizes))]
     batches = [mdl.local_batches(ds, u, config, derive_rng(5, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
 
@@ -362,8 +403,7 @@ def test_cohort_training_error_names_lowest_user_at_its_first_step():
             train_clients(store, ds, config, iter(rngs))
         with pytest.raises(TrainingError) as loop:
             for u, reference in enumerate(references):
-                reference.rng = derive_rng(5, u, 1, TRAIN_SALT)
-                reference_train_local(reference, ds, u, config)
+                reference_train_local(reference, ds, u, config, derive_rng(5, u, 1, TRAIN_SALT))
     assert str(cohort.value) == str(loop.value)
     assert str(cohort.value) == "user 1: non-finite loss or gradient at local step 3"
 
@@ -387,21 +427,20 @@ def tiny_dataset(train_items, num_items=10):
 
 
 def fresh_state(config, num_items=10, seed=9):
-    state = init_client(config, num_items, Tier.PUBLIC, seed=seed)
-    state.rng = derive_rng(seed, 1, 1)
-    return state
+    """A fresh client and the generator its training draws from."""
+    return init_client(config, num_items, Tier.PUBLIC, seed=seed), derive_rng(seed, 1, 1)
 
 
 def test_train_single_positive_counts():
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.01, neg_ratio=4)
     ds = tiny_dataset([3])
-    state = fresh_state(config)
+    state, rng = fresh_state(config)
     probe = derive_rng(9, 1, 1)
     from fedgraphrec.data import sample_train_negatives
 
     negatives = sample_train_negatives(ds, 0, 4, probe)
     before = state.item_table.copy()
-    report = train_local(state, ds, 0, config)
+    report = train_local(state, ds, 0, config, rng)
     assert report.steps == 1  # 5 examples, one batch
     assert report.mean_loss > 0
     touched = set(negatives.tolist()) | {3}
@@ -413,9 +452,9 @@ def test_train_single_positive_counts():
 def test_train_zero_rate_reports_loss_and_changes_nothing():
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.0)
     ds = tiny_dataset([1, 2, 3])
-    state = fresh_state(config)
+    state, rng = fresh_state(config)
     snapshot = clone_state(state)
-    report = train_local(state, ds, 0, config)
+    report = train_local(state, ds, 0, config, rng)
     assert report.mean_loss > 0
     np.testing.assert_array_equal(state.user_vec, snapshot.user_vec)
     np.testing.assert_array_equal(state.item_table, snapshot.item_table)
@@ -429,8 +468,8 @@ def test_train_step_count_batches_and_epochs():
         neg_ratio=2, batch_size=3, local_epochs=2,
     )
     ds = tiny_dataset([0, 1])
-    state = fresh_state(config)
-    report = train_local(state, ds, 0, config)
+    state, rng = fresh_state(config)
+    report = train_local(state, ds, 0, config, rng)
     # per epoch: 2 positives + 4 negatives = 6 examples -> 2 batches of 3
     assert report.steps == 4
 
@@ -438,12 +477,12 @@ def test_train_step_count_batches_and_epochs():
 def test_train_sparse_update_contract():
     config = ModelConfig(embed_dim=3, mlp_hidden=(3,), learning_rate=0.05, neg_ratio=1)
     ds = tiny_dataset([0], num_items=40)
-    state = fresh_state(config, num_items=40, seed=21)
+    state, rng = fresh_state(config, num_items=40, seed=21)
     from fedgraphrec.data import sample_train_negatives
 
     negatives = sample_train_negatives(ds, 0, 1, derive_rng(21, 1, 1))
     before = state.item_table.copy()
-    train_local(state, ds, 0, config)
+    train_local(state, ds, 0, config, rng)
     allowed = set(negatives.tolist()) | {0}
     for j in range(40):
         if j not in allowed:
@@ -456,8 +495,7 @@ def test_train_deterministic_under_rng():
     runs = []
     for _ in range(2):
         state = init_client(config, 10, Tier.PUBLIC, seed=33)
-        state.rng = derive_rng(5, 0, 2)
-        train_local(state, ds, 0, config)
+        train_local(state, ds, 0, config, derive_rng(5, 0, 2))
         runs.append(state)
     np.testing.assert_array_equal(runs[0].item_table, runs[1].item_table)
     np.testing.assert_array_equal(runs[0].user_vec, runs[1].user_vec)
@@ -466,24 +504,19 @@ def test_train_deterministic_under_rng():
 def test_train_nonfinite_error_names_user_and_step():
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.01)
     ds = tiny_dataset([1, 2])
-    state = fresh_state(config)
+    state, rng = fresh_state(config)
     state.item_table[1, 0] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(TrainingError, match=r"user 0.*step 1"):
-            train_local(state, ds, 0, config)
+            train_local(state, ds, 0, config, rng)
 
 
 def test_train_requires_positives_and_rng():
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,))
     ds = tiny_dataset([])
-    state = fresh_state(config)
+    state, rng = fresh_state(config)
     with pytest.raises(ValueError, match="no training interactions"):
-        train_local(state, ds, 0, config)
-    ds2 = tiny_dataset([1])
-    state2 = init_client(config, 10, Tier.PUBLIC, seed=1)
-    state2.rng = None
-    with pytest.raises(ValueError, match="no RNG"):
-        train_local(state2, ds2, 0, config)
+        train_local(state, ds, 0, config, rng)
 
 
 def test_grad_norm_reported_post_clip():
@@ -491,13 +524,13 @@ def test_grad_norm_reported_post_clip():
         embed_dim=4, mlp_hidden=(4,), learning_rate=0.01, clip_norm=1e-6
     )
     ds = tiny_dataset([1, 2, 3])
-    state = fresh_state(config)
-    report = train_local(state, ds, 0, config)
+    state, rng = fresh_state(config)
+    report = train_local(state, ds, 0, config, rng)
     assert report.grad_norm <= 1e-6 + 1e-12
 
 
 def test_score_items_matches_predict():
     state = hand_built_state()
-    batch = score_items(state, np.array([0, 1]))
+    batch = mdl.score_cohort(*as_cohort(state), np.array([[0, 1]]))[0]
     assert batch[0] == pytest.approx(predict(state, 0), rel=1e-12)
     assert batch[1] == pytest.approx(predict(state, 1), rel=1e-12)
