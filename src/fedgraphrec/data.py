@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ class Tier(Enum):
     PRIVATE = "private"
 
 
-@dataclass(frozen=True, eq=False)
-class RawInteraction:
+class RawInteraction(NamedTuple):
     user: str
     item: str
     rating: float
@@ -56,52 +56,46 @@ def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> list[Ra
 
     Lines hold user, item, rating, and an optional integer timestamp. The
     CSV layout carries a header row; the others do not. For duplicate
-    (user, item) pairs the most recent record wins: larger timestamp first,
-    later file position as the tie-break. Output preserves the file order of
-    the surviving records. Whitespace-only lines are skipped; any other
-    malformed line raises DataFormatError naming its 1-based line number.
+    (user, item) pairs the most recent record wins: larger timestamp first
+    (a missing one counts as 0), later file position as the tie-break.
+    Output preserves the file order of the surviving records. Whitespace-only
+    lines are skipped; any other malformed line raises DataFormatError naming
+    its 1-based line number.
     """
     path = Path(path)
-    if file_format == FileFormat.CSV:
-        rows = _read_csv_rows(path)
-    else:
-        sep = "\t" if file_format == FileFormat.TAB else "::"
-        rows = _read_separated_rows(path, sep)
-
-    best: dict[tuple[str, str], tuple[int, int, RawInteraction]] = {}
-    for line_no, fields in rows:
+    records: list[RawInteraction | None] = []
+    slot: dict[tuple[str, str], int] = {}  # (user, item) -> its record's index
+    for line_no, fields in _rows(path, file_format):
         inter = _parse_fields(path, line_no, fields)
         key = (inter.user, inter.item)
-        ts_key = inter.timestamp if inter.timestamp is not None else 0
-        if key not in best or (ts_key, line_no) > best[key][:2]:
-            best[key] = (ts_key, line_no, inter)
-    if not best:
+        prev = slot.get(key)
+        if prev is not None:
+            if (records[prev].timestamp or 0) > (inter.timestamp or 0):
+                continue
+            records[prev] = None
+        slot[key] = len(records)
+        records.append(inter)
+    if not slot:
         raise DataFormatError(f"{path}: no interaction records")
-    return [rec[2] for rec in sorted(best.values(), key=lambda rec: rec[1])]
+    return [inter for inter in records if inter is not None]
 
 
-def _read_separated_rows(path: Path, sep: str) -> list[tuple[int, list[str]]]:
-    rows = []
+def _rows(path: Path, file_format: FileFormat):
+    """Yield (1-based line number, fields) for every line that is not blank."""
+    if file_format == FileFormat.CSV:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for fields in reader:
+                # line 1 is the header row
+                if reader.line_num > 1 and any(f.strip() for f in fields):
+                    yield reader.line_num, fields
+        return
+    sep = "\t" if file_format == FileFormat.TAB else "::"
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip("\n").strip("\r")
-            if not line.strip():
-                continue
-            rows.append((line_no, line.split(sep)))
-    return rows
-
-
-def _read_csv_rows(path: Path) -> list[tuple[int, list[str]]]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for fields in reader:
-            if reader.line_num == 1:
-                continue  # header row
-            if not fields or all(not f.strip() for f in fields):
-                continue
-            rows.append((reader.line_num, fields))
-    return rows
+            if line.strip():
+                # the last field keeps the newline; the parser strips every field
+                yield line_no, line.split(sep)
 
 
 def _parse_fields(path: Path, line_no: int, fields: list[str]) -> RawInteraction:
@@ -143,8 +137,6 @@ class InteractionDataset:
     test: list[int]
     user_tokens: list[str]
     item_tokens: list[str]
-    user_index: dict[str, int]
-    item_index: dict[str, int]
     dropped_users: int = 0
     dropped_interactions: int = 0
     _neg_pools: list | None = field(default=None, repr=False)
@@ -171,11 +163,6 @@ class InteractionDataset:
             self._neg_pools[user] = pool
         return pool
 
-    @property
-    def total_interactions(self) -> int:
-        held = len(self.validation) + len(self.test)
-        return int(sum(arr.size for arr in self.train)) + held
-
 
 def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDataset:
     """Split each user's history: most recent item to test, next to validation.
@@ -186,18 +173,12 @@ def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDatase
     assigned in order of first appearance among the surviving records.
     """
     need = 3  # a test item, a validation item and at least one to train on
-    per_user: dict[str, list[tuple[int, RawInteraction]]] = {}
-    for line_no, inter in enumerate(interactions):
-        per_user.setdefault(inter.user, []).append((line_no, inter))
-
-    dropped_users = dropped_interactions = 0
-    surviving: dict[str, list[tuple[int, RawInteraction]]] = {}
-    for token, recs in per_user.items():
-        if len(recs) < need:
-            dropped_users += 1
-            dropped_interactions += len(recs)
-        else:
-            surviving[token] = recs
+    per_user: dict[str, list[tuple[int, int, str]]] = {}
+    for pos, inter in enumerate(interactions):
+        per_user.setdefault(inter.user, []).append((inter.timestamp or 0, pos, inter.item))
+    surviving = {token: recs for token, recs in per_user.items() if len(recs) >= need}
+    dropped_users = len(per_user) - len(surviving)
+    dropped_interactions = len(interactions) - sum(map(len, surviving.values()))
     if dropped_users:
         log.warning(
             "dropped %d users (%d interactions) with fewer than %d interactions each",
@@ -208,43 +189,28 @@ def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDatase
     if not surviving:
         raise ValueError(f"no users with at least {need} interactions")
 
-    user_tokens = list(surviving)
-    user_index = {token: idx for idx, token in enumerate(user_tokens)}
-    item_tokens: list[str] = []
     item_index: dict[str, int] = {}
-    for _line, inter in sorted(
-        (rec for recs in surviving.values() for rec in recs), key=lambda rec: rec[0]
-    ):
-        if inter.item not in item_index:
-            item_index[inter.item] = len(item_tokens)
-            item_tokens.append(inter.item)
+    for inter in interactions:
+        if inter.user in surviving:
+            item_index.setdefault(inter.item, len(item_index))
 
     train: list[np.ndarray] = []
     validation: list[int] = []
     test: list[int] = []
-    for token in user_tokens:
-        ordered = sorted(
-            surviving[token],
-            key=lambda rec: (
-                rec[1].timestamp if rec[1].timestamp is not None else 0,
-                rec[0],
-            ),
-        )
-        items = [item_index[inter.item] for _line, inter in ordered]
+    for recs in surviving.values():
+        items = [item_index[item] for _ts, _pos, item in sorted(recs)]
         test.append(items[-1])
         validation.append(items[-2])
         train.append(np.asarray(items[:-2], dtype=np.int64))
 
     return InteractionDataset(
-        num_users=len(user_tokens),
-        num_items=len(item_tokens),
+        num_users=len(surviving),
+        num_items=len(item_index),
         train=train,
         validation=validation,
         test=test,
-        user_tokens=user_tokens,
-        item_tokens=item_tokens,
-        user_index=user_index,
-        item_index=item_index,
+        user_tokens=list(surviving),
+        item_tokens=list(item_index),
         dropped_users=dropped_users,
         dropped_interactions=dropped_interactions,
     )

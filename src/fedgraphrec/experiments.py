@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -176,12 +177,16 @@ class ExperimentConfig:
     workers: int = _option(1, "parallel repetition workers")
 
     def validate(self) -> None:
+        self.lr = parse_learning_rate(self.lr)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value}")
         _check_public_ratio(self.public_ratio)
         try:
             FileFormat.from_string(self.format)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        self.lr = parse_learning_rate(self.lr)
         if self.seed < 0:
             raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {self.seed}")
         if self.reps < 1:

@@ -136,9 +136,9 @@ def run_federation(
         raise ValueError(f"dataset has {n} users but tiers cover {tiers.is_public.size}")
     m = dataset.num_items
 
-    clients = ClientStore.empty(n, m, config.model, [tiers.tier(u) for u in range(n)])
+    clients = ClientStore.empty(n, m, config.model)
     for u in range(n):
-        init_client(config.model, m, tiers.tier(u), seed=(config.seed, u), out=clients[u])
+        init_client(config.model, m, None, seed=(config.seed, u), out=clients[u])
 
     # With distribution ablated the server consumes nothing, so skip the
     # graph and the aggregation work entirely.

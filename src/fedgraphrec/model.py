@@ -84,7 +84,6 @@ class ClientState:
     item_table: np.ndarray
     weights: list
     biases: list
-    tier: Tier
 
 
 @dataclass(eq=False)
@@ -100,10 +99,9 @@ class ClientStore:
     item_tables: np.ndarray  # (n, m, d)
     weights: list  # per layer, (n, fan_in, fan_out)
     biases: list  # per layer, (n, fan_out)
-    tiers: list
 
     @classmethod
-    def empty(cls, n: int, num_items: int, config: ModelConfig, tiers) -> ClientStore:
+    def empty(cls, n: int, num_items: int, config: ModelConfig) -> ClientStore:
         """Stacks for n clients of `config`'s shape, with zero biases; the
         other parameters are left for `init_client` to draw."""
         d = config.embed_dim
@@ -113,7 +111,6 @@ class ClientStore:
             item_tables=np.empty((n, num_items, d)),
             weights=[np.empty((n, a, b)) for a, b in zip(dims[:-1], dims[1:])],
             biases=[np.zeros((n, fan_out)) for fan_out in dims[1:]],
-            tiers=list(tiers),
         )
 
     @classmethod
@@ -124,7 +121,6 @@ class ClientStore:
             item_tables=state.item_table[None],
             weights=[W[None] for W in state.weights],
             biases=[b[None] for b in state.biases],
-            tiers=[state.tier],
         )
 
     def gather(self, rows: np.ndarray, items: np.ndarray):
@@ -138,7 +134,7 @@ class ClientStore:
         )
 
     def __len__(self) -> int:
-        return len(self.tiers)
+        return self.user_vecs.shape[0]
 
     def __getitem__(self, u: int) -> ClientState:
         return ClientState(
@@ -146,7 +142,6 @@ class ClientStore:
             item_table=self.item_tables[u],
             weights=[W[u] for W in self.weights],
             biases=[b[u] for b in self.biases],
-            tier=self.tiers[u],
         )
 
     def __iter__(self):
@@ -163,19 +158,21 @@ class TrainReport:
 
 
 def init_client(
-    config: ModelConfig, num_items: int, tier: Tier, seed, out: ClientState | None = None
+    config: ModelConfig, num_items: int, tier: Tier | None, seed, out: ClientState | None = None
 ) -> ClientState:
     """Draw a fresh client into `out`, a row of a ClientStore, and return it:
     Gaussian embeddings and MLP weights, zero biases. Without `out`, the
-    client is the one row of a new store, of tier `tier`.
+    client is the one row of a new store.
 
-    `seed` may be an int or a tuple of ints.
+    `seed` may be an int or a tuple of ints. `tier` is not read: the client's
+    privacy tier lives only in the PrivacyAssignment. The parameter stays
+    because `perfbench/test_checks.py` passes it, by position and by name.
     """
     config.validate()
     if num_items < 1:
         raise ValueError(f"num_items must be >= 1, got {num_items}")
     if out is None:
-        out = ClientStore.empty(1, num_items, config, [tier])[0]
+        out = ClientStore.empty(1, num_items, config)[0]
     d = config.embed_dim
     dims = [2 * d, *config.mlp_hidden, 1]
     arrays = [out.user_vec, out.item_table, *out.weights]

@@ -15,6 +15,57 @@ from fedgraphrec.model import ClientState, ClientStore, ModelConfig, init_client
 from fedgraphrec.seeding import INIT_SALT, derive_rng
 
 
+# --- data oracles -------------------------------------------------------------
+
+
+def reference_load_split(lines):
+    """Records and leave-one-out split of a log, from its data lines in file
+    order: (user, item, rating, timestamp or None) each, tokens stripped.
+
+    Returns (records, split): records as (user, item, rating, timestamp)
+    tuples, and a dict of the InteractionDataset fields, train as lists.
+    """
+    # per (user, item), the record with the largest (timestamp or 0, line)
+    best = {}
+    for line, (user, item, rating, ts) in enumerate(lines):
+        rank = (0 if ts is None else ts, line)
+        if (user, item) not in best or rank > best[(user, item)][0]:
+            best[(user, item)] = (rank, (user, item, float(rating), ts))
+    kept = sorted(best.values(), key=lambda entry: entry[0][1])  # line order
+    records = [rec for _rank, rec in kept]
+
+    counts = {}
+    for user, *_rest in records:
+        counts[user] = counts.get(user, 0) + 1
+    user_tokens, item_tokens = [], []
+    for user, item, _rating, _ts in records:
+        if counts[user] >= 3:
+            if user not in user_tokens:
+                user_tokens.append(user)
+            if item not in item_tokens:
+                item_tokens.append(item)
+    train, validation, test = [], [], []
+    for user in user_tokens:
+        history = sorted((rank, rec[1]) for rank, rec in kept if rec[0] == user)
+        items = [item_tokens.index(item) for _rank, item in history]
+        train.append(items[:-2])
+        validation.append(items[-2])
+        test.append(items[-1])
+    dropped = [user for user in counts if counts[user] < 3]
+    split = dict(
+        num_users=len(user_tokens),
+        num_items=len(item_tokens),
+        user_tokens=user_tokens,
+        item_tokens=item_tokens,
+        train=train,
+        validation=validation,
+        test=test,
+        dropped_users=len(dropped),
+        dropped_interactions=sum(counts[user] for user in dropped),
+    )
+    return records, split
+
+
 # --- model oracles ------------------------------------------------------------
 
 
@@ -24,11 +75,11 @@ def as_cohort(state):
     return ClientStore.of(state), np.zeros(1, dtype=np.int64)
 
 
-def init_store(config, num_items, tiers, seed):
-    """A store of len(tiers) fresh clients; client u is drawn from seed (seed, u)."""
-    store = ClientStore.empty(len(tiers), num_items, config, tiers)
-    for u, tier in enumerate(tiers):
-        init_client(config, num_items, tier, seed=(seed, u), out=store[u])
+def init_store(config, num_items, n, seed):
+    """A store of n fresh clients; client u is drawn from seed (seed, u)."""
+    store = ClientStore.empty(n, num_items, config)
+    for u in range(n):
+        init_client(config, num_items, None, seed=(seed, u), out=store[u])
     return store
 
 
@@ -100,7 +151,6 @@ def clone_state(state):
         item_table=state.item_table.copy(),
         weights=[W.copy() for W in state.weights],
         biases=[b.copy() for b in state.biases],
-        tier=state.tier,
     )
 
 
@@ -329,8 +379,6 @@ def dataset_from_train_sets(train_sets, num_items):
         test=[0] * n,
         user_tokens=[f"u{i}" for i in range(n)],
         item_tokens=[f"i{j}" for j in range(num_items)],
-        user_index={f"u{i}": i for i in range(n)},
-        item_index={f"i{j}": j for j in range(num_items)},
     )
 
 
@@ -365,7 +413,7 @@ def make_score_store(per_user_values):
     values = np.asarray(per_user_values, dtype=np.float64)
     n, num_items = values.shape
     config = ModelConfig(embed_dim=1, mlp_hidden=(2,))
-    store = ClientStore.empty(n, num_items, config, [Tier.PUBLIC] * n)
+    store = ClientStore.empty(n, num_items, config)
     store.user_vecs[:] = 0.0
     store.item_tables[:] = values[:, :, None]
     store.weights[0][:] = [[0.0, 0.0], [1.0, -1.0]]

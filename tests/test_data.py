@@ -15,6 +15,7 @@ from fedgraphrec.data import (
     sample_train_negatives,
 )
 from fedgraphrec.seeding import derive_rng
+from oracles import reference_load_split
 
 
 def write(tmp_path, name, text):
@@ -118,6 +119,76 @@ def test_blank_lines_are_skipped(tmp_path):
     assert len(load_interactions(path, FileFormat.TAB)) == 2
 
 
+# Every case in file order: the earlier record wins on a larger timestamp and
+# on a present one over a missing one below 0; a tie goes to the later line;
+# uB is left with one record.
+FIXED_ROWS = [
+    ("uA", "iX", "5", 9), ("uA", "iY", "2", 4), ("uA", "iX", "1", 2),
+    ("uA", "iZ", "4", None), ("uB", "iX", "1", None), ("uA", "iY", "3", 4),
+    ("uA", "iZ", "1", -1),
+]
+
+
+def random_log(rng):
+    """(user, item, rating, timestamp or None) data lines in file order:
+    duplicate chains with small, often equal, sometimes missing timestamps,
+    and users left with fewer than 3 records."""
+    rows = []
+    for u in range(int(rng.integers(4, 9))):
+        for item in rng.choice(12, size=int(rng.integers(1, 6)), replace=False):
+            for _ in range(int(rng.integers(1, 4))):
+                ts = None if rng.random() < 0.25 else int(rng.integers(-2, 4))
+                rows.append((f"u{u}", f"i{item}", str(rng.integers(1, 11) / 2), ts))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    cut = int(rng.integers(0, len(rows) + 1))
+    return rows[:cut] + FIXED_ROWS + rows[cut:]
+
+
+def write_layouts(tmp_path, rows, rng):
+    """The rows as TSV, '::' and CSV files that share their blank and
+    whitespace-only lines, padded tokens, empty timestamp fields and mixed
+    LF / CRLF endings."""
+    def pad(token):
+        return str(rng.choice(["", " "])) + token + str(rng.choice(["", " "]))
+
+    lines = []
+    for user, item, rating, ts in rows:
+        while rng.random() < 0.2:
+            lines.append([str(rng.choice(["", " ", "  ", "\t"]))])
+        fields = [pad(user), pad(item), rating]
+        if ts is not None:
+            fields.append(pad(str(ts)))
+        elif rng.random() < 0.5:
+            fields.append("")
+        lines.append(fields)
+    endings = [str(rng.choice(["\n", "\r\n"])) for _ in lines]
+    if rng.random() < 0.5:
+        endings[-1] = ""
+    paths = {}
+    for fmt, sep, header in ((FileFormat.TAB, "\t", []),
+                             (FileFormat.DOUBLE_COLON, "::", []),
+                             (FileFormat.CSV, ",", ["user,item,rating,timestamp\r\n"])):
+        text = header + [sep.join(f) + end for f, end in zip(lines, endings)]
+        paths[fmt] = tmp_path / f"log.{fmt.value}"
+        paths[fmt].write_bytes("".join(text).encode("utf-8"))
+    return paths
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_load_and_split_match_reference_in_every_layout(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    rows = random_log(rng)
+    expected_records, expected = reference_load_split(rows)
+    assert expected["dropped_users"] >= 1
+    for fmt, path in write_layouts(tmp_path, rows, rng).items():
+        records = load_interactions(path, fmt)
+        assert [(r.user, r.item, r.rating, r.timestamp) for r in records] == expected_records
+        ds = leave_one_out_split(records)
+        got = {name: getattr(ds, name) for name in expected}
+        got["train"] = [arr.tolist() for arr in ds.train]
+        assert got == expected, fmt
+
+
 def test_format_from_string():
     assert FileFormat.from_string("tsv") is FileFormat.TAB
     assert FileFormat.from_string("double-colon") is FileFormat.DOUBLE_COLON
@@ -205,8 +276,8 @@ def test_split_indices_first_appearance_order(tmp_path):
     ds = leave_one_out_split(load_interactions(path))
     assert ds.user_tokens == ["u2", "u1"]
     assert ds.item_tokens == ["x", "y", "z", "w"]
-    assert ds.user_index == {"u2": 0, "u1": 1}
-    assert ds.item_index["w"] == 3
+    assert [t.tolist() for t in ds.train] == [[0], [1]]
+    assert ds.validation == [1, 3] and ds.test == [2, 0]
 
 
 def test_counting_invariant(tmp_path):
@@ -219,7 +290,9 @@ def test_counting_invariant(tmp_path):
     path = write(tmp_path, "a.tsv", lines(*rows))
     records = load_interactions(path)
     ds = leave_one_out_split(records)
-    assert ds.total_interactions + ds.dropped_interactions == len(records)
+    held = len(ds.validation) + len(ds.test)
+    kept = sum(arr.size for arr in ds.train) + held
+    assert kept + ds.dropped_interactions == len(records)
 
 
 def test_split_disjoint_per_user(tmp_path):
@@ -252,8 +325,6 @@ def small_dataset():
         test=[4, 6, 7, 2],
         user_tokens=[f"u{i}" for i in range(4)],
         item_tokens=[f"i{i}" for i in range(10)],
-        user_index={f"u{i}": i for i in range(4)},
-        item_index={f"i{i}": i for i in range(10)},
     )
 
 

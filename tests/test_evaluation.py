@@ -350,7 +350,7 @@ def store_world(n=30, num_items=60, seed=56):
     rng = np.random.default_rng(seed)
     config = ModelConfig(embed_dim=4, mlp_hidden=(6,), init_scale=0.5)
     tiers = tiers_from_mask(rng.random(n) < 0.5)
-    store = init_store(config, num_items, [tiers.tier(u) for u in range(n)], seed)
+    store = init_store(config, num_items, n, seed)
     for u in range(0, n, 7):
         store.weights[-1][u] = 0.0
         store.biases[-1][u] = 0.0

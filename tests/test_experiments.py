@@ -689,6 +689,24 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "expected 3 or 4 fields" in capsys.readouterr().err
 
 
+def test_non_finite_float_flags_fail_at_config_time(tmp_path, capsys):
+    # nan slips past every range check (nan > 0 is false), so a nan noise
+    # scale used to run without noise and an infinite rate died mid-run
+    out = tmp_path / "out"
+    run_args = ["run", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "2",
+                "--reps", "1", "--lr", "0.01", "--out", str(out)]
+    for flag, value in (("--ldp-delta", "nan"), ("--clip-norm", "nan"), ("--lr", "nan"),
+                        ("--lr", "inf"), ("--ldp-delta", "inf"), ("--init-scale", "nan")):
+        assert cli.main([*run_args, flag, value]) == 1, (flag, value)
+        assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+    config_file = tmp_path / "exp.cfg"
+    config_file.write_text("ldp_delta = nan\n")
+    assert cli.main([*run_args, "--config", str(config_file)]) == 1
+    assert "--ldp-delta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_quick_start_on_bundled_file(tmp_path, capsys):
     # The default 99 eval negatives exceed the bundled file's 90-item pools:
     # a config error before any training, naming the flag and the fix.

@@ -42,10 +42,9 @@ def small_world(n=6, m=14, mask=None):
     return ds, tiers_from_mask(mask)
 
 
-def init_tables(config, ds, tiers):
+def init_tables(config, ds):
     """Recompute every client's initial item table the way the loop does."""
-    tier_list = [tiers.tier(u) for u in range(ds.num_users)]
-    return init_store(config.model, ds.num_items, tier_list, config.seed).item_tables
+    return init_store(config.model, ds.num_items, ds.num_users, config.seed).item_tables
 
 
 # --- distribute -----------------------------------------------------------------
@@ -89,7 +88,7 @@ def test_all_private_round_is_plain_averaging():
     ds, _ = small_world()
     tiers = tiers_from_mask([False] * 6)
     config = FederationConfig(rounds=2, alpha=0.3, model=small_model(learning_rate=0.0), seed=4)
-    inits = init_tables(config, ds, tiers)
+    inits = init_tables(config, ds)
     run = run_federation(ds, tiers, config, eval_hook=_capture(clients_out := []))
     expected = inits.mean(axis=0)
     for client in clients_out[-1]:
@@ -110,7 +109,7 @@ def test_first_round_serves_blend_of_initial_tables():
     # server pipeline produces from the initial tables
     ds, tiers = small_world()
     config = FederationConfig(rounds=1, alpha=0.4, model=small_model(learning_rate=0.0), seed=9)
-    inits = init_tables(config, ds, tiers)
+    inits = init_tables(config, ds)
 
     graph = normalize(build_user_graph(ds, tiers))
     expected = distribute(server_update(graph, inits, tiers, layers=1), tiers, 0.4)
@@ -126,7 +125,7 @@ def test_smoothing_ablation_blends_raw_uploads():
     config = FederationConfig(
         rounds=1, alpha=0.4, disable_ugc=True, model=small_model(learning_rate=0.0), seed=9
     )
-    inits = init_tables(config, ds, tiers)
+    inits = init_tables(config, ds)
     expected = distribute(server_update(None, inits, tiers), tiers, 0.4)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
@@ -139,7 +138,7 @@ def test_distribution_ablation_leaves_tables_local():
     config = FederationConfig(
         rounds=2, disable_iei=True, model=small_model(learning_rate=0.0), seed=9
     )
-    inits = init_tables(config, ds, tiers)
+    inits = init_tables(config, ds)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
     for u, client in enumerate(sink[-1]):
@@ -152,7 +151,7 @@ def test_personalization_ablation_serves_identical_tables():
     config = FederationConfig(
         rounds=1, disable_upie=True, model=small_model(learning_rate=0.0), seed=9
     )
-    inits = init_tables(config, ds, tiers)
+    inits = init_tables(config, ds)
     expected = propagate(normalize(build_user_graph(ds, tiers)), inits).mean(axis=0)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
@@ -166,7 +165,7 @@ def test_global_from_public_only_variant():
         rounds=1, alpha=0.0, global_from_public_only=True,
         model=small_model(learning_rate=0.0), seed=9,
     )
-    inits = init_tables(config, ds, tiers)
+    inits = init_tables(config, ds)
     graph = normalize(build_user_graph(ds, tiers))
     server = server_update(graph, inits, tiers, layers=1, global_from_public_only=True)
     sink = []
@@ -360,7 +359,7 @@ def test_round_memory_is_bounded_by_the_row_cap():
     tiers = tiers_from_mask([u % 2 == 0 for u in range(n)])
     negatives = np.stack([np.setdiff1d(np.arange(m - 2), sorted(s))[:49] for s in train_sets])
     config = ModelConfig(embed_dim=d, mlp_hidden=(hidden,), learning_rate=0.05)
-    store = init_store(config, m, [tiers.tier(u) for u in range(n)], seed=1)
+    store = init_store(config, m, n, seed=1)
     tracemalloc.start()
     try:
         train_clients(store, ds, config, (derive_rng(1, u, 1, TRAIN_SALT) for u in range(n)))

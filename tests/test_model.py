@@ -46,7 +46,10 @@ def test_init_shapes_and_zero_biases():
     assert state.item_table.shape == (1682, 32)
     assert [W.shape for W in state.weights] == [(64, 32), (32, 16), (16, 1)]
     assert all(not b.any() for b in state.biases)
-    assert state.tier is Tier.PUBLIC
+    # the tier lives only in the PrivacyAssignment: the draw ignores it
+    other = init_client(config, num_items=1682, tier=Tier.PRIVATE, seed=1)
+    assert np.array_equal(state.item_table, other.item_table)
+    assert not hasattr(state, "tier")
 
 
 def test_init_deterministic_under_seed():
@@ -104,7 +107,7 @@ def test_init_into_store_row_draws_in_place():
     # Store row 1 is redrawn in place, biases included; its neighbours keep
     # their bytes, and the draw allocates no table-sized temporary.
     config = ModelConfig(embed_dim=8, mlp_hidden=(8,))
-    store = init_store(config, 4000, [Tier.PUBLIC] * 3, seed=2)
+    store = init_store(config, 4000, 3, seed=2)
     store.biases[0][1] = 1.0
     neighbours = store.item_tables[[0, 2]].copy()
     row = store[1]
@@ -146,7 +149,6 @@ def hand_built_state():
             np.array([[1.5], [-2.0]]),
         ],
         biases=[np.array([0.05, -0.1]), np.array([0.2])],
-        tier=Tier.PUBLIC,
     )
     return state
 
@@ -322,7 +324,7 @@ def test_cohort_step_matches_reference_bit_for_bit():
     config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
     count, batch = 30, 40
     assert count * batch > mdl.COHORT_ROWS >= batch
-    store = init_store(config, 12, [Tier.PUBLIC] * count, seed=41)
+    store = init_store(config, 12, count, seed=41)
     store.weights[0][:, :, 0] = 0.0
     references = [clone_state(client) for client in store]
     rng = np.random.default_rng(43)
@@ -370,7 +372,7 @@ def test_cohort_training_matches_reference_train_local(clip_norm):
         embed_dim=5, mlp_hidden=(6, 3), learning_rate=0.1, batch_size=16,
         local_epochs=2, neg_ratio=4, init_scale=0.3, clip_norm=clip_norm,
     )
-    store = init_store(config, ds.num_items, [Tier.PUBLIC] * len(sizes), seed=7)
+    store = init_store(config, ds.num_items, len(sizes), seed=7)
     references = [clone_state(client) for client in store]
     reports = train_clients(store, ds, config, (derive_rng(7, u, 1, TRAIN_SALT) for u in range(len(sizes))))
     assert len({report.steps for report in reports}) > 1
@@ -386,7 +388,7 @@ def test_cohort_training_error_names_lowest_user_at_its_first_step():
     sizes = [8, 8, 8, 8, 8]
     ds = ragged_dataset(sizes)
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.05, batch_size=8)
-    store = init_store(config, ds.num_items, [Tier.PUBLIC] * len(sizes), seed=5)
+    store = init_store(config, ds.num_items, len(sizes), seed=5)
     rngs = [derive_rng(5, u, 1, TRAIN_SALT) for u in range(len(sizes))]
     batches = [mdl.local_batches(ds, u, config, derive_rng(5, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
 
@@ -421,8 +423,6 @@ def tiny_dataset(train_items, num_items=10):
         test=[num_items - 1],
         user_tokens=["u"],
         item_tokens=[f"i{j}" for j in range(num_items)],
-        user_index={"u": 0},
-        item_index={f"i{j}": j for j in range(num_items)},
     )
 
 
