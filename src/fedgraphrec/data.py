@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -51,39 +52,88 @@ class RawInteraction(NamedTuple):
     timestamp: int | None = None
 
 
-def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> list[RawInteraction]:
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """A deduplicated interaction log as arrays, one entry per record in file order.
+
+    ``users`` and ``items`` are int64 codes into ``user_tokens`` and
+    ``item_tokens``, which list the tokens in order of first appearance in
+    the file. ``timestamps`` is int64 and holds 0 where ``stamped`` is False.
+    Indexing gives a record back as a RawInteraction.
+    """
+
+    user_tokens: list[str]
+    item_tokens: list[str]
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
+    timestamps: np.ndarray
+    stamped: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.users.size)
+
+    def __getitem__(self, row: int) -> RawInteraction:
+        return RawInteraction(
+            user=self.user_tokens[self.users[row]],
+            item=self.item_tokens[self.items[row]],
+            rating=float(self.ratings[row]),
+            timestamp=int(self.timestamps[row]) if self.stamped[row] else None,
+        )
+
+
+def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> Interactions:
     """Parse an interaction file and collapse duplicate (user, item) pairs.
 
     Lines hold user, item, rating, and an optional integer timestamp. The
-    CSV layout carries a header row; the others do not. For duplicate
-    (user, item) pairs the most recent record wins: larger timestamp first
-    (a missing one counts as 0), later file position as the tie-break.
-    Output preserves the file order of the surviving records. Whitespace-only
-    lines are skipped; any other malformed line raises DataFormatError naming
-    its 1-based line number.
+    CSV layout carries a header row; the others do not. A leading UTF-8 BOM
+    is ignored. For duplicate (user, item) pairs the most recent record
+    wins: larger timestamp first (a missing one counts as 0), later file
+    position as the tie-break. Output preserves the file order of the
+    surviving records. Whitespace-only lines are skipped; any other
+    malformed line raises DataFormatError naming its 1-based line number.
+
+    Each line goes straight into flat arrays, with its tokens coded by
+    first appearance, so no per-line object outlives the loop.
     """
     path = Path(path)
-    records: list[RawInteraction | None] = []
-    slot: dict[tuple[str, str], int] = {}  # (user, item) -> its record's index
+    user_code: dict[str, int] = {}
+    item_code: dict[str, int] = {}
+    users, items, stamps = array("q"), array("q"), array("q")
+    ratings = array("d")
+    stamped = bytearray()
     for line_no, fields in _rows(path, file_format):
-        inter = _parse_fields(path, line_no, fields)
-        key = (inter.user, inter.item)
-        prev = slot.get(key)
-        if prev is not None:
-            if (records[prev].timestamp or 0) > (inter.timestamp or 0):
-                continue
-            records[prev] = None
-        slot[key] = len(records)
-        records.append(inter)
-    if not slot:
+        user, item, rating, timestamp = _parse_fields(path, line_no, fields)
+        users.append(user_code.setdefault(user, len(user_code)))
+        items.append(item_code.setdefault(item, len(item_code)))
+        ratings.append(rating)
+        stamps.append(timestamp or 0)
+        stamped.append(timestamp is not None)
+    if not users:
         raise DataFormatError(f"{path}: no interaction records")
-    return [inter for inter in records if inter is not None]
+    users, items, stamps = (np.frombuffer(a, dtype=np.int64) for a in (users, items, stamps))
+    # the latest record of each (user, item): the last of its key group once
+    # sorted by (key, timestamp), the sort being stable in file position
+    key = users * len(item_code) + items
+    order = np.lexsort((stamps, key))
+    key = key[order]
+    keep = np.zeros(key.size, dtype=bool)
+    keep[order[np.append(key[1:] != key[:-1], True)]] = True
+    return Interactions(
+        user_tokens=list(user_code),
+        item_tokens=list(item_code),
+        users=users[keep],
+        items=items[keep],
+        ratings=np.frombuffer(ratings, dtype=np.float64)[keep],
+        timestamps=stamps[keep],
+        stamped=np.frombuffer(stamped, dtype=bool)[keep],
+    )
 
 
 def _rows(path: Path, file_format: FileFormat):
     """Yield (1-based line number, fields) for every line that is not blank."""
     if file_format == FileFormat.CSV:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             for fields in reader:
                 # line 1 is the header row
@@ -91,14 +141,14 @@ def _rows(path: Path, file_format: FileFormat):
                     yield reader.line_num, fields
         return
     sep = "\t" if file_format == FileFormat.TAB else "::"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():
                 # the last field keeps the newline; the parser strips every field
                 yield line_no, line.split(sep)
 
 
-def _parse_fields(path: Path, line_no: int, fields: list[str]) -> RawInteraction:
+def _parse_fields(path: Path, line_no: int, fields: list[str]) -> tuple[str, str, float, int | None]:
     if len(fields) not in (3, 4):
         raise DataFormatError(
             f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
@@ -118,7 +168,11 @@ def _parse_fields(path: Path, line_no: int, fields: list[str]) -> RawInteraction
             raise DataFormatError(
                 f"{path}:{line_no}: bad timestamp {fields[3].strip()!r}"
             ) from None
-    return RawInteraction(user=user, item=item, rating=rating, timestamp=timestamp)
+        if not -(2**63) <= timestamp < 2**63:
+            raise DataFormatError(
+                f"{path}:{line_no}: timestamp {timestamp} does not fit in 64 bits"
+            )
+    return user, item, rating, timestamp
 
 
 @dataclass(eq=False)
@@ -139,7 +193,8 @@ class InteractionDataset:
     item_tokens: list[str]
     dropped_users: int = 0
     dropped_interactions: int = 0
-    _neg_pools: list | None = field(default=None, repr=False)
+    # every user's negative pool in one flat int32 array, and its row offsets
+    _neg_pools: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def train_items(self, user: int) -> np.ndarray:
         """Item indices this user trains on.
@@ -150,21 +205,31 @@ class InteractionDataset:
         return self.train[user]
 
     def negative_pool(self, user: int) -> np.ndarray:
-        """All item indices the user never touched in any split (cached)."""
+        """All item indices the user never touched in any split, ascending:
+        a read-only int32 view into one flat array that holds every user's
+        pool, built on first use."""
         if self._neg_pools is None:
-            self._neg_pools = [None] * self.num_users
-        pool = self._neg_pools[user]
-        if pool is None:
-            seen = np.zeros(self.num_items, dtype=bool)
-            seen[self.train[user]] = True
-            seen[self.validation[user]] = True
-            seen[self.test[user]] = True
-            pool = np.flatnonzero(~seen)
-            self._neg_pools[user] = pool
-        return pool
+            self._neg_pools = self._build_negative_pools()
+        pools, offsets = self._neg_pools
+        return pools[offsets[user]:offsets[user + 1]]
+
+    def _build_negative_pools(self) -> tuple[np.ndarray, np.ndarray]:
+        n = self.num_users
+        seen = np.zeros((n, self.num_items), dtype=bool)
+        for u in range(n):
+            seen[u, self.train[u]] = True
+        seen[np.arange(n), self.validation] = True
+        seen[np.arange(n), self.test] = True
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.num_items - np.count_nonzero(seen, axis=1), out=offsets[1:])
+        pools = np.empty(offsets[-1], dtype=np.int32)
+        for u in range(n):
+            pools[offsets[u]:offsets[u + 1]] = np.flatnonzero(~seen[u])
+        pools.flags.writeable = False
+        return pools, offsets
 
 
-def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDataset:
+def leave_one_out_split(interactions: Interactions) -> InteractionDataset:
     """Split each user's history: most recent item to test, next to validation.
 
     Recency is (timestamp, file position); records without timestamps fall
@@ -173,12 +238,10 @@ def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDatase
     assigned in order of first appearance among the surviving records.
     """
     need = 3  # a test item, a validation item and at least one to train on
-    per_user: dict[str, list[tuple[int, int, str]]] = {}
-    for pos, inter in enumerate(interactions):
-        per_user.setdefault(inter.user, []).append((inter.timestamp or 0, pos, inter.item))
-    surviving = {token: recs for token, recs in per_user.items() if len(recs) >= need}
-    dropped_users = len(per_user) - len(surviving)
-    dropped_interactions = len(interactions) - sum(map(len, surviving.values()))
+    counts = np.bincount(interactions.users, minlength=len(interactions.user_tokens))
+    kept = counts[interactions.users] >= need
+    dropped_users = int(np.count_nonzero(counts < need))  # every token has a record
+    dropped_interactions = len(interactions) - int(np.count_nonzero(kept))
     if dropped_users:
         log.warning(
             "dropped %d users (%d interactions) with fewer than %d interactions each",
@@ -186,34 +249,37 @@ def leave_one_out_split(interactions: list[RawInteraction]) -> InteractionDatase
             dropped_interactions,
             need,
         )
-    if not surviving:
+    if not kept.any():
         raise ValueError(f"no users with at least {need} interactions")
 
-    item_index: dict[str, int] = {}
-    for inter in interactions:
-        if inter.user in surviving:
-            item_index.setdefault(inter.item, len(item_index))
-
-    train: list[np.ndarray] = []
-    validation: list[int] = []
-    test: list[int] = []
-    for recs in surviving.values():
-        items = [item_index[item] for _ts, _pos, item in sorted(recs)]
-        test.append(items[-1])
-        validation.append(items[-2])
-        train.append(np.asarray(items[:-2], dtype=np.int64))
-
+    users, user_codes = _number_by_first_appearance(interactions.users[kept])
+    items, item_codes = _number_by_first_appearance(interactions.items[kept])
+    # each user's items, oldest first: the sort is stable in file position
+    history = items[np.lexsort((interactions.timestamps[kept], users))]
+    ends = np.cumsum(np.bincount(users))
+    held = np.zeros(history.size, dtype=bool)
+    held[ends - 1] = held[ends - 2] = True
     return InteractionDataset(
-        num_users=len(surviving),
-        num_items=len(item_index),
-        train=train,
-        validation=validation,
-        test=test,
-        user_tokens=list(surviving),
-        item_tokens=list(item_index),
+        num_users=int(ends.size),
+        num_items=int(item_codes.size),
+        train=np.split(history[~held], ends[:-1] - 2 * np.arange(1, ends.size)),
+        validation=history[ends - 2].tolist(),
+        test=history[ends - 1].tolist(),
+        user_tokens=[interactions.user_tokens[c] for c in user_codes.tolist()],
+        item_tokens=[interactions.item_tokens[c] for c in item_codes.tolist()],
         dropped_users=dropped_users,
         dropped_interactions=dropped_interactions,
     )
+
+
+def _number_by_first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes renumbered 0, 1, ... in order of first appearance, the
+    original code of each new number)."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return number[inverse], distinct[order]
 
 
 def sample_train_negatives(

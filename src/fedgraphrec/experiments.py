@@ -326,10 +326,11 @@ class RepetitionResult:
 def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
     """Fail before any training when some user has no unseen item to draw
     training negatives from, or fewer unseen items than the evaluation
-    samples."""
-    sizes = [dataset.negative_pool(u).size for u in range(dataset.num_users)]
+    samples. A user's items are distinct across the splits, so the unseen
+    items number num_items - (train size + 2)."""
+    sizes = dataset.num_items - 2 - np.array([items.size for items in dataset.train])
     fewest = int(np.argmin(sizes))
-    largest = sizes[fewest]  # the most negatives every user can give
+    largest = int(sizes[fewest])  # the most negatives every user can give
     if largest == 0:
         raise ConfigError(
             f"user {dataset.user_tokens[fewest]} has interacted with every item, so no unseen "

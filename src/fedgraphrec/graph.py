@@ -68,9 +68,9 @@ def build_user_graph(dataset: InteractionDataset, tiers: PrivacyAssignment) -> U
         incidence = sp.csr_matrix(
             (np.ones(r.size), (r, c)), shape=(num_users, dataset.num_items)
         )
-        adjacency = (incidence @ incidence.T).tolil()
-        adjacency.setdiag(0.0)
-        adjacency = adjacency.tocsr()
+        shared = incidence @ incidence.T
+        shared.sort_indices()
+        adjacency = shared - sp.diags(shared.diagonal())
         adjacency.eliminate_zeros()
     else:
         adjacency = sp.csr_matrix((num_users, num_users))

@@ -66,6 +66,16 @@ def reference_load_split(lines):
     return records, split
 
 
+def reference_negative_pool(dataset, user):
+    """The items `user` never touched in any split, as first written: an
+    int64 np.flatnonzero over a fresh seen mask."""
+    seen = np.zeros(dataset.num_items, dtype=bool)
+    seen[dataset.train[user]] = True
+    seen[dataset.validation[user]] = True
+    seen[dataset.test[user]] = True
+    return np.flatnonzero(~seen)
+
+
 # --- model oracles ------------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from fedgraphrec.data import (
     sample_train_negatives,
 )
 from fedgraphrec.seeding import derive_rng
-from oracles import reference_load_split
+from oracles import reference_load_split, reference_negative_pool
 
 
 def write(tmp_path, name, text):
@@ -183,10 +183,45 @@ def test_load_and_split_match_reference_in_every_layout(tmp_path, seed):
     for fmt, path in write_layouts(tmp_path, rows, rng).items():
         records = load_interactions(path, fmt)
         assert [(r.user, r.item, r.rating, r.timestamp) for r in records] == expected_records
+        assert records.timestamps.dtype == np.int64
         ds = leave_one_out_split(records)
         got = {name: getattr(ds, name) for name in expected}
         got["train"] = [arr.tolist() for arr in ds.train]
         assert got == expected, fmt
+        assert all(arr.dtype == np.int64 for arr in ds.train)
+        assert all(type(i) is int for i in ds.validation + ds.test)
+
+
+def dataset_fields(ds):
+    fields = {name: getattr(ds, name) for name in (
+        "num_users", "num_items", "validation", "test", "user_tokens", "item_tokens",
+        "dropped_users", "dropped_interactions")}
+    fields["train"] = [(arr.dtype, arr.tolist()) for arr in ds.train]
+    return fields
+
+
+def test_utf8_bom_does_not_split_a_user(tmp_path):
+    # the BOM would otherwise glue onto the first token: "\ufeff1" and "1"
+    # would be two users with too few records each
+    rows = [("1", "a", "5", "1"), ("1", "b", "4", "2"), ("1", "c", "3", "3"),
+            ("2", "a", "5", "1"), ("2", "b", "4", "2"), ("2", "c", "3", "3")]
+    for fmt, sep, header in ((FileFormat.TAB, "\t", ""),
+                             (FileFormat.DOUBLE_COLON, "::", ""),
+                             (FileFormat.CSV, ",", "user,item,rating,timestamp\n")):
+        text = header + "".join(sep.join(row) + "\n" for row in rows)
+        plain = write(tmp_path, f"plain.{fmt.value}", text)
+        bom = write(tmp_path, f"bom.{fmt.value}", "\ufeff" + text)
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        expected = leave_one_out_split(load_interactions(plain, fmt))
+        got = leave_one_out_split(load_interactions(bom, fmt))
+        assert got.user_tokens == ["1", "2"] and got.dropped_users == 0, fmt
+        assert dataset_fields(got) == dataset_fields(expected), fmt
+
+
+def test_timestamp_beyond_64_bits_is_rejected(tmp_path):
+    path = write(tmp_path, "a.tsv", f"u1\ti1\t5\t{2**63}\n")
+    with pytest.raises(DataFormatError, match=":1: timestamp .* 64 bits"):
+        load_interactions(path, FileFormat.TAB)
 
 
 def test_format_from_string():
@@ -332,6 +367,26 @@ def test_negative_pool_excludes_all_splits():
     ds = small_dataset()
     pool = ds.negative_pool(0)
     assert set(pool.tolist()) == {5, 6, 7, 8, 9}
+
+
+def test_negative_pools_and_draws_match_flatnonzero_reference(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = [(f"u{u}", f"i{i}", 1, t) for u in range(30)
+            for t, i in enumerate(rng.choice(40, size=3 + u % 9, replace=False))]
+    split = leave_one_out_split(load_interactions(write(tmp_path, "a.tsv", lines(*rows))))
+    for ds in (small_dataset(), split):
+        for u in range(ds.num_users):
+            expected = reference_negative_pool(ds, u)
+            pool = ds.negative_pool(u)
+            assert pool.dtype == np.int32 and not pool.flags.writeable
+            np.testing.assert_array_equal(pool, expected)
+            draw = derive_rng(7, u).integers(0, expected.size, size=4 * ds.train[u].size)
+            np.testing.assert_array_equal(
+                sample_train_negatives(ds, u, 4, derive_rng(7, u)), expected[draw])
+            count = min(5, expected.size)
+            draw = derive_rng(8, u).choice(expected.size, size=count, replace=False)
+            np.testing.assert_array_equal(
+                sample_eval_negatives(ds, u, count, derive_rng(8, u)), expected[draw])
 
 
 def test_train_negatives_count_and_membership():

@@ -136,6 +136,29 @@ def test_matches_brute_force_oracles():
             )
 
 
+def test_all_sharing_build_is_canonical_and_allocates_little():
+    # A co-interaction block as dense as the paper's all-sharing setting:
+    # the adjacency must come out in canonical CSR form (sorted indices, no
+    # stored zeros), and the build must not hold per-entry Python objects,
+    # as a LIL round-trip for the diagonal does (about 5x the CSR arrays).
+    rng = np.random.default_rng(8)
+    train_sets = [set(rng.choice(100, size=20, replace=False).tolist()) for _ in range(300)]
+    ds = dataset_from_train_sets(train_sets, 100)
+    tiers = tiers_from_mask([True] * len(train_sets))
+    tracemalloc.start()
+    try:
+        graph = build_user_graph(ds, tiers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    adj = graph.adjacency
+    canonical = sp.csr_matrix(adj.toarray())
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(adj, name), getattr(canonical, name))
+    size = adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes
+    assert peak < 3.5 * size, f"peak {peak} bytes for a {size}-byte adjacency"
+
+
 def test_all_nonsharing_gives_identity_adjacency():
     graph = built([{0, 1}, {1, 2}, {2}], 3, [False] * 3)
     np.testing.assert_array_equal(graph.adjacency.toarray(), np.eye(3))
