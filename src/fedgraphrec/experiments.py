@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -193,6 +193,10 @@ class ExperimentConfig:
             raise ConfigError(f"reps must be >= 1, got {self.reps}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        label = PurePath(self.label)
+        if not self.label or label.is_absolute() or ".." in label.parts:
+            raise ConfigError(f"--label must be a non-empty relative path without '..', "
+                              f"so the run's files stay inside --out; got {self.label!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.eval_negatives < self.k - 1:
@@ -309,18 +313,13 @@ def build_config(file_path=None, overrides=None, env=None) -> ExperimentConfig:
 
 @dataclass
 class RepetitionResult:
-    """Per-round records plus the two headline test-metric snapshots."""
+    """One repetition's round records; `best` is the one with the highest
+    validation HR, the earliest on a tie. The repetition ran at seed base + rep."""
 
     rep: int
-    seed: int
     learning_rate: float
     rounds: list[RoundRecord]
-    best_round: int
-    best_val_hr: float
-    best_hr: float
-    best_ndcg: float
-    final_hr: float
-    final_ndcg: float
+    best: RoundRecord
 
 
 def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
@@ -391,50 +390,36 @@ def run_repetition(
         return evaluate_round(clients, dataset, negatives, tiers, config.k)
 
     records = run_federation(dataset, tiers, config.to_federation_config(rep_seed, lr), eval_hook)
-
-    # Highest validation HR; ties go to the earlier round.
     best = max(
         (record for record in records if record.metrics is not None),
         key=lambda record: (record.metrics.validation.hr, -record.round_index),
     )
-    final_metrics = records[-1].metrics
-    return RepetitionResult(
-        rep=rep,
-        seed=rep_seed,
-        learning_rate=lr,
-        rounds=records,
-        best_round=best.round_index,
-        best_val_hr=best.metrics.validation.hr,
-        best_hr=best.metrics.hr,
-        best_ndcg=best.metrics.ndcg,
-        final_hr=final_metrics.hr,
-        final_ndcg=final_metrics.ndcg,
-    )
-
-
-def _worker(job):
-    return run_repetition(*job)
+    return RepetitionResult(rep, lr, records, best)
 
 
 def _run_repetitions(
-    config: ExperimentConfig, dataset: InteractionDataset, lr: float
+    config: ExperimentConfig, dataset: InteractionDataset, lr: float, first: int
 ) -> list[RepetitionResult]:
-    """All repetitions, optionally across a process pool; results in rep order."""
-    jobs = [(config, dataset, lr, rep) for rep in range(config.reps)]
-    if config.workers > 1 and config.reps > 1:
+    """Repetitions `first` to reps - 1, optionally across a process pool;
+    results in rep order."""
+    run = partial(run_repetition, config, dataset, lr)
+    reps = range(first, config.reps)
+    if config.workers > 1 and len(reps) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(_worker, jobs))
-    return [_worker(job) for job in jobs]
+            return list(pool.map(run, reps))
+    return [run(rep) for rep in reps]
 
 
 def select_learning_rate(
     config: ExperimentConfig, dataset: InteractionDataset
-) -> tuple[float, list[tuple[float, float]]]:
-    """Grid phase: one repetition per candidate rate, winner by validation HR.
+) -> tuple[RepetitionResult, list[tuple[float, float]]]:
+    """Grid phase: repetition 0 once per candidate rate, winner by validation HR.
 
-    Returns (chosen rate, [(rate, best validation HR)] in grid order); ties
-    go to the earlier grid entry.
+    Returns the winner's repetition, which is the run's repetition 0, and
+    [(rate, best validation HR)] in grid order; ties go to the earlier grid
+    entry.
     """
+    winner = None
     outcomes = []
     for lr in GRID_LEARNING_RATES:
         try:
@@ -444,13 +429,14 @@ def select_learning_rate(
             log.warning("grid: lr=%s diverged (%s)", lr, exc)
             outcomes.append((lr, float("nan")))
             continue
-        outcomes.append((lr, result.best_val_hr))
-        log.info("grid: lr=%s best validation HR=%.4f", lr, result.best_val_hr)
-    finite = [(lr, hr) for lr, hr in outcomes if np.isfinite(hr)]
-    if not finite:
+        val_hr = result.best.metrics.validation.hr
+        outcomes.append((lr, val_hr))
+        log.info("grid: lr=%s best validation HR=%.4f", lr, val_hr)
+        if winner is None or val_hr > winner.best.metrics.validation.hr:
+            winner = result
+    if winner is None:
         raise TrainingError("every grid learning rate diverged")
-    best_lr, _ = max(finite, key=lambda pair: pair[1])
-    return best_lr, outcomes
+    return winner, outcomes
 
 
 # --- output writers ---------------------------------------------------------
@@ -532,23 +518,21 @@ class RunSummary:
     ndcg_final_std: float
 
 
-def summarize(results: list[RepetitionResult], lr: float) -> RunSummary:
-    hr_best = _mean_std([r.best_hr * 100 for r in results])
-    ndcg_best = _mean_std([r.best_ndcg * 100 for r in results])
-    hr_final = _mean_std([r.final_hr * 100 for r in results])
-    ndcg_final = _mean_std([r.final_ndcg * 100 for r in results])
+def summarize(results: list[RepetitionResult]) -> RunSummary:
+    """Test metrics at each repetition's best-validation round and at its
+    final round, read from the round records."""
+    stats = {}
+    for when, records in (("best", [r.best for r in results]),
+                          ("final", [r.rounds[-1] for r in results])):
+        for name in ("hr", "ndcg"):
+            stats[f"{name}_{when}_mean"], stats[f"{name}_{when}_std"] = _mean_std(
+                [getattr(record.metrics, name) * 100 for record in records]
+            )
     return RunSummary(
         reps=len(results),
-        learning_rate=lr,
-        best_round_mean=float(np.mean([r.best_round for r in results])),
-        hr_best_mean=hr_best[0],
-        hr_best_std=hr_best[1],
-        ndcg_best_mean=ndcg_best[0],
-        ndcg_best_std=ndcg_best[1],
-        hr_final_mean=hr_final[0],
-        hr_final_std=hr_final[1],
-        ndcg_final_mean=ndcg_final[0],
-        ndcg_final_std=ndcg_final[1],
+        learning_rate=results[0].learning_rate,
+        best_round_mean=float(np.mean([r.best.round_index for r in results])),
+        **stats,
     )
 
 
@@ -587,7 +571,8 @@ def execute_run(
     config: ExperimentConfig, dataset: InteractionDataset | None = None
 ) -> RunSummary:
     """Grid selection (when asked), all repetitions, and every artifact file
-    for one configuration. Returns the cross-repetition summary.
+    for one configuration. Returns the cross-repetition summary. The grid
+    winner's run is repetition 0.
 
     `dataset` is the configured file as `load_dataset` returns it; omitted,
     the run loads it."""
@@ -600,8 +585,11 @@ def execute_run(
     _atomic_write(out_dir / "resolved_config.txt", config.to_text())
 
     lr = config.lr
+    results = []
     if lr == "grid":
-        lr, grid_rows = select_learning_rate(config, dataset)
+        winner, grid_rows = select_learning_rate(config, dataset)
+        lr = winner.learning_rate
+        results.append(winner)
         rows = [
             [_full(rate), _pct(val_hr), "1" if rate == lr else "0"]
             for rate, val_hr in grid_rows
@@ -611,13 +599,13 @@ def execute_run(
             _csv_text(["learning_rate", "validation_hr_best", "selected"], rows),
         )
 
-    results = _run_repetitions(config, dataset, lr)
+    results += _run_repetitions(config, dataset, lr, first=len(results))
     for result in results:
         rep_dir = out_dir / f"rep{result.rep}"
         rep_dir.mkdir(parents=True, exist_ok=True)
         _write_rounds_csv(rep_dir / "rounds.csv", result.rounds)
 
-    summary = summarize(results, lr)
+    summary = summarize(results)
     cells = _summary_cells(summary)
     _atomic_write(
         out_dir / "summary.csv", _csv_text(SUMMARY_CSV_HEADER, [list(cells.values())])
@@ -709,8 +697,16 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
         raise ConfigError("sweep axes must be distinct")
 
     cells = []
+    taken = {}  # cell name -> the values that named it
     for combo in product(*(values for _axis, values in axes)):
         cell_name = ",".join(f"{a}={v:g}" for a, v in zip(axis_names, combo))
+        named = ",".join(f"{a}={v!r}" for a, v in zip(axis_names, combo))
+        if cell_name in taken:
+            raise ConfigError(
+                f"sweep values {taken[cell_name]} and {named} share the cell directory "
+                f"{cell_name!r}; give values that differ within 6 significant digits"
+            )
+        taken[cell_name] = named
         settings = {_AXIS_FIELDS[axis]: value for axis, value in zip(axis_names, combo)}
         cell_config = replace(config, **settings, label=f"{config.label}/{cell_name}")
         cells.append(([f"{v:g}" for v in combo], cell_config))

@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -157,6 +159,18 @@ def test_validate_rejects_bad_values():
             config.validate()
 
 
+@pytest.mark.parametrize("label", ["", "/abs", "/", "../up", "a/../b", ".."])
+def test_label_must_stay_inside_out(tmp_path, label):
+    # An empty label once sent ablation and sweep cells to "/full" and the like.
+    with pytest.raises(ConfigError, match="--label"):
+        build_config(overrides={"label": label}, env={})
+    # No dataset: should the label pass, the suite still fails before it writes.
+    config = ExperimentConfig(out=str(tmp_path), label=label)
+    with pytest.raises(ConfigError, match="--label"):
+        experiments.ablation_suite(config)
+    assert not list(tmp_path.iterdir())
+
+
 def test_parse_learning_rate():
     assert parse_learning_rate("grid") == "grid"
     assert parse_learning_rate("0.01") == 0.01
@@ -234,24 +248,34 @@ def test_negative_seed_fails_before_any_output(tmp_path, monkeypatch, capsys):
 # --- run_repetition ---------------------------------------------------------------
 
 
+def record_values(records):
+    """Everything a round record holds but its wall time."""
+    return [
+        (r.round_index, r.mean_train_loss, r.metrics.hr, r.metrics.ndcg,
+         r.metrics.validation.hr, r.metrics.validation.ndcg)
+        for r in records
+    ]
+
+
 def test_repetition_row_and_snapshot_shape(tmp_path):
     config = tiny_config(tmp_path, rounds=4)
-    result = run_repetition(config, load_dataset(config), lr=0.05, rep=1)
+    dataset = load_dataset(config)
+    result = run_repetition(config, dataset, lr=0.05, rep=1)
     assert result.rep == 1
-    assert result.seed == config.seed + 1
+    assert result.learning_rate == 0.05
     assert [record.round_index for record in result.rounds] == [1, 2, 3, 4]
     for record in result.rounds:
         assert record.mean_train_loss > 0.0
         assert 0.0 <= record.metrics.hr <= 1.0
         assert 0.0 <= record.metrics.ndcg <= record.metrics.hr
-    assert 1 <= result.best_round <= 4
-    assert result.final_hr == result.rounds[-1].metrics.hr
-    assert result.final_ndcg == result.rounds[-1].metrics.ndcg
-    # best test metrics are read at the best-validation round
-    best = result.rounds[result.best_round - 1]
-    assert result.best_hr == best.metrics.hr
-    assert result.best_val_hr == best.metrics.validation.hr
-    assert result.best_val_hr == max(r.metrics.validation.hr for r in result.rounds)
+    # best is the earliest record with the highest validation HR
+    top = max(r.metrics.validation.hr for r in result.rounds)
+    assert result.best is next(r for r in result.rounds if r.metrics.validation.hr == top)
+    # repetition r runs at seed base + r
+    shifted = run_repetition(replace(config, seed=config.seed + 1), dataset, lr=0.05, rep=0)
+    assert record_values(shifted.rounds) == record_values(result.rounds)
+    unshifted = run_repetition(config, dataset, lr=0.05, rep=0)
+    assert record_values(unshifted.rounds) != record_values(result.rounds)
 
 
 def test_repetition_eval_stride(tmp_path):
@@ -278,7 +302,8 @@ def stub_results(hr_by_lr):
         hr = hr_by_lr[lr]
         if hr is None:
             raise TrainingError("boom")
-        return type("R", (), {"best_val_hr": hr})()
+        best = SimpleNamespace(metrics=SimpleNamespace(validation=SimpleNamespace(hr=hr)))
+        return experiments.RepetitionResult(rep, lr, [best], best)
 
     return fake
 
@@ -288,9 +313,9 @@ def test_grid_picks_best_validation_hr(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "run_repetition", stub_results({0.0001: 0.1, 0.001: 0.4, 0.01: 0.3, 0.1: 0.2})
     )
-    lr, outcomes = select_learning_rate(config, None)
-    assert lr == 0.001
-    assert [pair[0] for pair in outcomes] == list(GRID_LEARNING_RATES)
+    winner, outcomes = select_learning_rate(config, None)
+    assert (winner.learning_rate, winner.rep) == (0.001, 0)
+    assert outcomes == [(0.0001, 0.1), (0.001, 0.4), (0.01, 0.3), (0.1, 0.2)]
 
 
 def test_grid_tie_goes_to_earlier_rate(monkeypatch, tmp_path):
@@ -298,8 +323,8 @@ def test_grid_tie_goes_to_earlier_rate(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "run_repetition", stub_results({0.0001: 0.4, 0.001: 0.4, 0.01: 0.4, 0.1: 0.1})
     )
-    lr, _ = select_learning_rate(config, None)
-    assert lr == 0.0001
+    winner, _ = select_learning_rate(config, None)
+    assert winner.learning_rate == 0.0001
 
 
 def test_grid_survives_diverging_candidates(monkeypatch, tmp_path):
@@ -307,8 +332,8 @@ def test_grid_survives_diverging_candidates(monkeypatch, tmp_path):
     monkeypatch.setattr(
         experiments, "run_repetition", stub_results({0.0001: 0.2, 0.001: None, 0.01: 0.5, 0.1: None})
     )
-    lr, outcomes = select_learning_rate(config, None)
-    assert lr == 0.01
+    winner, outcomes = select_learning_rate(config, None)
+    assert winner.learning_rate == 0.01
     nan_rates = [rate for rate, hr in outcomes if math.isnan(hr)]
     assert nan_rates == [0.001, 0.1]
 
@@ -450,6 +475,38 @@ def test_execute_run_grid_artifact(tmp_path):
     assert float(selected[0][0]) == summary.learning_rate
 
 
+def test_grid_run_trains_each_rate_and_repetition_once(tmp_path, monkeypatch):
+    # The grid's winning run is repetition 0; it is not trained again.
+    calls = []
+    real = experiments.run_repetition
+
+    def counting(config, dataset, lr, rep):
+        calls.append((lr, rep))
+        return real(config, dataset, lr, rep)
+
+    monkeypatch.setattr(experiments, "run_repetition", counting)
+    summary = execute_run(tiny_config(tmp_path, lr="grid", rounds=1, reps=3))
+    assert len(calls) == len(GRID_LEARNING_RATES) + 3 - 1
+    assert len(set(calls)) == len(calls)
+    assert calls[len(GRID_LEARNING_RATES):] == [(summary.learning_rate, 1),
+                                               (summary.learning_rate, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_run_matches_fixed_rate_run_at_the_selected_rate(tmp_path, workers):
+    grid = tiny_config(tmp_path, lr="grid", rounds=2, reps=3, workers=workers, label="grid")
+    summary = execute_run(grid)
+    fixed = tiny_config(tmp_path, lr=summary.learning_rate, rounds=2, reps=3, label="fixed")
+    execute_run(fixed)
+    grid_dir, fixed_dir = tmp_path / "runs" / "grid", tmp_path / "runs" / "fixed"
+    for name in ("summary.csv", "summary.txt"):
+        assert (grid_dir / name).read_bytes() == (fixed_dir / name).read_bytes()
+    for rep in range(3):
+        assert rounds_without_wall_time(grid_dir / f"rep{rep}" / "rounds.csv") == (
+            rounds_without_wall_time(fixed_dir / f"rep{rep}" / "rounds.csv")
+        )
+
+
 def test_repeat_invocation_is_byte_identical(tmp_path):
     outputs = []
     for name in ("a", "b"):
@@ -555,6 +612,24 @@ def test_sweep_two_axes(tmp_path):
     rows = read_csv(tmp_path / "runs" / "t" / "sweep.csv")
     assert rows[0][:2] == ["alpha", "public_ratio"]
     assert [(r[0], r[1]) for r in rows[1:]] == [("0", "0.5"), ("1", "0.5")]
+
+
+def test_sweep_rejects_values_that_share_a_cell_name(tmp_path):
+    # Cells are named with :g, which keeps 6 significant digits; two values
+    # with one name would write into one directory.
+    config = tiny_config(tmp_path, rounds=1, reps=1)
+    cases = [
+        ([("alpha", [0.5, 0.50])], "alpha=0.5 and alpha=0.5", "'alpha=0.5'"),
+        ([("alpha", [0.1234561, 0.1234562])],
+         "alpha=0.1234561 and alpha=0.1234562", "'alpha=0.123456'"),
+        ([("alpha", [0.0]), ("layers", [2, 2])],
+         "alpha=0.0,layers=2 and alpha=0.0,layers=2", "'alpha=0,layers=2'"),
+    ]
+    for axes, values, cell in cases:
+        with pytest.raises(ConfigError) as err:
+            experiments.sweep(config, axes)
+        assert values in str(err.value) and cell in str(err.value)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_axis_validation(tmp_path):
