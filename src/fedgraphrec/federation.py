@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -58,8 +59,8 @@ class FederationConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if self.gcn_layers < 1:
             raise ValueError(f"gcn_layers must be >= 1, got {self.gcn_layers}")
-        if self.ldp_scale < 0.0:
-            raise ValueError(f"ldp_scale must be >= 0, got {self.ldp_scale}")
+        if not math.isfinite(self.ldp_scale) or self.ldp_scale < 0.0:
+            raise ValueError(f"ldp_scale must be finite and >= 0, got {self.ldp_scale}")
 
 
 @dataclass(eq=False)
@@ -71,12 +72,39 @@ class RoundRecord:
 
 
 def add_ldp_noise(item_table: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    """Entrywise zero-mean Laplace noise with the given scale; 0 means no-op."""
-    if scale < 0.0:
-        raise ValueError(f"noise scale must be >= 0, got {scale}")
+    """Return `item_table` plus entrywise Laplace(0, scale) noise; scale 0
+    returns `item_table` itself.
+
+    The noise is numpy's own Laplace transform of the generator's uniform
+    stream, vectorised without branches: for U in (0, 1), the magnitude is
+    scale * -log(a) with a = 2U below 0.5 and (2 - U) - U from 0.5 up, and
+    its sign is that of U - 0.5 (+0.0 at U = 0.5). Like numpy, exact zeros
+    are drawn again, though after the table's draws rather than in place
+    (a 2**-53 event per entry). Otherwise the noise equals
+    `rng.laplace(0.0, scale, size)` apart from the `log`: numpy's vectorised
+    float64 `log` can differ from libm's by one ulp, so an entry may differ
+    from `Generator.laplace` by ~3e-16 relative. It allocates two
+    table-sized buffers: the draws and the result.
+    """
+    if not math.isfinite(scale) or scale < 0.0:
+        raise ValueError(f"noise scale must be finite and >= 0, got {scale}")
     if scale == 0.0:
         return item_table
-    return item_table + rng.laplace(0.0, scale, size=item_table.shape)
+    draws = rng.random(item_table.shape)
+    while not draws.all():
+        zeros = np.flatnonzero(draws == 0.0)
+        draws.flat[zeros] = rng.random(zeros.size)
+    noise = np.subtract(2.0, draws)
+    noise -= draws
+    draws += draws
+    np.minimum(draws, noise, out=noise)
+    np.log(noise, out=noise)
+    noise *= scale
+    # 2U - 1 is exact from U = 0.25 up, so it carries the sign of U - 0.5.
+    draws -= 1.0
+    np.copysign(noise, draws, out=noise)
+    noise += item_table
+    return noise
 
 
 def distribute(

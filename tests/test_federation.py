@@ -254,6 +254,61 @@ def test_ldp_noise_deterministic_per_seed():
     assert (a != c).any()
 
 
+def test_ldp_noise_matches_numpy_laplace():
+    # Same uniform stream and formula as Generator.laplace; only the log may
+    # differ by an ulp.
+    scale = 0.01
+    noise = add_ldp_noise(np.zeros((1682, 32)), scale, derive_rng(1, 7, 2, LDP_SALT))
+    expected = derive_rng(1, 7, 2, LDP_SALT).laplace(0.0, scale, size=(1682, 32))
+    np.testing.assert_allclose(noise, expected, rtol=1e-15, atol=0)
+    assert (np.signbit(noise) == np.signbit(expected)).all()
+
+
+class _UniformStub:
+    """A generator whose `random` serves fixed values first, then real draws."""
+
+    def __init__(self, first):
+        self.first = np.asarray(first, dtype=float)
+        self.rng = derive_rng(0, 404)
+        self.calls = []
+
+    def random(self, size):
+        self.calls.append(size)
+        if len(self.calls) == 1:
+            return self.first.reshape(size).copy()
+        return self.rng.random(size)
+
+
+def test_ldp_noise_redraws_exact_zeros():
+    stub = _UniformStub([0.0, 0.25, 0.0, 0.75])
+    noise = add_ldp_noise(np.zeros((2, 2)), 1.0, stub)
+    assert np.isfinite(noise).all()
+    assert stub.calls == [(2, 2), 2]
+    assert noise[0, 1] == np.log(0.5) and noise[1, 1] == -np.log(0.5)
+
+
+def test_ldp_noise_half_gives_positive_zero():
+    noise = add_ldp_noise(np.zeros(3), 2.0, _UniformStub([0.5, 0.5, 0.5]))
+    assert (noise == 0.0).all() and not np.signbit(noise).any()
+
+
+def test_ldp_noise_leaves_the_table_alone():
+    table = np.arange(12.0).reshape(4, 3)
+    before = table.copy()
+    noisy = add_ldp_noise(table, 0.3, derive_rng(5, 1, 404))
+    np.testing.assert_array_equal(table, before)
+    assert not np.shares_memory(noisy, table)
+    assert (noisy != table).all()
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+def test_ldp_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match="noise scale"):
+        add_ldp_noise(np.zeros((2, 2)), scale, derive_rng(0, 404))
+    with pytest.raises(ValueError, match="ldp_scale"):
+        FederationConfig(ldp_scale=scale).validate()
+
+
 def test_ldp_noise_perturbs_the_run():
     ds, tiers = small_world()
     finals = []
