@@ -6,6 +6,7 @@ stacked on a leading client axis, and one client is a cohort of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,11 @@ MLP_INIT_CHOICES = ("gaussian", "he")
 
 # Example rows per stacked kernel call: a cohort of clients whose batches hold
 # B rows each runs in chunks of max(1, COHORT_ROWS // B) clients. Each chunk's
-# temporaries are a few (COHORT_ROWS, width) float64 arrays. On the bundled
-# 50-client file (one CPU, median round over 4 seeds), 128/256/384/512/768/
-# 1024/2048 rows took 15.9/13.2/12.4/10.8/11.4/12.0/15.4 ms a round, against
-# 22.7 ms client by client; from 768 rows up the peak RSS grows too. Larger
-# fresh temporaries page-fault more than the saved calls are worth.
+# temporaries are a few (COHORT_ROWS, width) float64 arrays. Training plus
+# evaluation at 128/256/384/512/768/1024/2048 rows (one CPU, median round,
+# default model) took 11.5/9.8/9.5/9.1/10.8/10.8/11.5 ms on the bundled
+# 50-client file and 1399/1323/1131/867/830/776/795 ms at the ML-100K shape,
+# where a 512-row chunk holds two 256-example batches. No value wins on both.
 COHORT_ROWS = 512
 
 
@@ -56,20 +57,20 @@ class ModelConfig:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
             raise ValueError(f"mlp_hidden must be positive widths, got {self.mlp_hidden}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.local_epochs < 1:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.neg_ratio < 1:
             raise ValueError(f"neg_ratio must be >= 1, got {self.neg_ratio}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.init_scale < 0:
-            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        if not math.isfinite(self.init_scale) or self.init_scale < 0:
+            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
         if self.mlp_init not in MLP_INIT_CHOICES:
             raise ValueError(f"mlp_init must be one of {MLP_INIT_CHOICES}, got {self.mlp_init!r}")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError(f"clip_norm must be > 0 when set, got {self.clip_norm}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and > 0 when set, got {self.clip_norm}")
 
 
 @dataclass(eq=False)
@@ -123,12 +124,19 @@ class ClientStore:
             biases=[b[None] for b in state.biases],
         )
 
+    def flat_items(self) -> np.ndarray:
+        """The item tables as one (n·m, d) view: client u's item j is row u·m + j.
+        Writes through it must reach the store, so the tables must be C-contiguous."""
+        if not self.item_tables.flags.c_contiguous:
+            raise ValueError("item tables must be C-contiguous to be viewed flat")
+        return self.item_tables.reshape(-1, self.item_tables.shape[2])
+
     def gather(self, rows: np.ndarray, items: np.ndarray):
         """Copies of clients `rows`' parameters, with client c's item-table rows
         `items[c]`: (user vectors, item rows, weights, biases)."""
         return (
             self.user_vecs[rows],
-            self.item_tables[rows[:, None], items],
+            self.flat_items().take(rows[:, None] * self.item_tables.shape[1] + items, axis=0),
             [W[rows] for W in self.weights],
             [b[rows] for b in self.biases],
         )
@@ -200,24 +208,24 @@ def _cohort_forward(user_vecs, item_rows, weights, biases):
     Takes (C, d) user vectors, (C, B, d) item rows and per-layer (C, in, out)
     weights and (C, out) biases. Returns the activations and pre-activations
     per layer, each (C, B, width), and the (C, B) output probabilities,
-    unclamped. Every client's slice is computed as its own 2-D product.
+    unclamped. The first layer is factored, [u; i] W1 + b1 = i W1[d:] +
+    (u W1[:d] + b1), so the user half is multiplied once per client, and its
+    activations are the item rows. Every client's slice is computed as its
+    own product.
     """
-    C, B, d = item_rows.shape
-    X = np.empty((C, B, 2 * d))
-    X[:, :, :d] = user_vecs[:, None, :]
-    X[:, :, d:] = item_rows
-    acts = [X]
-    pres = []
-    A = X
-    last = len(weights) - 1
-    for li, (W, b) in enumerate(zip(weights, biases)):
-        Z = np.matmul(A, W)
+    d = user_vecs.shape[1]
+    user_term = np.matmul(user_vecs[:, None, :], weights[0][:, :d])
+    user_term += biases[0][:, None, :]
+    Z = np.matmul(item_rows, weights[0][:, d:])
+    Z += user_term
+    acts = [item_rows]
+    pres = [Z]
+    for W, b in zip(weights[1:], biases[1:]):
+        acts.append(np.maximum(Z, 0.0))
+        Z = np.matmul(acts[-1], W)
         Z += b[:, None, :]
         pres.append(Z)
-        if li < last:
-            A = np.maximum(Z, 0.0)
-            acts.append(A)
-    probs = expit(pres[-1][:, :, 0])
+    probs = expit(Z[:, :, 0])
     return acts, pres, probs
 
 
@@ -231,6 +239,14 @@ def score_cohort(store: ClientStore, rows: np.ndarray, items: np.ndarray) -> np.
     """Interaction probabilities of clients `rows` for their items (C, K)."""
     probs = _cohort_forward(*store.gather(rows, items))[2]
     return np.clip(probs, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
+def _zero_where(values: np.ndarray, mask: np.ndarray) -> None:
+    """values[mask] = 0.0, bit for bit, as one AND of the float bits with all
+    ones or all zeros: np.putmask branches per element and took 4x as long
+    on a ReLU mask."""
+    keep = np.subtract(mask.view(np.int8), 1, dtype=np.int64)
+    np.bitwise_and(values.view(np.int64), keep, out=values.view(np.int64))
 
 
 def _row_dots(v: np.ndarray) -> np.ndarray:
@@ -264,7 +280,6 @@ def _cohort_step(
     user_vecs, item_rows, weights, biases = store.gather(rows, items)
     d = user_vecs.shape[1]
     acts, pres, probs = _cohort_forward(user_vecs, item_rows, weights, biases)
-    del item_rows  # copied into acts[0]
     loss = _bce(probs, labels)
 
     # Gradient of the summed BCE w.r.t. the logits is simply (p - y). Each
@@ -275,13 +290,22 @@ def _cohort_step(
     grads_W = [None] * n_layers
     grads_b = [None] * n_layers
     pres.pop()
-    for li in range(n_layers - 1, -1, -1):
+    for li in range(n_layers - 1, 0, -1):
         grads_W[li] = np.matmul(acts.pop().transpose(0, 2, 1), delta)
         grads_b[li] = delta.sum(axis=1)
         delta = np.matmul(delta, weights[li].transpose(0, 2, 1))
-        if li > 0:
-            np.putmask(delta, pres.pop() <= 0.0, 0.0)
-    grad_users = delta[:, :, :d].sum(axis=1)
+        _zero_where(delta, pres.pop() <= 0.0)
+    # The first layer's user half saw one u in every row, so its gradients
+    # need only s, the row sum of delta: u ⊗ s, and s W1[:d]ᵀ for u itself.
+    W1 = weights[0]
+    s = grads_b[0] = delta.sum(axis=1)
+    grads_W[0] = np.concatenate(
+        [user_vecs[:, :, None] * s[:, None, :], np.matmul(item_rows.transpose(0, 2, 1), delta)],
+        axis=1,
+    )
+    grad_users = np.matmul(s[:, None, :], W1[:, :d].transpose(0, 2, 1))[:, 0]
+    del item_rows, acts
+    delta = np.matmul(delta, W1[:, d:].transpose(0, 2, 1))
 
     # Accumulate duplicate item rows per client; only rows present in a
     # client's batch change. bincount adds each cell's contributions in batch
@@ -290,16 +314,14 @@ def _cohort_step(
     uniq, inverse = np.unique(keys, return_inverse=True)
     cells = (inverse[:, None] * d + np.arange(d)).ravel()
     grad_items = np.bincount(
-        cells, weights=delta[:, :, d:].ravel(), minlength=uniq.size * d
+        cells, weights=delta.ravel(), minlength=uniq.size * d
     ).reshape(uniq.size, d)
     owner = uniq // m
 
-    # Each client's squared norm adds its parts in the one-client order. Its
-    # item rows are summed alone: numpy's pairwise sum splits by length, so
-    # no segmented reduction gives the same bits.
-    squares = (grad_items * grad_items).ravel()
-    bounds = (np.searchsorted(owner, np.arange(C + 1)) * d).tolist()
-    sq = _row_dots(grad_users) + [squares[a:b].sum() for a, b in zip(bounds, bounds[1:])]
+    # Each client's squared norm in the one-client order: every vector's and
+    # item row's own dot, with the client's item rows added one after another
+    # in item order, as bincount adds them.
+    sq = _row_dots(grad_users) + np.bincount(owner, weights=_row_dots(grad_items), minlength=C)
     for gW, gb in zip(grads_W, grads_b):
         sq += (gW * gW).reshape(C, -1).sum(axis=1) + _row_dots(gb)
     norm = np.sqrt(sq)
@@ -312,7 +334,7 @@ def _cohort_step(
 
     user_vecs -= scale[:, None] * grad_users
     store.user_vecs[rows] = user_vecs
-    store.item_tables[rows[owner], uniq % m] -= scale[owner, None] * grad_items
+    store.flat_items()[rows[owner] * m + uniq % m] -= scale[owner, None] * grad_items
     for stack, W, gW in zip(store.weights, weights, grads_W):
         W -= scale[:, None, None] * gW
         stack[rows] = W

@@ -216,9 +216,61 @@ def reference_forward(state, item_rows):
 
 
 def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_norm):
-    """The SGD step as first written: boolean-mask ReLU and `np.add.at` scatter.
+    """The SGD step with the first layer factored, written client by client:
+    [u; i] W1 + b1 as i W1[d:] + (u W1[:d] + b1), boolean-mask ReLU and
+    `np.add.at` scatter.
 
     The library step must match it bit for bit.
+    """
+    d = state.user_vec.size
+    item_rows = state.item_table[batch_items]
+    W1 = state.weights[0]
+    acts = [item_rows]
+    pres = [item_rows @ W1[d:] + (state.user_vec @ W1[:d] + state.biases[0])]
+    for W, b in zip(state.weights[1:], state.biases[1:]):
+        acts.append(np.maximum(pres[-1], 0.0))
+        pres.append(acts[-1] @ W + b)
+    probs = expit(pres[-1].ravel())
+    loss = mdl._bce(probs, batch_labels)
+
+    # Gradient of the summed BCE w.r.t. the logits is simply (p - y).
+    delta = (probs - batch_labels)[:, None]
+    n_layers = len(state.weights)
+    grads_W = [None] * n_layers
+    grads_b = [None] * n_layers
+    for li in range(n_layers - 1, 0, -1):
+        grads_W[li] = acts[li].T @ delta
+        grads_b[li] = delta.sum(axis=0)
+        delta = delta @ state.weights[li].T
+        delta[pres[li - 1] <= 0.0] = 0.0
+    # Every example shares the user half of the first layer's input.
+    row_sum = delta.sum(axis=0)
+    grads_b[0] = row_sum
+    grads_W[0] = np.vstack([np.outer(state.user_vec, row_sum), item_rows.T @ delta])
+    grad_user = row_sum @ W1[:d].T
+    grad_item_rows = delta @ W1[d:].T
+
+    # Accumulate duplicate item rows; only rows present in the batch change.
+    uniq_items, inverse = np.unique(batch_items, return_inverse=True)
+    grad_items = np.zeros((uniq_items.size, d))
+    np.add.at(grad_items, inverse, grad_item_rows)
+
+    # The item rows' squares are added one row after another, in item order.
+    sq = float(grad_user @ grad_user) + sum(float(row @ row) for row in grad_items)
+    for gW, gb in zip(grads_W, grads_b):
+        sq += float((gW * gW).sum()) + float(gb @ gb)
+    return loss, apply_reference_step(
+        state, grad_user, uniq_items, grad_items, grads_W, grads_b, float(np.sqrt(sq)),
+        learning_rate, clip_norm,
+    )
+
+
+def concat_reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_norm):
+    """The SGD step as first written: the NCF input [u; i] built for every
+    example, boolean-mask ReLU and `np.add.at` scatter.
+
+    The library step factors the first layer, so it tracks this step to
+    rounding, not bit for bit.
     """
     d = state.user_vec.size
     X, acts, pres, probs = reference_forward(state, state.item_table[batch_items])
@@ -246,8 +298,17 @@ def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_nor
     sq = float(grad_user @ grad_user) + float((grad_items * grad_items).sum())
     for gW, gb in zip(grads_W, grads_b):
         sq += float((gW * gW).sum()) + float(gb @ gb)
-    norm = float(np.sqrt(sq))
+    return loss, apply_reference_step(
+        state, grad_user, uniq_items, grad_items, grads_W, grads_b, float(np.sqrt(sq)),
+        learning_rate, clip_norm,
+    )
 
+
+def apply_reference_step(
+    state, grad_user, uniq_items, grad_items, grads_W, grads_b, norm, learning_rate, clip_norm
+):
+    """Apply one step's gradients to `state`, scaled down when `norm` exceeds
+    `clip_norm`, and return the norm after clipping."""
     scale = learning_rate
     effective_norm = norm
     if clip_norm is not None and norm > clip_norm:
@@ -259,7 +320,7 @@ def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_nor
     for W, b, gW, gb in zip(state.weights, state.biases, grads_W, grads_b):
         W -= scale * gW
         b -= scale * gb
-    return loss, effective_norm
+    return effective_norm
 
 
 def reference_train_local(state, dataset, user, config, rng):

@@ -23,6 +23,7 @@ from oracles import (
     bce_loss,
     check_instance_gradients,
     clone_state,
+    concat_reference_sgd_step,
     dataset_from_train_sets,
     init_store,
     naive_bce,
@@ -136,6 +137,23 @@ def test_init_validates():
         ModelConfig(learning_rate=-0.1).validate()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("init_scale", float("nan")),
+        ("init_scale", float("inf")),
+        ("clip_norm", float("nan")),
+        ("clip_norm", float("inf")),
+    ],
+)
+def test_config_rejects_non_finite_floats(field, value):
+    # nan < 0 is False, so a range check alone lets NaN through
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelConfig(**{field: value}).validate()
+
+
 # --- predict / rank_items -----------------------------------------------------
 
 
@@ -169,6 +187,22 @@ def test_predict_matches_naive_loop_oracle():
             assert predict(state, int(item)) == pytest.approx(
                 naive_forward(state, int(item)), rel=1e-10
             )
+
+
+@pytest.mark.parametrize("embed_dim, hidden", [(5, (7,)), (6, (3,)), (4, (9, 2))])
+def test_cohort_forward_matches_naive_loop_oracle(embed_dim, hidden):
+    # The factored first layer against the concatenated input [u; i], with
+    # one hidden layer or two and d != h1, for a cohort of three clients.
+    config = ModelConfig(embed_dim=embed_dim, mlp_hidden=hidden, init_scale=0.5)
+    store = init_store(config, 9, 3, seed=12)
+    for b in store.biases:
+        b[:] = np.random.default_rng(embed_dim).normal(0, 0.2, size=b.shape)
+    rows = np.array([2, 0, 1])
+    items = np.random.default_rng(5).integers(0, 9, size=(3, 6))
+    probs = mdl._cohort_forward(*store.gather(rows, items))[2]
+    for c, row in enumerate(rows):
+        want = [naive_forward(store[row], int(item)) for item in items[c]]
+        np.testing.assert_allclose(probs[c], want, rtol=1e-13, atol=0)
 
 
 def test_predict_zero_network_is_half():
@@ -306,6 +340,28 @@ def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
             assert np.array_equal(mine, theirs)
     if clip_norm is not None:
         assert clipped == 60
+
+
+@pytest.mark.parametrize("clip_norm", [None, 0.05])
+def test_sgd_step_tracks_concat_reference(clip_norm):
+    # The factored first layer moves only the rounding of the step as first
+    # written, with the input [u; i] built for every example.
+    config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
+    state = init_client(config, 12, Tier.PUBLIC, seed=41)
+    reference = clone_state(state)
+    store, rows = as_cohort(state)
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        items = rng.integers(0, 12, size=40)
+        labels = rng.integers(0, 2, size=40).astype(np.float64)
+        loss, norm = mdl._cohort_step(store, rows, items[None], labels[None], 0.2, clip_norm)
+        want = concat_reference_sgd_step(reference, items, labels, 0.2, clip_norm)
+        np.testing.assert_allclose([loss[0], norm[0]], want, rtol=1e-12, atol=0)
+        for mine, theirs in zip(
+            [state.user_vec, state.item_table, *state.weights, *state.biases],
+            [reference.user_vec, reference.item_table, *reference.weights, *reference.biases],
+        ):
+            np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=0)
 
 
 def assert_same_parameters(state, reference):
