@@ -8,7 +8,6 @@ import io
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -405,6 +404,8 @@ def _run_repetitions(
     run = partial(run_repetition, config, dataset, lr)
     reps = range(first, config.reps)
     if config.workers > 1 and len(reps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(run, reps))
     return [run(rep) for rep in reps]
@@ -790,12 +791,13 @@ def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
 
     adjacency = graph.adjacency
     diagonal = adjacency.diagonal()
-    off_diag_nnz = adjacency.nnz - int(np.count_nonzero(diagonal))
+    nnz = int(np.count_nonzero(adjacency))
+    off_diag_nnz = nnz - int(np.count_nonzero(diagonal))
     print(f"users: {dataset.num_users} ({tiers.num_public} public, {tiers.num_private} private)")
     print(f"items: {dataset.num_items}")
     print(f"co-interaction edges: {off_diag_nnz // 2}")
     print(f"self-loops: {int(np.count_nonzero(diagonal))}")
-    density = adjacency.nnz / max(dataset.num_users**2, 1)
+    density = nnz / max(dataset.num_users**2, 1)
     print(f"adjacency density: {density:.4f}")
     print(f"wrote {adjacency_path} and {normalized_path}")
     return 0

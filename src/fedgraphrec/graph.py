@@ -5,15 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment
 
-# Smoothing multiplies only the block of the normalized adjacency whose rows
-# have neighbours. Above this density of that block, and with more than 64 of
-# its rows, it runs as a dense matmul, which is far faster than CSR at the
-# near-complete co-interaction blocks sharing users produce.
-DENSE_DENSITY_CUTOFF = 0.05
 # Column slab width of every product: each hop's temporaries are
 # (rows with neighbours) x SLAB_COLUMNS, never the size of the tables.
 SLAB_COLUMNS = 2048
@@ -21,23 +15,20 @@ SLAB_COLUMNS = 2048
 
 @dataclass(eq=False)
 class UserGraph:
-    """Symmetric user-user co-interaction graph.
+    """Symmetric user-user co-interaction graph, held as dense arrays.
 
     ``adjacency[a, b]`` counts training items users a and b share, for users
     who opted into sharing; their diagonal is zero. Users who share nothing
     (non-sharing users, and sharing users with no co-interactions) carry a
     unit self-loop so degree normalization stays defined. normalize() fills
     ``normalized``, ``linked``, the sorted rows that have neighbours, and
-    ``_block``, the normalized operator restricted to those rows and columns.
-    Every other row of the operator is an identity row. propagate() caches
-    the dense form of the block in ``_dense_normalized`` when it takes the
-    dense path.
+    ``_dense_normalized``, the normalized operator restricted to those rows
+    and columns. Every other row of the operator is an identity row.
     """
 
-    adjacency: sp.csr_matrix
-    normalized: sp.csr_matrix | None = None
+    adjacency: np.ndarray
+    normalized: np.ndarray | None = None
     linked: np.ndarray | None = None
-    _block: sp.csr_matrix | None = field(default=None, repr=False)
     _dense_normalized: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -49,56 +40,53 @@ def build_user_graph(dataset: InteractionDataset, tiers: PrivacyAssignment) -> U
     """Co-interaction counts between sharing users' training sets.
 
     Reads train_items() only for sharing users; non-sharing users' rows stay
-    empty apart from the unit self-loop.
+    empty apart from the unit self-loop. The counts are one product of the
+    sharing users' 0/1 incidence rows: integers, so exact in any summation
+    order.
     """
     num_users = int(tiers.is_public.size)
     if dataset.num_users != num_users:
         raise ValueError(
             f"dataset has {dataset.num_users} users but tiers cover {num_users}"
         )
-    rows = []
-    cols = []
-    for u in tiers.public_users():
-        items = np.asarray(dataset.train_items(int(u)), dtype=np.int64)
-        rows.append(np.full(items.size, u, dtype=np.int64))
-        cols.append(items)
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        incidence = sp.csr_matrix(
-            (np.ones(r.size), (r, c)), shape=(num_users, dataset.num_items)
-        )
-        shared = incidence @ incidence.T
-        shared.sort_indices()
-        adjacency = shared - sp.diags(shared.diagonal())
-        adjacency.eliminate_zeros()
+    sharing = tiers.public_users()
+    incidence = np.zeros((sharing.size, dataset.num_items))
+    for row, u in enumerate(sharing):
+        incidence[row, dataset.train_items(int(u))] = 1.0
+    shared = incidence @ incidence.T
+    del incidence
+    np.fill_diagonal(shared, 0.0)
+    if sharing.size == num_users:
+        adjacency = shared
     else:
-        adjacency = sp.csr_matrix((num_users, num_users))
+        adjacency = np.zeros((num_users, num_users))
+        adjacency[np.ix_(sharing, sharing)] = shared
 
-    degree = np.asarray(adjacency.sum(axis=1)).ravel()
-    isolated = (degree == 0.0).astype(np.float64)
-    if isolated.any():
-        adjacency = (adjacency + sp.diags(isolated)).tocsr()
+    isolated = np.flatnonzero(adjacency.sum(axis=1) == 0.0)
+    adjacency[isolated, isolated] = 1.0
     return UserGraph(adjacency=adjacency)
 
 
 def normalize(graph: UserGraph) -> UserGraph:
     """Fill graph.normalized with the symmetric degree normalization."""
-    degree = np.asarray(graph.adjacency.sum(axis=1)).ravel()
+    degree = graph.adjacency.sum(axis=1)
     if (degree <= 0.0).any():
         raise ValueError("adjacency has a zero-degree row; self-loops are missing")
-    inv_sqrt = sp.diags(1.0 / np.sqrt(degree))
-    mat = (inv_sqrt @ graph.adjacency @ inv_sqrt).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    # (a_ij * s_i) * s_j, entry by entry, into one new array.
+    mat = graph.adjacency * inv_sqrt[:, None]
+    mat *= inv_sqrt[None, :]
     # An identity row holds one unit entry on the diagonal, and nothing else
     # in its column reads it; propagation leaves such rows as they are.
-    row_entries = np.diff(mat.indptr)
-    col_entries = np.bincount(mat.indices, minlength=mat.shape[1])
-    identity = (row_entries == 1) & (col_entries == 1) & (mat.diagonal() == 1.0)
+    identity = (
+        (np.count_nonzero(mat, axis=1) == 1)
+        & (np.count_nonzero(mat, axis=0) == 1)
+        & (mat.diagonal() == 1.0)
+    )
     linked = np.flatnonzero(~identity)
     graph.normalized = mat
     graph.linked = linked
-    graph._block = mat if linked.size == mat.shape[0] else mat[linked][:, linked]
-    graph._dense_normalized = None
+    graph._dense_normalized = mat if linked.size == mat.shape[0] else mat[np.ix_(linked, linked)]
     return graph
 
 
@@ -111,9 +99,10 @@ def propagate(
     adjacency. `tables` is (num_users, ...) with any trailing shape; `out`,
     when given, receives the result. `out=tables` runs in place; any other
     overlap between the two is rejected. Every hop acts along the user axis
-    only, so the rows with neighbours run one column slab at a time, with
-    (rows with neighbours) x SLAB_COLUMNS temporaries, and identity rows are
-    never touched after the result holds a copy of `tables`.
+    only, so the rows with neighbours run one column slab at a time, as a
+    dense matmul with (rows with neighbours) x SLAB_COLUMNS temporaries, and
+    identity rows are never touched after the result holds a copy of
+    `tables`.
     """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
@@ -122,7 +111,7 @@ def propagate(
     n = graph.num_users
     if tables.shape[0] != n:
         raise ValueError(f"tables cover {tables.shape[0]} users, graph has {n}")
-    block = graph._block
+    block = graph._dense_normalized
     if out is None:
         out = np.array(tables, dtype=np.result_type(tables.dtype, block.dtype))
     elif out.shape != tables.shape:
@@ -134,10 +123,6 @@ def propagate(
 
     flat = out.reshape(n, -1)
     k = block.shape[0]
-    dense = k > 64 and block.nnz >= DENSE_DENSITY_CUTOFF * k * k
-    if dense and graph._dense_normalized is None:
-        graph._dense_normalized = block.toarray()
-    op = graph._dense_normalized if dense else block
     # A plain slice when every row has neighbours: no fancy-index copies.
     rows = graph.linked if k < n else slice(None)
     if k:
@@ -145,7 +130,7 @@ def propagate(
             cols = slice(start, start + SLAB_COLUMNS)
             current = flat[rows, cols]
             for _ in range(layers):
-                current = op @ current
+                current = block @ current
             flat[rows, cols] = current
     return out
 
@@ -206,10 +191,10 @@ def dump_triplets(graph: UserGraph, path, normalized: bool = False) -> int:
     mat = graph.normalized if normalized else graph.adjacency
     if mat is None:
         raise ValueError("graph is not normalized; call normalize() first")
-    coo = sp.triu(mat).tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    rows, cols = np.nonzero(np.triu(mat))
+    weights = mat[rows, cols].tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_a\tuser_b\tweight\n")
-        for idx in order:
-            fh.write(f"{coo.row[idx]}\t{coo.col[idx]}\t{float(coo.data[idx])!r}\n")
-    return int(coo.nnz)
+        for a, b, w in zip(rows.tolist(), cols.tolist(), weights):
+            fh.write(f"{a}\t{b}\t{w!r}\n")
+    return int(rows.size)

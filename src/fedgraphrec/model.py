@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from fedgraphrec.data import InteractionDataset, Tier, sample_train_negatives
 from fedgraphrec.seeding import INIT_SALT, derive_rng
@@ -225,8 +224,18 @@ def _cohort_forward(user_vecs, item_rows, weights, biases):
         Z = np.matmul(acts[-1], W)
         Z += b[:, None, :]
         pres.append(Z)
-    probs = expit(Z[:, :, 0])
+    probs = sigmoid(Z[:, :, 0])
     return acts, pres, probs
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) into one new array. Logits below about -709
+    overflow exp to inf and give exactly 0; above 709 the sum rounds to 1."""
+    out = np.negative(z)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray):

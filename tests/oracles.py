@@ -7,7 +7,6 @@ sort-and-scan ranking, written separately from the library code paths.
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier, sample_train_negatives
@@ -211,7 +210,7 @@ def reference_forward(state, item_rows):
         if li < last:
             A = np.maximum(Z, 0.0)
             acts.append(A)
-    probs = expit(pres[-1].ravel())
+    probs = 1 / (1 + np.exp(-pres[-1].ravel()))
     return X, acts, pres, probs
 
 
@@ -230,7 +229,7 @@ def reference_sgd_step(state, batch_items, batch_labels, learning_rate, clip_nor
     for W, b in zip(state.weights[1:], state.biases[1:]):
         acts.append(np.maximum(pres[-1], 0.0))
         pres.append(acts[-1] @ W + b)
-    probs = expit(pres[-1].ravel())
+    probs = 1 / (1 + np.exp(-pres[-1].ravel()))
     loss = mdl._bce(probs, batch_labels)
 
     # Gradient of the summed BCE w.r.t. the logits is simply (p - y).
@@ -429,6 +428,17 @@ def brute_normalized(A):
     degree = A.sum(axis=1)
     inv_sqrt = np.diag(1.0 / np.sqrt(degree))
     return inv_sqrt @ A @ inv_sqrt
+
+
+def brute_triplets(matrix):
+    """The `dump_triplets` file for a dense matrix, written cell by cell."""
+    lines = ["user_a\tuser_b\tweight"]
+    n = matrix.shape[0]
+    for a in range(n):
+        for b in range(a, n):
+            if matrix[a, b] != 0.0:
+                lines.append(f"{a}\t{b}\t{float(matrix[a, b])!r}")
+    return "\n".join(lines) + "\n"
 
 
 def brute_propagate(normalized, tables, layers):

@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fedgraphrec import graph as graph_module
 from fedgraphrec.data import (
@@ -28,6 +27,7 @@ from oracles import (
     brute_adjacency,
     brute_normalized,
     brute_propagate,
+    brute_triplets,
     dataset_from_train_sets,
     random_graph_instance,
     tiers_from_mask,
@@ -58,7 +58,7 @@ HAND_ADJ = np.array(
 
 def test_adjacency_hand_example():
     graph = built(HAND_SETS, 10, HAND_MASK)
-    np.testing.assert_array_equal(graph.adjacency.toarray(), HAND_ADJ)
+    np.testing.assert_array_equal(graph.adjacency, HAND_ADJ)
 
 
 def test_adjacency_counts_are_not_binarized():
@@ -76,17 +76,17 @@ def test_normalized_hand_example_is_row_swap():
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    np.testing.assert_allclose(graph.normalized.toarray(), swap, atol=1e-15)
+    np.testing.assert_allclose(graph.normalized, swap, atol=1e-15)
 
 
 def test_second_hand_example_normalization_constants():
     # u0 {0,1}, u1 {1,2}, u2 {0,1,2}: counts 1, 2, 2 and degrees 3, 3, 4.
     graph = normalize(built([{0, 1}, {1, 2}, {0, 1, 2}], 3, [True] * 3))
     np.testing.assert_array_equal(
-        graph.adjacency.toarray(),
+        graph.adjacency,
         np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]]),
     )
-    dense = graph.normalized.toarray()
+    dense = graph.normalized
     assert dense[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert dense[0, 2] == pytest.approx(2.0 / np.sqrt(12.0), rel=1e-15)
     assert dense[1, 2] == pytest.approx(2.0 / np.sqrt(12.0), rel=1e-15)
@@ -96,7 +96,7 @@ def test_adjacency_symmetric_on_random_instances():
     rng = np.random.default_rng(40)
     for _ in range(50):
         train_sets, m, mask = random_graph_instance(rng)
-        dense = built(train_sets, m, mask).adjacency.toarray()
+        dense = built(train_sets, m, mask).adjacency
         np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -104,7 +104,7 @@ def test_nonsharing_rows_hold_only_the_self_loop():
     rng = np.random.default_rng(41)
     for _ in range(50):
         train_sets, m, mask = random_graph_instance(rng)
-        dense = built(train_sets, m, mask).adjacency.toarray()
+        dense = built(train_sets, m, mask).adjacency
         for u in np.flatnonzero(~mask):
             row = dense[u].copy()
             row[u] = 0.0
@@ -121,11 +121,11 @@ def test_matches_brute_force_oracles():
         train_sets, m, mask = random_graph_instance(rng)
         graph = built(train_sets, m, mask)
         expected_adj = brute_adjacency(train_sets, mask)
-        np.testing.assert_array_equal(graph.adjacency.toarray(), expected_adj)
+        np.testing.assert_array_equal(graph.adjacency, expected_adj)
 
         normalize(graph)
         expected_norm = brute_normalized(expected_adj)
-        np.testing.assert_allclose(graph.normalized.toarray(), expected_norm, atol=1e-10)
+        np.testing.assert_allclose(graph.normalized, expected_norm, atol=1e-10)
 
         n = len(train_sets)
         tables = rng.normal(size=(n, 3, 2))
@@ -137,10 +137,9 @@ def test_matches_brute_force_oracles():
 
 
 def test_all_sharing_build_is_canonical_and_allocates_little():
-    # A co-interaction block as dense as the paper's all-sharing setting:
-    # the adjacency must come out in canonical CSR form (sorted indices, no
-    # stored zeros), and the build must not hold per-entry Python objects,
-    # as a LIL round-trip for the diagonal does (about 5x the CSR arrays).
+    # A co-interaction block as dense as the paper's all-sharing setting: the
+    # adjacency comes out as one C-ordered float64 array that owns its data,
+    # and the build holds no more than the incidence rows and that array.
     rng = np.random.default_rng(8)
     train_sets = [set(rng.choice(100, size=20, replace=False).tolist()) for _ in range(300)]
     ds = dataset_from_train_sets(train_sets, 100)
@@ -152,21 +151,20 @@ def test_all_sharing_build_is_canonical_and_allocates_little():
     finally:
         tracemalloc.stop()
     adj = graph.adjacency
-    canonical = sp.csr_matrix(adj.toarray())
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(adj, name), getattr(canonical, name))
-    size = adj.data.nbytes + adj.indices.nbytes + adj.indptr.nbytes
+    assert adj.shape == (300, 300) and adj.dtype == np.float64
+    assert adj.flags.c_contiguous and adj.flags.owndata
+    size = adj.nbytes
     assert peak < 3.5 * size, f"peak {peak} bytes for a {size}-byte adjacency"
 
 
 def test_all_nonsharing_gives_identity_adjacency():
     graph = built([{0, 1}, {1, 2}, {2}], 3, [False] * 3)
-    np.testing.assert_array_equal(graph.adjacency.toarray(), np.eye(3))
+    np.testing.assert_array_equal(graph.adjacency, np.eye(3))
 
 
 def test_sharing_user_with_empty_train_gets_self_loop():
     graph = built([set(), {0, 1}], 2, [True, True])
-    np.testing.assert_array_equal(graph.adjacency.toarray(), np.eye(2))
+    np.testing.assert_array_equal(graph.adjacency, np.eye(2))
 
 
 def test_user_count_mismatch_rejected():
@@ -179,7 +177,7 @@ def test_user_count_mismatch_rejected():
 
 
 def test_normalize_rejects_zero_degree_row():
-    bad = UserGraph(adjacency=sp.csr_matrix(np.array([[0.0, 0.0], [0.0, 1.0]])))
+    bad = UserGraph(adjacency=np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="zero-degree"):
         normalize(bad)
 
@@ -265,7 +263,7 @@ def test_propagate_rejects_out_aliasing_tables():
 
 
 def dense_scale_graph(rng, n=80):
-    """Co-interaction graph dense enough to cross the dense-path cutoff."""
+    """Co-interaction graph as dense as the paper's sharing setting."""
     train_sets = [
         set(rng.choice(12, size=int(rng.integers(3, 7)), replace=False).tolist())
         for _ in range(n)
@@ -278,11 +276,11 @@ def test_propagate_dense_path_matches_oracle():
     rng = np.random.default_rng(30)
     train_sets, mask = dense_scale_graph(rng)
     graph = normalize(built(train_sets, 12, mask))
-    density = graph.normalized.nnz / graph.num_users**2
-    assert density >= 0.05, "instance too sparse to exercise the dense path"
+    density = np.count_nonzero(graph.normalized) / graph.num_users**2
+    assert density >= 0.05, "instance too sparse for a dense graph"
     tables = rng.normal(size=(80, 6, 3))
     got = propagate(graph, tables, layers=2)
-    assert graph._dense_normalized is not None
+    assert graph._dense_normalized is graph.normalized
     expected = brute_propagate(
         brute_normalized(brute_adjacency(train_sets, mask)), tables, 2
     )
@@ -351,20 +349,19 @@ def test_propagate_block_path_allocates_slabs_only():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph._dense_normalized is not None
     assert peak < 0.1 * tables.nbytes, f"peak {peak} bytes for {tables.nbytes}-byte tables"
 
 
-@pytest.mark.parametrize("branch", ["identity", "csr block", "csr all", "dense block", "dense all"])
+@pytest.mark.parametrize("branch", ["identity", "small block", "sparse all", "dense block", "dense all"])
 def test_propagate_in_place_matches_out_buffer(monkeypatch, branch):
     # Narrow slabs so the tables span several, the last one partial.
     monkeypatch.setattr(graph_module, "SLAB_COLUMNS", 4)
     rng = np.random.default_rng(34)
     if branch == "identity":
         train_sets, m, mask = [{0, 1}, {1}, {2}], 3, np.zeros(3, dtype=bool)
-    elif branch == "csr block":
+    elif branch == "small block":
         train_sets, m, mask = HAND_SETS, 10, HAND_MASK
-    elif branch == "csr all":
+    elif branch == "sparse all":
         # A ring of 40 sharers, each sharing one item with each neighbour.
         train_sets, m, mask = [{u, (u + 1) % 40} for u in range(40)], 40, np.ones(40, dtype=bool)
     elif branch == "dense block":
@@ -376,14 +373,14 @@ def test_propagate_in_place_matches_out_buffer(monkeypatch, branch):
     graph = normalize(built(train_sets, m, mask))
     n = len(train_sets)
     k = graph.linked.size
-    assert k == {"identity": 0, "csr block": 2, "dense block": n // 2 - 1}.get(branch, n)
+    assert k == {"identity": 0, "small block": 2, "dense block": n // 2 - 1}.get(branch, n)
     tables = rng.normal(size=(n, 5, 3))
     for layers in (1, 3):
         expected = propagate(graph, tables, layers=layers, out=np.full_like(tables, np.nan))
         in_place = tables.copy()
         assert propagate(graph, in_place, layers=layers, out=in_place) is in_place
         assert np.array_equal(in_place, expected)
-    assert (graph._dense_normalized is not None) == branch.startswith("dense")
+    assert graph._dense_normalized.shape == (k, k)
 
 
 def test_in_place_dense_propagation_allocates_slabs_only():
@@ -392,21 +389,13 @@ def test_in_place_dense_propagation_allocates_slabs_only():
     graph = normalize(built(train_sets, 12, mask))
     assert graph.linked.size == graph.num_users
     tables = rng.normal(size=(graph.num_users, 1536, 32))
-    propagate(graph, tables[:, :1], out=np.empty_like(tables[:, :1]))  # caches the dense operator
     tracemalloc.start()
     try:
         assert propagate(graph, tables, layers=2, out=tables) is tables
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert graph._dense_normalized is not None
     assert peak < 0.1 * tables.nbytes, f"peak {peak} bytes for {tables.nbytes}-byte tables"
-
-
-def test_small_graph_keeps_sparse_path():
-    graph = normalize(built(HAND_SETS, 10, HAND_MASK))
-    propagate(graph, np.zeros((4, 2)))
-    assert graph._dense_normalized is None
 
 
 # --- global_embedding / the personalization blend (distribute) -----------------
@@ -555,6 +544,22 @@ def test_dump_triplets_normalized_requires_normalize(tmp_path):
         dump_triplets(graph, tmp_path / "x.tsv", normalized=True)
 
 
+@pytest.mark.parametrize("normalized", [False, True])
+def test_dump_triplets_matches_brute_force_writer(tmp_path, normalized):
+    rng = np.random.default_rng(43)
+    path = tmp_path / "triplets.tsv"
+    for _ in range(60):
+        train_sets, m, mask = random_graph_instance(rng)
+        graph = normalize(built(train_sets, m, mask))
+        expected = brute_adjacency(train_sets, mask)
+        if normalized:
+            expected = brute_normalized(expected)
+        count = dump_triplets(graph, path, normalized=normalized)
+        text = path.read_text(encoding="utf-8")
+        assert text == brute_triplets(expected)
+        assert count == len(text.splitlines()) - 1
+
+
 # --- integration with the real loader --------------------------------------------
 
 
@@ -564,7 +569,7 @@ def test_graph_from_bundled_dataset_matches_oracle():
     tiers = assign_privacy(dataset.num_users, 0.5, seed=3)
     graph = normalize(build_user_graph(dataset, tiers))
 
-    dense = graph.adjacency.toarray()
+    dense = graph.adjacency
     np.testing.assert_array_equal(dense, dense.T)
     assert (dense.sum(axis=1) >= 1.0).all()
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,26 @@ def test_predict_strictly_inside_unit_interval():
     state.weights[1][:] = 1e9  # saturate the logit
     value = predict(state, 0)
     assert 0.0 < value < 1.0
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    z = np.array([-1e308, -800.0, 800.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mdl.sigmoid(z)
+    np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, 1.0])
+
+
+def test_sigmoid_within_two_ulp_of_libm():
+    # 1 / (1 + math.exp(-z)) equals scipy.special.expit bit for bit; numpy's
+    # vectorized exp may differ from libm's by an ulp or two.
+    rng = np.random.default_rng(60)
+    z = np.concatenate([np.linspace(-40.0, 40.0, 20001), rng.uniform(-40.0, 40.0, 20000)])
+    expected = np.array([1.0 / (1.0 + math.exp(-v)) for v in z.tolist()])
+    got = mdl.sigmoid(z)
+    assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))
+    # a strided view, as the forward pass passes its last layer's column
+    np.testing.assert_array_equal(mdl.sigmoid(np.stack([z, -z], axis=1)[:, 0]), got)
 
 
 def test_predict_is_pure():
