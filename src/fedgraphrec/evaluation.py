@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier
-from fedgraphrec.model import COHORT_ROWS, ClientState, ClientStore, score_cohort
+from fedgraphrec.model import ClientState, ClientStore, clients_per_chunk, score_cohort
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def _held_ranks(
     store: ClientStore, rows: np.ndarray, negatives: np.ndarray, held: np.ndarray
 ) -> np.ndarray:
     """1-based rank (C, H) of each held item of clients `rows` among that
-    client's (C, K) negatives, scored in stacked chunks of at most
-    COHORT_ROWS candidates.
+    client's (C, K) negatives, scored in stacked chunks of
+    `clients_per_chunk(K + H)` clients.
 
     An item's rank counts the negatives that sort before it: a higher score,
     or an equal score and a smaller item index. The held items do not
@@ -65,7 +65,7 @@ def _held_ranks(
     """
     K = negatives.shape[1]
     ranks = np.empty(held.shape, dtype=np.int64)
-    per = max(1, COHORT_ROWS // (K + held.shape[1]))
+    per = clients_per_chunk(K + held.shape[1])
     for start in range(0, rows.size, per):
         part = slice(start, start + per)
         negs, items = negatives[part], held[part]

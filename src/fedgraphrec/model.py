@@ -19,14 +19,25 @@ PROB_FLOOR = 1e-7
 
 MLP_INIT_CHOICES = ("gaussian", "he")
 
-# Example rows per stacked kernel call: a cohort of clients whose batches hold
-# B rows each runs in chunks of max(1, COHORT_ROWS // B) clients. Each chunk's
-# temporaries are a few (COHORT_ROWS, width) float64 arrays. Training plus
-# evaluation at 128/256/384/512/768/1024/2048 rows (one CPU, median round,
-# default model) took 11.5/9.8/9.5/9.1/10.8/10.8/11.5 ms on the bundled
-# 50-client file and 1399/1323/1131/867/830/776/795 ms at the ML-100K shape,
-# where a 512-row chunk holds two 256-example batches. No value wins on both.
+# Example rows per stacked kernel call. A cohort whose batches hold B rows a
+# client runs in chunks of `clients_per_chunk(B)` clients: at least
+# COHORT_CLIENTS of them, within COHORT_ROWS to COHORT_MAX_ROWS rows, and a
+# client above the ceiling alone. Each chunk's temporaries are a few (rows,
+# width) float64 arrays. Training plus evaluation, median round, one CPU,
+# default model, at a flat 512/1024/2048 rows and then at 4, 8 and 16 clients
+# (ceilings 2048/2048/4096 rows): 7.0/8.9/9.8/7.5/7.0/7.2 ms on the bundled
+# 50-client file (B = 40) and 745/640/601/659/599/883 ms at the ML-100K shape
+# (B = 256). Per-call overhead sets the large shape, where 512 rows hold only
+# two clients; small batches keep their 512-row chunks.
 COHORT_ROWS = 512
+COHORT_CLIENTS = 8
+COHORT_MAX_ROWS = 4 * COHORT_ROWS
+
+
+def clients_per_chunk(length: int) -> int:
+    """How many clients with `length` example rows each one stacked kernel call takes."""
+    rows = min(max(COHORT_CLIENTS * length, COHORT_ROWS), COHORT_MAX_ROWS)
+    return max(1, rows // length)
 
 
 class TrainingError(RuntimeError):
@@ -272,10 +283,10 @@ def _cohort_step(
     clip_norm: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One mini-batch update of every parameter of clients `rows`, client c on
-    its batch items[c], labels[c] (C, B). Runs in chunks of at most
-    COHORT_ROWS example rows. Returns per-client (summed loss, grad norm
-    after clipping)."""
-    per = max(1, COHORT_ROWS // items.shape[1])
+    its batch items[c], labels[c] (C, B). Runs in chunks of
+    `clients_per_chunk(B)` clients. Returns per-client (summed loss, grad
+    norm after clipping)."""
+    per = clients_per_chunk(items.shape[1])
     if rows.size > per:
         parts = [
             _cohort_step(store, rows[i : i + per], items[i : i + per], labels[i : i + per],
@@ -313,18 +324,25 @@ def _cohort_step(
         axis=1,
     )
     grad_users = np.matmul(s[:, None, :], W1[:, :d].transpose(0, 2, 1))[:, 0]
-    del item_rows, acts
+    del acts
     delta = np.matmul(delta, W1[:, d:].transpose(0, 2, 1))
 
     # Accumulate duplicate item rows per client; only rows present in a
     # client's batch change. bincount adds each cell's contributions in batch
     # row order, and each client's unique rows come out as one sorted block.
+    # Every occurrence of a row was gathered with the same bytes, so any one
+    # serves as the row's old value, and the store is written, not read again.
     keys = (np.arange(C)[:, None] * m + items).ravel()
     uniq, inverse = np.unique(keys, return_inverse=True)
+    occurrence = np.empty(uniq.size, dtype=np.intp)
+    occurrence[inverse] = np.arange(keys.size)
+    new_rows = item_rows.reshape(-1, d)[occurrence]
+    del item_rows
     cells = (inverse[:, None] * d + np.arange(d)).ravel()
     grad_items = np.bincount(
         cells, weights=delta.ravel(), minlength=uniq.size * d
     ).reshape(uniq.size, d)
+    del delta, cells
     owner = uniq // m
 
     # Each client's squared norm in the one-client order: every vector's and
@@ -343,7 +361,8 @@ def _cohort_step(
 
     user_vecs -= scale[:, None] * grad_users
     store.user_vecs[rows] = user_vecs
-    store.flat_items()[rows[owner] * m + uniq % m] -= scale[owner, None] * grad_items
+    new_rows -= scale[owner, None] * grad_items
+    store.flat_items()[rows[owner] * m + uniq % m] = new_rows
     for stack, W, gW in zip(store.weights, weights, grads_W):
         W -= scale[:, None, None] * gW
         stack[rows] = W

@@ -9,6 +9,7 @@ import pytest
 
 from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, Tier
+from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.model import (
     ClientState,
     ModelConfig,
@@ -35,6 +36,7 @@ from oracles import (
     reference_init,
     reference_sgd_step,
     reference_train_local,
+    tiers_from_mask,
 )
 
 
@@ -220,11 +222,20 @@ def test_predict_strictly_inside_unit_interval():
 
 
 def test_sigmoid_saturates_exactly_without_warnings():
-    z = np.array([-1e308, -800.0, 800.0, 1e308])
+    # Both sides of exp's overflow edge (-z near 709.78) and a NaN, alone and
+    # mixed, give the bits of the errstate form and never warn.
+    z = np.array([-1e308, -800.0, -710.0, -709.5, 709.5, 710.0, 800.0, 1e308, np.nan, 0.0])
+    inputs = [z, z[:-2], z[[0, 8]], z[[8, 3]], *(z[i : i + 1] for i in range(z.size))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for values in inputs:
+            with np.errstate(over="ignore"):
+                want = 1.0 / (1.0 + np.exp(-values))
+            got = mdl.sigmoid(values)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         got = mdl.sigmoid(z)
-    np.testing.assert_array_equal(got, [0.0, 0.0, 1.0, 1.0])
+    np.testing.assert_array_equal(got[:8], [0.0, 0.0, 0.0, 1 / (1 + math.exp(709.5)), 1.0, 1.0, 1.0, 1.0])
+    assert np.isnan(got[8])
 
 
 def test_sigmoid_within_two_ulp_of_libm():
@@ -401,6 +412,7 @@ def test_cohort_step_matches_reference_bit_for_bit():
     config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
     count, batch = 30, 40
     assert count * batch > mdl.COHORT_ROWS >= batch
+    assert count > mdl.clients_per_chunk(batch) > 1
     store = init_store(config, 12, count, seed=41)
     store.weights[0][:, :, 0] = 0.0
     references = [clone_state(client) for client in store]
@@ -427,6 +439,47 @@ def test_cohort_step_matches_reference_bit_for_bit():
         items = rng.integers(0, 12, size=(count, batch))
         labels = rng.integers(0, 2, size=(count, batch)).astype(np.float64)
     assert 0 < len(clipped) < count
+
+
+def test_clients_per_chunk_rule():
+    # At least COHORT_CLIENTS clients, within COHORT_ROWS to COHORT_MAX_ROWS
+    # rows, and one client alone above the ceiling.
+    assert mdl.clients_per_chunk(256) == 8
+    assert mdl.clients_per_chunk(100) == 8
+    assert mdl.clients_per_chunk(512) == 4
+    assert mdl.clients_per_chunk(40) == mdl.COHORT_ROWS // 40 == 12
+    assert mdl.clients_per_chunk(51) == mdl.COHORT_ROWS // 51 == 10
+    assert mdl.clients_per_chunk(64) == 8
+    assert mdl.clients_per_chunk(1) == mdl.COHORT_ROWS
+    assert mdl.clients_per_chunk(mdl.COHORT_MAX_ROWS) == 1
+    assert mdl.clients_per_chunk(10 * mdl.COHORT_MAX_ROWS) == 1
+
+
+def test_cohort_step_writes_only_the_batch_rows():
+    # 20 of 24 clients step on 100 items drawn from 200 with replacement: more
+    # clients than one chunk takes. Every other item row and the four idle
+    # clients keep their bytes. A batch row moves unless no hidden unit was
+    # active for it, which leaves its gradient zero.
+    config = ModelConfig(embed_dim=4, mlp_hidden=(6,), init_scale=0.3)
+    count, num_items, batch = 24, 200, 100
+    store = init_store(config, num_items, count, seed=8)
+    rng = np.random.default_rng(9)
+    rows = rng.permutation(count)[:20]
+    assert rows.size > mdl.clients_per_chunk(batch) > 1
+    items = rng.integers(0, num_items, size=(rows.size, batch))
+    labels = rng.integers(0, 2, size=(rows.size, batch)).astype(np.float64)
+    before = [a.copy() for a in (store.user_vecs, store.item_tables, *store.weights, *store.biases)]
+    mdl._cohort_step(store, rows, items, labels, 0.1, None)
+    in_batch = np.zeros((count, num_items), dtype=bool)
+    in_batch[rows[:, None], items] = True
+    changed = (store.item_tables != before[1]).any(axis=2)
+    assert not (changed & ~in_batch).any()
+    assert changed.sum() > 0.95 * in_batch.sum()
+    outside = ~in_batch
+    assert store.item_tables[outside].tobytes() == before[1][outside].tobytes()
+    idle = np.setdiff1d(np.arange(count), rows)
+    for now, then in zip((store.user_vecs, *store.weights, *store.biases), before[:1] + before[2:]):
+        assert now[idle].tobytes() == then[idle].tobytes()
 
 
 def ragged_dataset(sizes, num_items=40, seed=3):
@@ -457,6 +510,48 @@ def test_cohort_training_matches_reference_train_local(clip_norm):
         rng = derive_rng(7, u, 1, TRAIN_SALT)
         assert reports[u] == reference_train_local(reference, ds, u, config, rng)
         assert_same_parameters(store[u], reference)
+
+
+def test_training_and_ranking_are_chunk_invariant(monkeypatch):
+    # 20 users with 22-37 training items and batch size 128 over 2 epochs:
+    # steps of 128 rows in chunks of 8 clients, plus ragged last batches.
+    # Negatives are drawn with replacement, so batches repeat items, and the
+    # clients of one chunk share items. One client per chunk, the default
+    # rule and one chunk of every client must agree to the bit.
+    sizes = [22 + (7 * u) % 16 for u in range(20)]
+    ds = ragged_dataset(sizes, num_items=60)
+    config = ModelConfig(
+        embed_dim=5, mlp_hidden=(6, 3), learning_rate=0.1, batch_size=128,
+        local_epochs=2, neg_ratio=4, init_scale=0.3, clip_norm=40.0,
+    )
+    rng = np.random.default_rng(12)
+    negatives = np.stack([rng.permutation(58)[:49] for _ in sizes])
+    tiers = tiers_from_mask([u % 3 == 0 for u in range(len(sizes))])
+
+    batches = [mdl.local_batches(ds, u, config, derive_rng(13, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
+    full = [u for u in range(len(sizes)) if batches[u][0][0].size == 128]
+    per = mdl.clients_per_chunk(128)
+    assert len(full) > per > 1
+    assert set(batches[full[0]][0][0].tolist()) & set(batches[full[1]][0][0].tolist())
+    assert any(np.unique(b[0]).size < b[0].size for u in full for b in batches[u])
+    assert len({b[0].size for u in full for b in batches[u]}) > 2
+    assert len(sizes) > mdl.clients_per_chunk(negatives.shape[1] + 2) > 1
+
+    results = []
+    for constants in ((1, 1, 1), (mdl.COHORT_ROWS, mdl.COHORT_CLIENTS, mdl.COHORT_MAX_ROWS), (10**9,) * 3):
+        for name, value in zip(("COHORT_ROWS", "COHORT_CLIENTS", "COHORT_MAX_ROWS"), constants):
+            monkeypatch.setattr(mdl, name, value)
+        store = init_store(config, ds.num_items, len(sizes), seed=13)
+        rngs = (derive_rng(13, u, 1, TRAIN_SALT) for u in range(len(sizes)))
+        reports = train_clients(store, ds, config, rngs)
+        metrics = evaluate_round(store, ds, negatives, tiers, k=10)
+        arrays = [store.user_vecs, store.item_tables, *store.weights, *store.biases]
+        ranks = (metrics.per_user_rank, metrics.validation.per_user_rank)
+        results.append((b"".join(a.tobytes() for a in arrays), reports, *(r.tobytes() for r in ranks)))
+    assert mdl.clients_per_chunk(128) >= len(sizes)
+    assert results[0] == results[1] == results[2]
+    assert any(report.grad_norm == 40.0 for report in results[0][1])
+    assert any(report.grad_norm < 40.0 for report in results[0][1])
 
 
 def test_cohort_training_error_names_lowest_user_at_its_first_step():
