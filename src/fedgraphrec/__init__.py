@@ -51,39 +51,3 @@ from fedgraphrec.federation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FileFormat",
-    "InteractionDataset",
-    "PrivacyAssignment",
-    "RawInteraction",
-    "Tier",
-    "assign_privacy",
-    "leave_one_out_split",
-    "load_interactions",
-    "sample_eval_negatives",
-    "sample_train_negatives",
-    "ClientState",
-    "ClientStore",
-    "ModelConfig",
-    "TrainReport",
-    "init_client",
-    "train_clients",
-    "train_local",
-    "ServerState",
-    "UserGraph",
-    "build_user_graph",
-    "global_embedding",
-    "normalize",
-    "propagate",
-    "server_update",
-    "RoundMetrics",
-    "TierMetrics",
-    "evaluate_round",
-    "evaluate_user",
-    "FederationConfig",
-    "RoundRecord",
-    "add_ldp_noise",
-    "distribute",
-    "run_federation",
-]

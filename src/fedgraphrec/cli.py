@@ -119,7 +119,6 @@ def main(argv=None) -> int:
                 args.dataset, args.format, args.public_ratio,
                 experiments.resolve_seed(args.seed), args.out,
             )
-        raise ConfigError(f"unknown verb {args.verb!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

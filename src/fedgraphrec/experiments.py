@@ -8,6 +8,7 @@ import io
 import logging
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -173,7 +174,7 @@ class ExperimentConfig:
     reps: int = _option(5, "independent repetitions")
     out: str = _option("runs", "output directory")
     label: str = _option("experiment", "run label (subdirectory of --out)")
-    workers: int = _option(1, "parallel repetition workers")
+    workers: int = _option(1, "worker processes for grid candidates and repetitions")
 
     def validate(self) -> None:
         self.lr = parse_learning_rate(self.lr)
@@ -396,35 +397,44 @@ def run_repetition(
     return RepetitionResult(rep, lr, records, best)
 
 
-def _run_repetitions(
-    config: ExperimentConfig, dataset: InteractionDataset, lr: float, first: int
-) -> list[RepetitionResult]:
-    """Repetitions `first` to reps - 1, optionally across a process pool;
-    results in rep order."""
-    run = partial(run_repetition, config, dataset, lr)
-    reps = range(first, config.reps)
-    if config.workers > 1 and len(reps) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+def _submit(pool, config: ExperimentConfig, dataset: InteractionDataset, lr: float, rep: int):
+    """Repetition `rep` at rate `lr` as a call that returns its result: a pool
+    future's, or with no pool a run in this process at call time."""
+    if pool is None:
+        return lambda: run_repetition(config, dataset, lr, rep)
+    return pool.submit(run_repetition, config, dataset, lr, rep).result
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(run, reps))
-    return [run(rep) for rep in reps]
+
+@contextmanager
+def _pool(workers: int):
+    """`workers` processes, or None for one; leaving cancels what has not started."""
+    if workers == 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def select_learning_rate(
-    config: ExperimentConfig, dataset: InteractionDataset
+    config: ExperimentConfig, dataset: InteractionDataset, pool=None
 ) -> tuple[RepetitionResult, list[tuple[float, float]]]:
     """Grid phase: repetition 0 once per candidate rate, winner by validation HR.
+    The candidates start together, on `pool` when given.
 
     Returns the winner's repetition, which is the run's repetition 0, and
     [(rate, best validation HR)] in grid order; ties go to the earlier grid
     entry.
     """
+    runs = [_submit(pool, config, dataset, lr, 0) for lr in GRID_LEARNING_RATES]
     winner = None
     outcomes = []
-    for lr in GRID_LEARNING_RATES:
+    for lr, result_of in zip(GRID_LEARNING_RATES, runs):
         try:
-            result = run_repetition(config, dataset, lr, rep=0)
+            result = result_of()
         except TrainingError as exc:
             # A diverging candidate loses the grid; it must not kill the run.
             log.warning("grid: lr=%s diverged (%s)", lr, exc)
@@ -443,10 +453,17 @@ def select_learning_rate(
 # --- output writers ---------------------------------------------------------
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic(path: Path):
+    """A temporary path that replaces `path` when the block ends without error."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    yield tmp
     os.replace(tmp, path)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    with _atomic(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
 
 
 def _full(value) -> str:
@@ -490,9 +507,12 @@ ROUNDS_CSV_COLUMNS = (
 ROUNDS_CSV_HEADER = ",".join(name for name, _cell in ROUNDS_CSV_COLUMNS)
 
 
-def _write_rounds_csv(path: Path, records: list[RoundRecord]) -> None:
-    rows = [[cell(record) for _name, cell in ROUNDS_CSV_COLUMNS] for record in records]
-    _atomic_write(path, _csv_text(ROUNDS_CSV_HEADER.split(","), rows))
+def _write_repetition(out_dir: Path, result: RepetitionResult) -> None:
+    """`rep<r>/rounds.csv` of one finished repetition."""
+    rep_dir = out_dir / f"rep{result.rep}"
+    rep_dir.mkdir(exist_ok=True)
+    rows = [[cell(record) for _name, cell in ROUNDS_CSV_COLUMNS] for record in result.rounds]
+    _atomic_write(rep_dir / "rounds.csv", _csv_text(ROUNDS_CSV_HEADER.split(","), rows))
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -573,7 +593,8 @@ def execute_run(
 ) -> RunSummary:
     """Grid selection (when asked), all repetitions, and every artifact file
     for one configuration. Returns the cross-repetition summary. The grid
-    winner's run is repetition 0.
+    winner's run is repetition 0. Grid candidates and repetitions share one
+    pool; each repetition's files land as it is read, in repetition order.
 
     `dataset` is the configured file as `load_dataset` returns it; omitted,
     the run loads it."""
@@ -587,24 +608,31 @@ def execute_run(
 
     lr = config.lr
     results = []
-    if lr == "grid":
-        winner, grid_rows = select_learning_rate(config, dataset)
-        lr = winner.learning_rate
-        results.append(winner)
-        rows = [
-            [_full(rate), _pct(val_hr), "1" if rate == lr else "0"]
-            for rate, val_hr in grid_rows
-        ]
-        _atomic_write(
-            out_dir / "grid_search.csv",
-            _csv_text(["learning_rate", "validation_hr_best", "selected"], rows),
-        )
+    pooled = lr == "grid" or config.reps > 1  # more than one repetition to run
+    with _pool(config.workers if pooled else 1) as pool:
+        if lr == "grid":
+            winner, grid_rows = select_learning_rate(config, dataset, pool)
+            lr = winner.learning_rate
+            rows = [
+                [_full(rate), _pct(val_hr), "1" if rate == lr else "0"]
+                for rate, val_hr in grid_rows
+            ]
+            _atomic_write(
+                out_dir / "grid_search.csv",
+                _csv_text(["learning_rate", "validation_hr_best", "selected"], rows),
+            )
+            _write_repetition(out_dir, winner)
+            results.append(winner)
 
-    results += _run_repetitions(config, dataset, lr, first=len(results))
-    for result in results:
-        rep_dir = out_dir / f"rep{result.rep}"
-        rep_dir.mkdir(parents=True, exist_ok=True)
-        _write_rounds_csv(rep_dir / "rounds.csv", result.rounds)
+        reps = range(len(results), config.reps)
+        runs = {rep: _submit(pool, config, dataset, lr, rep) for rep in reps}
+        for rep, result_of in runs.items():
+            try:
+                result = result_of()
+            except TrainingError as exc:
+                raise TrainingError(f"repetition {rep} (lr {lr:g}): {exc}") from exc
+            _write_repetition(out_dir, result)
+            results.append(result)
 
     summary = summarize(results)
     cells = _summary_cells(summary)
@@ -782,12 +810,9 @@ def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     adjacency_path = out_dir / "graph_adjacency.tsv"
     normalized_path = out_dir / "graph_normalized.tsv"
-    tmp = adjacency_path.with_name(adjacency_path.name + ".tmp")
-    dump_triplets(graph, tmp, normalized=False)
-    os.replace(tmp, adjacency_path)
-    tmp = normalized_path.with_name(normalized_path.name + ".tmp")
-    dump_triplets(graph, tmp, normalized=True)
-    os.replace(tmp, normalized_path)
+    for path, normalized in ((adjacency_path, False), (normalized_path, True)):
+        with _atomic(path) as tmp:
+            dump_triplets(graph, tmp, normalized=normalized)
 
     adjacency = graph.adjacency
     diagonal = adjacency.diagonal()

@@ -492,19 +492,79 @@ def test_grid_run_trains_each_rate_and_repetition_once(tmp_path, monkeypatch):
                                                (summary.learning_rate, 2)]
 
 
+@pytest.fixture(scope="module")
+def grid_search_at_one_worker(tmp_path_factory):
+    """grid_search.csv of the grid run below at workers=1."""
+    tmp_path = tmp_path_factory.mktemp("grid-one-worker")
+    execute_run(tiny_config(tmp_path, lr="grid", rounds=2, reps=3, label="grid"))
+    return (tmp_path / "runs" / "grid" / "grid_search.csv").read_bytes()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_grid_run_matches_fixed_rate_run_at_the_selected_rate(tmp_path, workers):
+def test_grid_run_matches_fixed_rate_run_at_the_selected_rate(
+    tmp_path, workers, grid_search_at_one_worker
+):
     grid = tiny_config(tmp_path, lr="grid", rounds=2, reps=3, workers=workers, label="grid")
     summary = execute_run(grid)
     fixed = tiny_config(tmp_path, lr=summary.learning_rate, rounds=2, reps=3, label="fixed")
     execute_run(fixed)
     grid_dir, fixed_dir = tmp_path / "runs" / "grid", tmp_path / "runs" / "fixed"
+    # the candidates run on the pool when there is one, and pick the same rate
+    assert (grid_dir / "grid_search.csv").read_bytes() == grid_search_at_one_worker
     for name in ("summary.csv", "summary.txt"):
         assert (grid_dir / name).read_bytes() == (fixed_dir / name).read_bytes()
     for rep in range(3):
         assert rounds_without_wall_time(grid_dir / f"rep{rep}" / "rounds.csv") == (
             rounds_without_wall_time(fixed_dir / f"rep{rep}" / "rounds.csv")
         )
+
+
+def failing_at(failed_rep):
+    """run_repetition, but repetition `failed_rep` diverges."""
+    real = experiments.run_repetition
+
+    def run(config, dataset, lr, rep):
+        if rep == failed_rep:
+            raise TrainingError("round 2: user 7: non-finite loss or gradient at local step 1")
+        return real(config, dataset, lr, rep)
+
+    return run
+
+
+def test_failed_repetition_leaves_the_finished_ones_on_disk(tmp_path, monkeypatch):
+    execute_run(tiny_config(tmp_path, reps=3, label="whole"))
+    monkeypatch.setattr(experiments, "run_repetition", failing_at(2))
+    with pytest.raises(TrainingError, match=r"^repetition 2 \(lr 0\.05\): round 2: user 7: "):
+        execute_run(tiny_config(tmp_path, reps=3, label="cut"))
+    whole, cut = tmp_path / "runs" / "whole", tmp_path / "runs" / "cut"
+    for rep in (0, 1):
+        assert rounds_without_wall_time(cut / f"rep{rep}" / "rounds.csv") == (
+            rounds_without_wall_time(whole / f"rep{rep}" / "rounds.csv")
+        )
+    assert not (cut / "rep2").exists()
+    assert not (cut / "summary.csv").exists()
+
+
+def test_failed_repetition_after_the_grid_leaves_the_grid_on_disk(tmp_path, monkeypatch):
+    execute_run(tiny_config(tmp_path, lr="grid", rounds=1, reps=2, label="whole"))
+    monkeypatch.setattr(experiments, "run_repetition", failing_at(1))
+    with pytest.raises(TrainingError, match=r"^repetition 1 \(lr [0-9.e+-]+\): round 2: "):
+        execute_run(tiny_config(tmp_path, lr="grid", rounds=1, reps=2, label="cut"))
+    whole, cut = tmp_path / "runs" / "whole", tmp_path / "runs" / "cut"
+    assert (cut / "grid_search.csv").read_bytes() == (whole / "grid_search.csv").read_bytes()
+    assert rounds_without_wall_time(cut / "rep0" / "rounds.csv") == (
+        rounds_without_wall_time(whole / "rep0" / "rounds.csv")
+    )
+    assert not (cut / "summary.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_repetition_on_the_pool_is_named(tmp_path):
+    # A rate this large overflows a local step within the first rounds.
+    config = tiny_config(tmp_path, lr=1e300, reps=2, workers=2)
+    with pytest.raises(TrainingError, match=r"^repetition 0 \(lr 1e\+300\): round \d+: user \d+: "):
+        execute_run(config)
+    assert not (tmp_path / "runs" / "t" / "summary.csv").exists()
 
 
 def test_repeat_invocation_is_byte_identical(tmp_path):
