@@ -25,7 +25,7 @@ from fedgraphrec.model import (
     train_clients,
     train_local,  # noqa: F401  perfbench/traced.py wraps federation.train_local by name
 )
-from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
+from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng
 
 
 @dataclass
@@ -107,6 +107,17 @@ def add_ldp_noise(item_table: np.ndarray, scale: float, rng: np.random.Generator
     return noise
 
 
+def private_init_sum(
+    num_private: int, num_items: int, config: ModelConfig, seed: int
+) -> np.ndarray:
+    """The sum of `num_private` fresh item tables, drawn as one (m, d) table:
+    init_scale * sqrt(num_private) * N(0, I), the distribution of a sum of
+    that many independent N(0, init_scale^2) tables."""
+    total = derive_rng(seed, PRIVATE_SUM_SALT).standard_normal((num_items, config.embed_dim))
+    total *= config.init_scale * math.sqrt(num_private)
+    return total
+
+
 def distribute(
     server: ServerState,
     tiers: PrivacyAssignment,
@@ -151,12 +162,17 @@ def run_federation(
     server adds the upload noise of the previous round's training (when
     configured), then smooths the item tables in place on the store and
     `distribute` blends them in place, so installing moves no data and no
-    second (n, m, d) buffer exists. Round 1 serves the clients' freshly
-    initialized tables, unnoised. Clients then train locally, in cohorts, and
-    `eval_hook(round_index, clients)` may return RoundMetrics (or None) for
-    the round's record; `clients` is the store, and `clients[u]` is client u.
-    The hook reads the clean tables. The final round's tables are never
-    noised, because no server step reads them.
+    second (n, m, d) buffer exists. Round 1 serves the sharing clients'
+    freshly initialized tables, unnoised. A non-sharing client's first table
+    would be read only by round 1's global mean, so it is not drawn: the
+    server draws the non-sharing users' sum as one table (`private_init_sum`),
+    or none under `global_from_public_only`, and the client's row stays
+    unwritten until round 1 installs the global table. Under `disable_iei`
+    every client draws and keeps its own table. Clients then train locally,
+    in cohorts, and `eval_hook(round_index, clients)` may return RoundMetrics
+    (or None) for the round's record; `clients` is the store, and
+    `clients[u]` is client u. The hook reads the clean tables. The final
+    round's tables are never noised, because no server step reads them.
     """
     config.validate()
     n = dataset.num_users
@@ -164,13 +180,18 @@ def run_federation(
         raise ValueError(f"dataset has {n} users but tiers cover {tiers.is_public.size}")
     m = dataset.num_items
 
-    clients = ClientStore.empty(n, m, config.model)
-    for u in range(n):
-        init_client(config.model, m, None, seed=(config.seed, u), out=clients[u])
-
     # With distribution ablated the server consumes nothing, so skip the
     # graph and the aggregation work entirely.
     serving = not config.disable_iei
+    clients = ClientStore.empty(n, m, config.model)
+    for u in range(n):
+        init_client(config.model, m, None, seed=(config.seed, u), out=clients[u],
+                    draw_items=not serving or tiers.is_public[u])
+    num_private = n - tiers.num_public
+    private_sum = None
+    if serving and num_private and not config.global_from_public_only:
+        private_sum = private_init_sum(num_private, m, config.model, config.seed)
+
     graph: UserGraph | None = None
     if serving and not config.disable_ugc:
         graph = normalize(build_user_graph(dataset, tiers))
@@ -192,8 +213,10 @@ def run_federation(
                 tiers,
                 layers=config.gcn_layers,
                 global_from_public_only=config.global_from_public_only,
+                private_sum=private_sum,
                 out=store,
             )
+            private_sum = None  # round 1 only
             distribute(server, tiers, config.alpha, disable_upie=config.disable_upie)
 
         rngs = (derive_rng(config.seed, u, round_index, TRAIN_SALT) for u in range(n))

@@ -163,21 +163,32 @@ def server_update(
     *,
     layers: int = 1,
     global_from_public_only: bool = False,
+    private_sum: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> ServerState:
     """One aggregation step over the stacked uploaded item tables; smoothed
     over `graph` (in place with `out=uploads`), or passed through unsmoothed
-    when `graph` is None."""
+    when `graph` is None.
+
+    With `private_sum`, the non-sharing users' rows are not read: the global
+    table is (the sharing rows' sum + `private_sum`) / n. Non-sharing users
+    are identity rows of `graph`, so propagation does not read them either.
+    """
+    if global_from_public_only and tiers.num_public == 0:
+        raise ValueError("global_from_public_only needs at least one sharing user")
     if graph is None:
         propagated = uploads
     else:
         propagated = propagate(graph, uploads, layers=layers, out=out)
-    if global_from_public_only:
-        if tiers.num_public == 0:
-            raise ValueError("global_from_public_only needs at least one sharing user")
+    if global_from_public_only or private_sum is not None:
         # Sums the sharing rows in user order, as a loop accumulating them would.
         sharing = tiers.is_public.reshape((-1,) + (1,) * (propagated.ndim - 1))
-        global_table = propagated.sum(axis=0, where=sharing) / tiers.num_public
+        total = propagated.sum(axis=0, where=sharing)
+        if global_from_public_only:
+            global_table = total / tiers.num_public
+        else:
+            total += private_sum
+            global_table = total / propagated.shape[0]
     else:
         global_table = global_embedding(propagated)
     return ServerState(propagated=propagated, global_table=global_table)

@@ -176,11 +176,19 @@ class TrainReport:
 
 
 def init_client(
-    config: ModelConfig, num_items: int, tier: Tier | None, seed, out: ClientState | None = None
+    config: ModelConfig,
+    num_items: int,
+    tier: Tier | None,
+    seed,
+    out: ClientState | None = None,
+    *,
+    draw_items: bool = True,
 ) -> ClientState:
     """Draw a fresh client into `out`, a row of a ClientStore, and return it:
     Gaussian embeddings and MLP weights, zero biases. Without `out`, the
-    client is the one row of a new store.
+    client is the one row of a new store. With `draw_items` False the item
+    table is left as it is: the user vector keeps its draws, and the MLP's
+    follow it directly in the stream.
 
     `seed` may be an int or a tuple of ints. `tier` is not read: the client's
     privacy tier lives only in the PrivacyAssignment. The parameter stays
@@ -200,11 +208,14 @@ def init_client(
         mlp_scales = [np.sqrt(2.0 / fan_in) for fan_in in dims[:-1]]
     else:
         mlp_scales = [config.init_scale] * (len(dims) - 1)
+    scales = [config.init_scale, config.init_scale, *mlp_scales]
+    if not draw_items:
+        del arrays[1], scales[1]
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     rng = derive_rng(*parts, INIT_SALT)
     # In place, z * scale equals the scale * z + 0 that rng.normal(0, scale)
     # returns, bar the sign of a zero.
-    for array, scale in zip(arrays, [config.init_scale, config.init_scale, *mlp_scales]):
+    for array, scale in zip(arrays, scales):
         rng.standard_normal(out=array)
         array *= scale
     for b in out.biases:

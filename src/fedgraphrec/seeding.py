@@ -12,6 +12,8 @@ TRAIN_SALT = 303
 LDP_SALT = 404
 EVAL_NEG_SALT = 505
 SYNTH_SALT = 606
+# The server's one draw of the private users' round-1 item-table sum.
+PRIVATE_SUM_SALT = 707
 
 
 def derive_rng(*parts: int) -> np.random.Generator:

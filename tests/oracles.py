@@ -92,13 +92,14 @@ def init_store(config, num_items, n, seed):
     return store
 
 
-def reference_init(config, num_items, seed):
+def reference_init(config, num_items, seed, draw_items=True):
     """(user vector, item table, weights, biases) of a fresh client, drawn
-    as first written: one `rng.normal(0, scale, size)` per array, in order."""
+    as first written: one `rng.normal(0, scale, size)` per array, in order.
+    Without `draw_items` the item table is None and is not drawn."""
     rng = derive_rng(*(tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)), INIT_SALT)
     d = config.embed_dim
     user_vec = rng.normal(0.0, config.init_scale, size=d)
-    item_table = rng.normal(0.0, config.init_scale, size=(num_items, d))
+    item_table = rng.normal(0.0, config.init_scale, size=(num_items, d)) if draw_items else None
     dims = [2 * d, *config.mlp_hidden, 1]
     weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

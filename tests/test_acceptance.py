@@ -176,7 +176,7 @@ def test_04_sharing_ratio_tendency(tmp_path):
             dataset=str(data), public_ratio=ratio, alpha=0.7, lr=0.01,
             rounds=60, local_epochs=4, reps=3, eval_negatives=50, k=10,
             eval_every=5, seed=11, out=str(tmp_path / "runs"),
-            label=f"ratio-{ratio:g}",
+            label=f"ratio-{ratio:g}", workers=2,
         )
         config.validate()
         means[ratio] = execute_run(config).hr_best_mean

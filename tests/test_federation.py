@@ -12,11 +12,12 @@ from fedgraphrec.federation import (
     FederationConfig,
     add_ldp_noise,
     distribute,
+    private_init_sum,
     run_federation,
 )
 from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate, server_update
 from fedgraphrec.model import ModelConfig, TrainingError, train_clients
-from fedgraphrec.seeding import LDP_SALT, TRAIN_SALT, derive_rng
+from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng
 from oracles import dataset_from_train_sets, init_store, tiers_from_mask
 
 
@@ -43,8 +44,28 @@ def small_world(n=6, m=14, mask=None):
 
 
 def init_tables(config, ds):
-    """Recompute every client's initial item table the way the loop does."""
+    """Every client's full initial item table, as init_client draws it; the
+    loop draws only the sharing clients' (and every client's under
+    disable_iei)."""
     return init_store(config.model, ds.num_items, ds.num_users, config.seed).item_tables
+
+
+def drawn_private_sum(config, ds, tiers):
+    """The server's one draw of the non-sharing users' initial table sum."""
+    num_private = int((~tiers.is_public).sum())
+    rng = derive_rng(config.seed, PRIVATE_SUM_SALT)
+    scale = config.model.init_scale * np.sqrt(num_private)
+    return rng.standard_normal((ds.num_items, config.model.embed_dim)) * scale
+
+
+def first_global(config, ds, tiers, smoothed):
+    """Round 1's global table: the sharing users' smoothed initial tables
+    added in user order, plus the drawn private sum, over n."""
+    total = np.zeros(smoothed.shape[1:])
+    for u in np.flatnonzero(tiers.is_public):
+        total += smoothed[u]
+    total += drawn_private_sum(config, ds, tiers)
+    return total / ds.num_users
 
 
 # --- distribute -----------------------------------------------------------------
@@ -83,16 +104,21 @@ def test_distribute_blends_by_tier():
 
 
 def test_all_private_round_is_plain_averaging():
-    # with no sharing users the served table must be the mean of the uploads,
-    # and a zero learning rate freezes the system at that average
+    # With no sharing users round 1 serves the drawn private sum over n, the
+    # mean of the tables it stands for, and a zero learning rate freezes the
+    # system at that average.
     ds, _ = small_world()
     tiers = tiers_from_mask([False] * 6)
     config = FederationConfig(rounds=2, alpha=0.3, model=small_model(learning_rate=0.0), seed=4)
-    inits = init_tables(config, ds)
-    run = run_federation(ds, tiers, config, eval_hook=_capture(clients_out := []))
-    expected = inits.mean(axis=0)
-    for client in clients_out[-1]:
-        np.testing.assert_allclose(client.item_table, expected, atol=1e-12)
+    served = []
+    run = run_federation(
+        ds, tiers, config, eval_hook=lambda r, clients: served.append(clients.item_tables.copy())
+    )
+    expected = drawn_private_sum(config, ds, tiers) / 6
+    for table in served[0]:
+        np.testing.assert_array_equal(table, expected)
+    for table in served[-1]:
+        np.testing.assert_allclose(table, expected, atol=1e-12)
     assert [r.round_index for r in run] == [1, 2]
 
 
@@ -106,13 +132,13 @@ def _capture(sink):
 
 def test_first_round_serves_blend_of_initial_tables():
     # zero learning rate: after round 1 each client holds exactly what the
-    # server pipeline produces from the initial tables
+    # server pipeline produces from the sharing users' initial tables and
+    # the drawn private sum
     ds, tiers = small_world()
     config = FederationConfig(rounds=1, alpha=0.4, model=small_model(learning_rate=0.0), seed=9)
-    inits = init_tables(config, ds)
-
-    graph = normalize(build_user_graph(ds, tiers))
-    expected = distribute(server_update(graph, inits, tiers, layers=1), tiers, 0.4)
+    smoothed = propagate(normalize(build_user_graph(ds, tiers)), init_tables(config, ds))
+    server = ServerState(smoothed, first_global(config, ds, tiers, smoothed))
+    expected = distribute(server, tiers, 0.4)
 
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
@@ -126,7 +152,7 @@ def test_smoothing_ablation_blends_raw_uploads():
         rounds=1, alpha=0.4, disable_ugc=True, model=small_model(learning_rate=0.0), seed=9
     )
     inits = init_tables(config, ds)
-    expected = distribute(server_update(None, inits, tiers), tiers, 0.4)
+    expected = distribute(ServerState(inits, first_global(config, ds, tiers, inits)), tiers, 0.4)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
     for u, client in enumerate(sink[-1]):
@@ -146,13 +172,13 @@ def test_distribution_ablation_leaves_tables_local():
 
 
 def test_personalization_ablation_serves_identical_tables():
-    # Every client holds the mean of the smoothed initial tables.
+    # Every client holds round 1's global table.
     ds, tiers = small_world()
     config = FederationConfig(
         rounds=1, disable_upie=True, model=small_model(learning_rate=0.0), seed=9
     )
-    inits = init_tables(config, ds)
-    expected = propagate(normalize(build_user_graph(ds, tiers)), inits).mean(axis=0)
+    smoothed = propagate(normalize(build_user_graph(ds, tiers)), init_tables(config, ds))
+    expected = first_global(config, ds, tiers, smoothed)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
     for client in sink[-1]:
@@ -174,6 +200,130 @@ def test_global_from_public_only_variant():
     # sharing users' smoothed tables
     for client in sink[-1]:
         np.testing.assert_array_equal(client.item_table, server.global_table)
+
+
+# --- initial draws ----------------------------------------------------------------
+
+
+def _store_at_first(monkeypatch, name):
+    """Copies of the run's store as it stands when federation.<name> is first
+    called: (user vectors, item tables, weights, biases)."""
+    stores, snapshots = [], []
+    empty = mdl.ClientStore.empty
+
+    def recording_empty(*args):
+        stores.append(empty(*args))
+        return stores[-1]
+
+    monkeypatch.setattr(mdl.ClientStore, "empty", staticmethod(recording_empty))
+    inner = getattr(federation, name)
+
+    def snapshot(*args, **kwargs):
+        if not snapshots:
+            store = stores[-1]
+            snapshots.append((
+                store.user_vecs.copy(),
+                store.item_tables.copy(),
+                [W.copy() for W in store.weights],
+                [b.copy() for b in store.biases],
+            ))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(federation, name, snapshot)
+    return snapshots
+
+
+def _run_outputs(ds, tiers, config):
+    """Each round's loss and metrics, and the final store's arrays."""
+    negatives = np.tile(np.arange(9, 12), (ds.num_users, 1))
+    sink = []
+
+    def hook(round_index, clients):
+        sink.append(clients)
+        return evaluate_round(clients, ds, negatives, tiers, k=2)
+
+    records = run_federation(ds, tiers, config, eval_hook=hook)
+    store = sink[-1]
+    rounds = [
+        (r.mean_train_loss, r.metrics.hr, r.metrics.ndcg, r.metrics.per_user_rank.tolist())
+        for r in records
+    ]
+    return rounds, [store.user_vecs, store.item_tables, *store.weights, *store.biases]
+
+
+@pytest.mark.parametrize("switch", [
+    {}, {"disable_ugc": True}, {"disable_upie": True}, {"disable_iei": True},
+    {"global_from_public_only": True}, {"gcn_layers": 2}, {"share": False},
+])
+def test_private_rows_are_not_read_before_round_one_installs(monkeypatch, switch):
+    # NaN in every unwritten item row: a read before round 1's install
+    # would reach the losses, the metrics or the final store.
+    switch = dict(switch)
+    mask = None if switch.pop("share", True) else [False] * 6
+    ds, tiers = small_world(mask=mask)
+    config = FederationConfig(rounds=2, ldp_scale=0.1, model=small_model(), seed=5, **switch)
+    clean = _run_outputs(ds, tiers, config)
+    empty = mdl.ClientStore.empty
+
+    def nan_empty(n, num_items, model_config):
+        store = empty(n, num_items, model_config)
+        store.item_tables.fill(np.nan)
+        return store
+
+    monkeypatch.setattr(mdl.ClientStore, "empty", staticmethod(nan_empty))
+    rounds, arrays = _run_outputs(ds, tiers, config)
+    assert rounds == clean[0]
+    for got, want in zip(arrays, clean[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_private_sum_has_the_moments_of_a_sum_of_tables():
+    # Over many seeds, N(0, s^2 * n_priv) entrywise: the mean and the
+    # variance each lie within 5 standard errors.
+    config = small_model(embed_dim=4, init_scale=0.05)
+    num_private = 7
+    draws = np.stack([private_init_sum(num_private, 50, config, seed) for seed in range(200)])
+    variance = num_private * config.init_scale**2
+    count = draws.size
+    assert abs(draws.mean()) < 5.0 * np.sqrt(variance / count)
+    assert abs(draws.var() - variance) < 5.0 * variance * np.sqrt(2.0 / count)
+    np.testing.assert_array_equal(draws[3], private_init_sum(num_private, 50, config, 3))
+
+
+def test_clients_start_from_init_client_draws(monkeypatch):
+    # Sharing clients hold init_client's full state at the first server
+    # step; non-sharing clients hold its user vector (their MLP draws
+    # follow the user vector's, and they draw no item table).
+    ds, tiers = small_world()
+    config = FederationConfig(rounds=1, model=small_model(), seed=7)
+    snapshots = _store_at_first(monkeypatch, "server_update")
+    run_federation(ds, tiers, config)
+    user_vecs, tables, weights, biases = snapshots[0]
+    full = init_store(config.model, ds.num_items, ds.num_users, config.seed)
+    for u in range(ds.num_users):
+        np.testing.assert_array_equal(user_vecs[u], full.user_vecs[u])
+        if tiers.is_public[u]:
+            np.testing.assert_array_equal(tables[u], full.item_tables[u])
+            for got, want in zip([*weights, *biases], [*full.weights, *full.biases]):
+                np.testing.assert_array_equal(got[u], want[u])
+
+
+@pytest.mark.parametrize(
+    "disable_iei, first_call", [(True, "train_clients"), (False, "server_update")]
+)
+def test_full_draws_match_init_store(monkeypatch, disable_iei, first_call):
+    # Under disable_iei, and with every user sharing, every client draws
+    # exactly what init_store draws.
+    ds, tiers = small_world(mask=None if disable_iei else [True] * 6)
+    config = FederationConfig(rounds=1, disable_iei=disable_iei, model=small_model(), seed=7)
+    snapshots = _store_at_first(monkeypatch, first_call)
+    run_federation(ds, tiers, config)
+    full = init_store(config.model, ds.num_items, ds.num_users, config.seed)
+    user_vecs, tables, weights, biases = snapshots[0]
+    np.testing.assert_array_equal(user_vecs, full.user_vecs)
+    np.testing.assert_array_equal(tables, full.item_tables)
+    for got, want in zip([*weights, *biases], [*full.weights, *full.biases]):
+        np.testing.assert_array_equal(got, want)
 
 
 # --- determinism and bookkeeping --------------------------------------------------

@@ -107,6 +107,20 @@ def test_init_matches_reference_draws(overrides, num_items):
             assert np.array_equal(mine, theirs)
 
 
+@pytest.mark.parametrize("mlp_init", ["he", "gaussian"])
+def test_init_without_items_leaves_the_table_and_draws_the_rest(mlp_init):
+    # The user vector keeps its draws; the MLP's follow it in the stream.
+    config = ModelConfig(embed_dim=5, mlp_hidden=(7, 3), init_scale=0.3, mlp_init=mlp_init)
+    store = mdl.ClientStore.empty(1, 40, config)
+    store.item_tables.fill(np.nan)
+    state = init_client(config, 40, None, seed=(4, 9), out=store[0], draw_items=False)
+    user_vec, item_table, weights, biases = reference_init(config, 40, (4, 9), draw_items=False)
+    assert item_table is None and np.isnan(state.item_table).all()
+    assert np.array_equal(state.user_vec, user_vec)
+    for mine, theirs in zip(state.weights + state.biases, weights + biases, strict=True):
+        assert np.array_equal(mine, theirs)
+
+
 def test_init_into_store_row_draws_in_place():
     # Store row 1 is redrawn in place, biases included; its neighbours keep
     # their bytes, and the draw allocates no table-sized temporary.
