@@ -1,6 +1,7 @@
-"""Golden traces: four seconds-long `fedgraphrec run`s on the bundled file
-must write exactly the committed `rounds.csv` (bar `wall_time`) and
-`summary.csv`.
+"""Golden traces: seconds-long `fedgraphrec run`s must write exactly the
+committed `rounds.csv` (bar `wall_time`) and `summary.csv`. Six run on the
+bundled file; `synth-2hop` runs on a small `gen-synth` world that the trace
+writes itself.
 
 A change that moves any cell must declare why (summation order, dtype or
 sampler) and show the old and new values. Regenerate the traces with
@@ -17,22 +18,37 @@ from fedgraphrec import cli
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
-BASE = [
-    "run", "--dataset", str(REPO / "data" / "synthetic-50.tsv"), "--eval-negatives", "49",
-    "--rounds", "4", "--reps", "2", "--lr", "0.01", "--seed", "1",
-]
+BUNDLED = str(REPO / "data" / "synthetic-50.tsv")
+BASE = ["run", "--eval-negatives", "49", "--rounds", "4", "--reps", "2", "--lr", "0.01", "--seed", "1"]
 TRACES = {
     "p50": ["--public-ratio", "0.5"],
     "p100-ldp": ["--public-ratio", "1.0", "--ldp-delta", "0.01"],
     "ablate-iei": ["--public-ratio", "0.5", "--ablate-iei"],
+    "ablate-ugc": ["--public-ratio", "0.5", "--ablate-ugc"],
+    "ablate-upie": ["--public-ratio", "0.5", "--ablate-upie"],
     "public-only": ["--public-ratio", "0.5", "--global-from-public-only"],
+    "synth-2hop": [
+        "--public-ratio", "0.5", "--layers", "2", "--clip-norm", "0.5",
+        "--batch-size", "16", "--local-epochs", "2",
+    ],
+}
+# traces on a generated world: the `gen-synth` flags that write it
+WORLDS = {
+    "synth-2hop": [
+        "--users", "60", "--items", "150", "--per-user", "15", "--clusters", "4", "--seed", "3",
+    ],
 }
 
 
 def run_trace(name: str, out: Path) -> dict[str, str]:
     """The trace files of one run, by path relative to the golden directory,
     with `wall_time` dropped from every `rounds.csv`."""
-    assert cli.main([*BASE, *TRACES[name], "--out", str(out), "--label", name]) == 0
+    dataset = BUNDLED
+    if name in WORLDS:
+        dataset = str(out / f"{name}.tsv")
+        assert cli.main(["gen-synth", *WORLDS[name], "--out", dataset]) == 0
+    argv = [*BASE, "--dataset", dataset, *TRACES[name], "--out", str(out), "--label", name]
+    assert cli.main(argv) == 0
     run_dir = out / name
     files = {"summary.csv": (run_dir / "summary.csv").read_text()}
     for rounds in sorted(run_dir.glob("rep*/rounds.csv")):
