@@ -9,7 +9,6 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,41 +44,23 @@ class Tier(Enum):
     PRIVATE = "private"
 
 
-class RawInteraction(NamedTuple):
-    user: str
-    item: str
-    rating: float
-    timestamp: int | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class Interactions:
     """A deduplicated interaction log as arrays, one entry per record in file order.
 
     ``users`` and ``items`` are int64 codes into ``user_tokens`` and
     ``item_tokens``, which list the tokens in order of first appearance in
-    the file. ``timestamps`` is int64 and holds 0 where ``stamped`` is False.
-    Indexing gives a record back as a RawInteraction.
+    the file. ``timestamps`` is int64 and holds 0 where the record has none.
     """
 
     user_tokens: list[str]
     item_tokens: list[str]
     users: np.ndarray
     items: np.ndarray
-    ratings: np.ndarray
     timestamps: np.ndarray
-    stamped: np.ndarray
 
     def __len__(self) -> int:
         return int(self.users.size)
-
-    def __getitem__(self, row: int) -> RawInteraction:
-        return RawInteraction(
-            user=self.user_tokens[self.users[row]],
-            item=self.item_tokens[self.items[row]],
-            rating=float(self.ratings[row]),
-            timestamp=int(self.timestamps[row]) if self.stamped[row] else None,
-        )
 
 
 def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> Interactions:
@@ -100,15 +81,11 @@ def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> Interac
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
     users, items, stamps = array("q"), array("q"), array("q")
-    ratings = array("d")
-    stamped = bytearray()
     for line_no, fields in _rows(path, file_format):
-        user, item, rating, timestamp = _parse_fields(path, line_no, fields)
+        user, item, timestamp = _parse_fields(path, line_no, fields)
         users.append(user_code.setdefault(user, len(user_code)))
         items.append(item_code.setdefault(item, len(item_code)))
-        ratings.append(rating)
-        stamps.append(timestamp or 0)
-        stamped.append(timestamp is not None)
+        stamps.append(timestamp)
     if not users:
         raise DataFormatError(f"{path}: no interaction records")
     users, items, stamps = (np.frombuffer(a, dtype=np.int64) for a in (users, items, stamps))
@@ -124,9 +101,7 @@ def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> Interac
         item_tokens=list(item_code),
         users=users[keep],
         items=items[keep],
-        ratings=np.frombuffer(ratings, dtype=np.float64)[keep],
         timestamps=stamps[keep],
-        stamped=np.frombuffer(stamped, dtype=bool)[keep],
     )
 
 
@@ -148,7 +123,10 @@ def _rows(path: Path, file_format: FileFormat):
                 yield line_no, line.split(sep)
 
 
-def _parse_fields(path: Path, line_no: int, fields: list[str]) -> tuple[str, str, float, int | None]:
+def _parse_fields(path: Path, line_no: int, fields: list[str]) -> tuple[str, str, int]:
+    """(user, item, timestamp) of one line, a missing timestamp read as 0.
+    The rating is checked to be a number and then dropped: every record
+    counts as a positive whatever its rating."""
     if len(fields) not in (3, 4):
         raise DataFormatError(
             f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
@@ -157,10 +135,10 @@ def _parse_fields(path: Path, line_no: int, fields: list[str]) -> tuple[str, str
     if not user or not item:
         raise DataFormatError(f"{path}:{line_no}: empty user or item token")
     try:
-        rating = float(rating_text)
+        float(rating_text)
     except ValueError:
         raise DataFormatError(f"{path}:{line_no}: bad rating {rating_text!r}") from None
-    timestamp = None
+    timestamp = 0
     if len(fields) == 4 and fields[3].strip():
         try:
             timestamp = int(fields[3].strip())
@@ -172,7 +150,7 @@ def _parse_fields(path: Path, line_no: int, fields: list[str]) -> tuple[str, str
             raise DataFormatError(
                 f"{path}:{line_no}: timestamp {timestamp} does not fit in 64 bits"
             )
-    return user, item, rating, timestamp
+    return user, item, timestamp
 
 
 @dataclass(eq=False)
@@ -312,8 +290,6 @@ class PrivacyAssignment:
     """Which users share their interactions and uploads with the server."""
 
     is_public: np.ndarray
-    public_ratio: float
-    seed: int
 
     def tier(self, user: int) -> Tier:
         return Tier.PUBLIC if self.is_public[user] else Tier.PRIVATE
@@ -350,4 +326,4 @@ def assign_privacy(num_users: int, public_ratio: float, seed: int) -> PrivacyAss
     rng = derive_rng(seed, TIER_SALT)
     is_public = np.zeros(num_users, dtype=bool)
     is_public[rng.permutation(num_users)[:count]] = True
-    return PrivacyAssignment(is_public=is_public, public_ratio=public_ratio, seed=seed)
+    return PrivacyAssignment(is_public=is_public)

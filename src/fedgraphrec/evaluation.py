@@ -30,7 +30,6 @@ class RoundMetrics:
 
     hr: float
     ndcg: float
-    k: int
     per_tier: dict
     per_user_rank: np.ndarray | None = None
     validation: RoundMetrics | None = None
@@ -101,7 +100,7 @@ def evaluate_user(
     return (*_hit(rank, k), rank)
 
 
-def _summarize(hrs, ndcgs, ranks, tiers, k, validation=None) -> RoundMetrics:
+def _summarize(hrs, ndcgs, ranks, tiers, validation=None) -> RoundMetrics:
     per_tier = {}
     for tier, mask in ((Tier.PUBLIC, tiers.is_public), (Tier.PRIVATE, ~tiers.is_public)):
         count = int(mask.sum())
@@ -115,7 +114,6 @@ def _summarize(hrs, ndcgs, ranks, tiers, k, validation=None) -> RoundMetrics:
     return RoundMetrics(
         hr=float(hrs.mean()),
         ndcg=float(ndcgs.mean()),
-        k=k,
         per_tier=per_tier,
         per_user_rank=ranks,
         validation=validation,
@@ -152,5 +150,5 @@ def evaluate_round(
     hrs = hits.astype(np.float64)
     ndcgs = np.where(hits, gains[np.minimum(ranks, k) - 1], 0.0)
 
-    validation = _summarize(hrs[1], ndcgs[1], ranks[1], tiers, k)
-    return _summarize(hrs[0], ndcgs[0], ranks[0], tiers, k, validation)
+    validation = _summarize(hrs[1], ndcgs[1], ranks[1], tiers)
+    return _summarize(hrs[0], ndcgs[0], ranks[0], tiers, validation)

@@ -18,26 +18,37 @@ from fedgraphrec.seeding import INIT_SALT, derive_rng
 
 
 def reference_load_split(lines):
-    """Records and leave-one-out split of a log, from its data lines in file
-    order: (user, item, rating, timestamp or None) each, tokens stripped.
+    """Loaded log and leave-one-out split of a log, from its data lines in file
+    order: (user, item, rating, timestamp or None) each, tokens stripped. The
+    rating is never read: every record counts as a positive.
 
-    Returns (records, split): records as (user, item, rating, timestamp)
-    tuples, and a dict of the InteractionDataset fields, train as lists.
+    Returns (log, split): a dict of the Interactions fields, tokens coded by
+    first appearance in the file and arrays as lists, and a dict of the
+    InteractionDataset fields, train as lists.
     """
     # per (user, item), the record with the largest (timestamp or 0, line)
     best = {}
-    for line, (user, item, rating, ts) in enumerate(lines):
+    for line, (user, item, _rating, ts) in enumerate(lines):
         rank = (0 if ts is None else ts, line)
         if (user, item) not in best or rank > best[(user, item)][0]:
-            best[(user, item)] = (rank, (user, item, float(rating), ts))
+            best[(user, item)] = (rank, (user, item))
     kept = sorted(best.values(), key=lambda entry: entry[0][1])  # line order
     records = [rec for _rank, rec in kept]
+    file_users = list(dict.fromkeys(user for user, *_rest in lines))
+    file_items = list(dict.fromkeys(item for _user, item, *_rest in lines))
+    log = dict(
+        user_tokens=file_users,
+        item_tokens=file_items,
+        users=[file_users.index(user) for user, _item in records],
+        items=[file_items.index(item) for _user, item in records],
+        timestamps=[ts for (ts, _line), _rec in kept],
+    )
 
     counts = {}
     for user, *_rest in records:
         counts[user] = counts.get(user, 0) + 1
     user_tokens, item_tokens = [], []
-    for user, item, _rating, _ts in records:
+    for user, item in records:
         if counts[user] >= 3:
             if user not in user_tokens:
                 user_tokens.append(user)
@@ -62,7 +73,7 @@ def reference_load_split(lines):
         dropped_users=len(dropped),
         dropped_interactions=sum(counts[user] for user in dropped),
     )
-    return records, split
+    return log, split
 
 
 def reference_negative_pool(dataset, user):
@@ -466,9 +477,7 @@ def dataset_from_train_sets(train_sets, num_items):
 
 def tiers_from_mask(mask):
     mask = np.asarray(mask, dtype=bool)
-    return PrivacyAssignment(
-        is_public=mask, public_ratio=float(mask.mean()), seed=0
-    )
+    return PrivacyAssignment(is_public=mask)
 
 
 def random_graph_instance(rng, max_users=8, max_items=12):

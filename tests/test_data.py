@@ -27,21 +27,33 @@ def write(tmp_path, name, text):
 # --- load_interactions -------------------------------------------------------
 
 
+def log_fields(log):
+    """The loaded log's token lists, and its codes and timestamps as lists."""
+    return dict(
+        user_tokens=log.user_tokens,
+        item_tokens=log.item_tokens,
+        users=log.users.tolist(),
+        items=log.items.tolist(),
+        timestamps=log.timestamps.tolist(),
+    )
+
+
 def test_load_tsv_basic(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu2\ti1\t3\t200\nu1\ti2\t4\t150\n")
-    records = load_interactions(path, FileFormat.TAB)
-    assert [(r.user, r.item, r.rating, r.timestamp) for r in records] == [
-        ("u1", "i1", 5.0, 100),
-        ("u2", "i1", 3.0, 200),
-        ("u1", "i2", 4.0, 150),
-    ]
+    assert log_fields(load_interactions(path, FileFormat.TAB)) == dict(
+        user_tokens=["u1", "u2"],
+        item_tokens=["i1", "i2"],
+        users=[0, 1, 0],
+        items=[0, 0, 1],
+        timestamps=[100, 200, 150],
+    )
 
 
 def test_load_double_colon(tmp_path):
     path = write(tmp_path, "a.dat", "1::10::5::978300760\n2::10::3::978302109\n")
-    records = load_interactions(path, FileFormat.DOUBLE_COLON)
-    assert records[0].user == "1" and records[0].item == "10"
-    assert records[1].timestamp == 978302109
+    log = log_fields(load_interactions(path, FileFormat.DOUBLE_COLON))
+    assert log["user_tokens"] == ["1", "2"] and log["item_tokens"] == ["10"]
+    assert log["timestamps"] == [978300760, 978302109]
 
 
 def test_load_csv_skips_header_and_handles_quotes(tmp_path):
@@ -50,14 +62,14 @@ def test_load_csv_skips_header_and_handles_quotes(tmp_path):
         "a.csv",
         'user,item,rating,timestamp\nu1,"i,1",5,7\nu2,i2,3,9\n',
     )
-    records = load_interactions(path, FileFormat.CSV)
-    assert [r.item for r in records] == ["i,1", "i2"]
+    log = log_fields(load_interactions(path, FileFormat.CSV))
+    assert log["item_tokens"] == ["i,1", "i2"] and log["items"] == [0, 1]
 
 
 def test_load_without_timestamps(tmp_path):
+    # a missing timestamp counts as 0
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu1\ti2\t4\n")
-    records = load_interactions(path, FileFormat.TAB)
-    assert all(r.timestamp is None for r in records)
+    assert load_interactions(path, FileFormat.TAB).timestamps.tolist() == [0, 0]
 
 
 def test_load_rejects_wrong_field_count(tmp_path):
@@ -93,25 +105,24 @@ def test_load_rejects_empty_file(tmp_path):
 def test_duplicate_keeps_larger_timestamp(tmp_path):
     # the later-timestamp record wins even when it appears first in the file
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t900\nu2\ti9\t1\t5\nu1\ti1\t2\t100\n")
-    records = load_interactions(path, FileFormat.TAB)
-    assert len(records) == 2
-    dup = [r for r in records if r.user == "u1"][0]
-    assert dup.rating == 5.0 and dup.timestamp == 900
-    # surviving records keep file order: u1 line came before u2 line
-    assert [r.user for r in records] == ["u1", "u2"]
+    log = log_fields(load_interactions(path, FileFormat.TAB))
+    # surviving records keep file order: the u1 line came before the u2 line
+    assert log["users"] == [0, 1] and log["items"] == [0, 1]
+    assert log["timestamps"] == [900, 5]
 
 
+# A tie's winner shows in the order of the surviving records: the record
+# between the two duplicates comes first exactly when the later line wins.
 def test_duplicate_timestamp_tie_keeps_later_line(tmp_path):
-    path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu1\ti1\t2\t100\n")
-    records = load_interactions(path, FileFormat.TAB)
-    assert len(records) == 1
-    assert records[0].rating == 2.0
+    path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu2\ti2\t3\t100\nu1\ti1\t2\t100\n")
+    log = log_fields(load_interactions(path, FileFormat.TAB))
+    assert log["users"] == [1, 0] and log["items"] == [1, 0]
 
 
 def test_duplicate_without_timestamps_keeps_later_line(tmp_path):
-    path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu1\ti1\t1\n")
-    records = load_interactions(path, FileFormat.TAB)
-    assert len(records) == 1 and records[0].rating == 1.0
+    path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu2\ti2\t3\nu1\ti1\t1\n")
+    log = log_fields(load_interactions(path, FileFormat.TAB))
+    assert log["users"] == [1, 0] and log["items"] == [1, 0]
 
 
 def test_blank_lines_are_skipped(tmp_path):
@@ -178,13 +189,13 @@ def write_layouts(tmp_path, rows, rng):
 def test_load_and_split_match_reference_in_every_layout(tmp_path, seed):
     rng = np.random.default_rng(seed)
     rows = random_log(rng)
-    expected_records, expected = reference_load_split(rows)
+    expected_log, expected = reference_load_split(rows)
     assert expected["dropped_users"] >= 1
     for fmt, path in write_layouts(tmp_path, rows, rng).items():
-        records = load_interactions(path, fmt)
-        assert [(r.user, r.item, r.rating, r.timestamp) for r in records] == expected_records
-        assert records.timestamps.dtype == np.int64
-        ds = leave_one_out_split(records)
+        log = load_interactions(path, fmt)
+        assert log_fields(log) == expected_log, fmt
+        assert all(a.dtype == np.int64 for a in (log.users, log.items, log.timestamps))
+        ds = leave_one_out_split(log)
         got = {name: getattr(ds, name) for name in expected}
         got["train"] = [arr.tolist() for arr in ds.train]
         assert got == expected, fmt

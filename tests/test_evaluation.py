@@ -205,7 +205,6 @@ def test_round_hand_average():
     metrics = evaluate_round(clients, ds, negs, tiers, k=10)
     assert metrics.hr == pytest.approx(0.5, abs=1e-15)
     assert metrics.ndcg == pytest.approx(0.5, abs=1e-15)
-    assert metrics.k == 10
     assert list(metrics.per_user_rank) == [1, 11]
     assert metrics.per_tier[Tier.PUBLIC].hr == 1.0
     assert metrics.per_tier[Tier.PRIVATE].hr == 0.0

@@ -837,6 +837,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["inspect-graph", "--dataset", BUNDLED, "--public-ratio", "1.5",
                      "--out", str(tmp_path / "out")]) == 1
     assert "config error: public_ratio must be in [0, 1], got 1.5" in capsys.readouterr().err
+    # a --config path that is a directory, or a file that is not UTF-8, is a
+    # config error that names the path
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"rounds = 2\n\xff\n")
+    for bad in (tmp_path, binary):
+        assert cli.main(["run", "--config", str(bad), "--dataset", BUNDLED,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err
+    binary.unlink()
     assert not list(tmp_path.iterdir())
     # a user who rated every item leaves nothing to draw negatives from,
     # whatever the negative counts
