@@ -17,33 +17,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _flag_type(parse):
-    """argparse type from a field parser; its ConfigError message is the
-    usage error."""
-
-    def convert(text):
-        try:
-            return parse(text)
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    convert.__name__ = parse.__name__  # argparse names it in "invalid int value"
-    return convert
-
-
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by run/sweep/ablate, one per ExperimentConfig field; None
-    means 'not set on the command line'."""
+    means 'not set on the command line'. A value flag keeps its text, which
+    `build_config` parses as the field's value."""
     parser.add_argument("--config", help="flat key = value config file")
     for f in experiments.CONFIG_FIELDS.values():
         flag = "--" + f.name.replace("_", "-")
         if isinstance(f.default, bool):
             parser.add_argument(flag, action="store_const", const=True, help=f.metadata["help"])
         else:
-            parser.add_argument(
-                flag, type=_flag_type(experiments.field_parser(f.name)),
-                choices=f.metadata.get("choices"), help=f.metadata["help"],
-            )
+            parser.add_argument(flag, choices=f.metadata.get("choices"), help=f.metadata["help"])
 
 
 def _config_from_args(args) -> experiments.ExperimentConfig:

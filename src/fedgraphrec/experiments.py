@@ -104,10 +104,7 @@ def resolve_seed(seed: int | None = None, env=None) -> int:
     """`seed` when set, else the FEDREC_SEED environment variable, else 0."""
     env = os.environ if env is None else env
     if seed is None and env.get("FEDREC_SEED"):
-        try:
-            seed = int(env["FEDREC_SEED"])
-        except ValueError:
-            raise ConfigError(f"FEDREC_SEED must be an integer, got {env['FEDREC_SEED']!r}") from None
+        seed = parse_value("seed", env["FEDREC_SEED"], "FEDREC_SEED")
     seed = 0 if seed is None else seed
     if seed < 0:
         raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {seed}")
@@ -261,10 +258,15 @@ class ExperimentConfig:
 CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
-def field_parser(name: str):
-    """Text -> value for one config field."""
+def parse_value(name: str, text: str, source: str):
+    """Text -> value of config field `name`, for every input channel: a flag,
+    a config-file line, a sweep value or FEDREC_SEED. Text that does not parse
+    is a ConfigError that names `source` and the field."""
     f = CONFIG_FIELDS[name]
-    return f.metadata.get("parse", type(f.default))
+    try:
+        return f.metadata.get("parse", type(f.default))(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: bad value for {name}: {exc}") from None
 
 
 def load_config_file(path) -> dict:
@@ -291,22 +293,20 @@ def load_config_file(path) -> dict:
         raw = raw.strip()
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-        try:
-            overrides[key] = field_parser(key)(raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+        overrides[key] = parse_value(key, raw, f"{path}:{line_no}")
     return overrides
 
 
 def build_config(file_path=None, overrides=None, env=None) -> ExperimentConfig:
     """Defaults <- config file <- explicit overrides; FEDREC_SEED fills in a
-    seed when neither file nor overrides set one."""
+    seed when neither file nor overrides set one. An override given as text
+    is the flag `--<name>` and parses as one; other values pass as they are."""
     values = {} if file_path is None else load_config_file(file_path)
     for key, value in (overrides or {}).items():
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(value, str):
+            value = parse_value(key, value, "--" + key.replace("_", "-"))
         if value is not None:
             values[key] = value
     values["seed"] = resolve_seed(values.get("seed"), env)
@@ -459,9 +459,14 @@ def select_learning_rate(
 
 @contextmanager
 def _atomic(path: Path):
-    """A temporary path that replaces `path` when the block ends without error."""
+    """A temporary path that replaces `path` when the block ends without error;
+    on an error it is removed and `path` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    yield tmp
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -612,8 +617,10 @@ def execute_run(
 
     lr = config.lr
     results = []
-    pooled = lr == "grid" or config.reps > 1  # more than one repetition to run
-    with _pool(config.workers if pooled else 1) as pool:
+    # No more processes than repetitions can run at once: the grid's
+    # candidates together, then the repetitions after the winner.
+    at_once = max(len(GRID_LEARNING_RATES), config.reps - 1) if lr == "grid" else config.reps
+    with _pool(min(config.workers, at_once)) as pool:
         if lr == "grid":
             winner, grid_rows = select_learning_rate(config, dataset, pool)
             lr = winner.learning_rate
@@ -665,19 +672,11 @@ def _cell_metric_cells(summary: RunSummary | None) -> list[str]:
 def parse_axis_values(axis: str, text: str) -> list:
     if axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {axis!r} (choices: {', '.join(SWEEP_AXES)})")
-    parse = field_parser(_AXIS_FIELDS[axis])
-    values = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            value = parse(part)
-            if isinstance(value, str):  # "grid" is a learning rate, not an axis value
-                raise ValueError(part)
-        except ValueError:
-            raise ConfigError(f"bad value {part!r} for axis {axis}") from None
-        values.append(value)
+    name = _AXIS_FIELDS[axis]
+    parts = [part.strip() for part in str(text).split(",")]
+    values = [parse_value(name, part, f"axis {axis}") for part in parts if part]
+    if "grid" in values:  # selects a learning rate; it is not one
+        raise ConfigError(f"axis {axis}: bad value for {name}: 'grid' is not a number")
     if not values:
         raise ConfigError(f"no values given for axis {axis}")
     return values

@@ -294,18 +294,8 @@ def _cohort_step(
     clip_norm: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One mini-batch update of every parameter of clients `rows`, client c on
-    its batch items[c], labels[c] (C, B). Runs in chunks of
-    `clients_per_chunk(B)` clients. Returns per-client (summed loss, grad
-    norm after clipping)."""
-    per = clients_per_chunk(items.shape[1])
-    if rows.size > per:
-        parts = [
-            _cohort_step(store, rows[i : i + per], items[i : i + per], labels[i : i + per],
-                         learning_rate, clip_norm)
-            for i in range(0, rows.size, per)
-        ]
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-
+    its batch items[c], labels[c] (C, B), as one stacked call. Returns
+    per-client (summed loss, grad norm after clipping)."""
     C = rows.size
     m = store.item_tables.shape[1]
     user_vecs, item_rows, weights, biases = store.gather(rows, items)
@@ -413,7 +403,8 @@ def _train(store: ClientStore, batches: list, config: ModelConfig, users) -> lis
     """Plain SGD for store client i over batches[i], named users[i] in errors.
 
     Local step s of every client runs in cohorts of the clients whose step s
-    has the same length. A non-finite loss or gradient stops its client and
+    has the same length, each in chunks of `clients_per_chunk(length)`
+    clients. A non-finite loss or gradient stops its client and
     every client above it after the step; the clients below train on, as a
     client-by-client loop would, and then the lowest failing client's first
     failing step is raised.
@@ -428,21 +419,24 @@ def _train(store: ClientStore, batches: list, config: ModelConfig, users) -> lis
         for i in range(failed):
             if s < steps[i]:
                 cohorts.setdefault(batches[i][s][0].size, []).append(i)
-        for members in cohorts.values():
-            rows = np.asarray(members)
-            loss, norm = _cohort_step(
-                store,
-                rows,
-                np.stack([batches[i][s][0] for i in members]),
-                np.stack([batches[i][s][1] for i in members]),
-                config.learning_rate,
-                config.clip_norm,
-            )
-            loss_sums[rows] += loss
-            norms[rows, s] = norm
-            bad = rows[~(np.isfinite(loss) & np.isfinite(norm))]
-            if bad.size and bad[0] < failed:
-                failed, failed_step = int(bad[0]), s + 1
+        for length, members in cohorts.items():
+            per = clients_per_chunk(length)
+            for start in range(0, len(members), per):
+                chunk = members[start : start + per]
+                rows = np.asarray(chunk)
+                loss, norm = _cohort_step(
+                    store,
+                    rows,
+                    np.stack([batches[i][s][0] for i in chunk]),
+                    np.stack([batches[i][s][1] for i in chunk]),
+                    config.learning_rate,
+                    config.clip_norm,
+                )
+                loss_sums[rows] += loss
+                norms[rows, s] = norm
+                bad = rows[~(np.isfinite(loss) & np.isfinite(norm))]
+                if bad.size and bad[0] < failed:
+                    failed, failed_step = int(bad[0]), s + 1
     if failed < count:
         raise TrainingError(
             f"user {users[failed]}: non-finite loss or gradient at local step {failed_step}"

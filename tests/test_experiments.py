@@ -1,5 +1,6 @@
 """Experiment front-end tests: config handling, artifacts, sweeps, CLI contract."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import math
@@ -598,6 +599,55 @@ def test_worker_pool_matches_sequential(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+class InlinePool:
+    """A ProcessPoolExecutor stand-in that runs each job as it is submitted
+    and records the pool sizes asked for; it starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("workers, lr, reps, sizes", [
+    (8, 0.05, 2, [2]),
+    (8, 0.05, 1, []),  # one repetition: no pool
+    (8, "grid", 3, [len(GRID_LEARNING_RATES)]),  # the grid's candidates together
+    (8, "grid", 6, [5]),  # the repetitions after the grid's winner together
+    (3, "grid", 6, [3]),
+    (1, "grid", 3, []),
+])
+def test_pool_starts_no_more_processes_than_can_run_at_once(
+    tmp_path, monkeypatch, workers, lr, reps, sizes
+):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    execute_run(tiny_config(tmp_path, lr=lr, reps=reps, rounds=1, workers=workers))
+    assert InlinePool.sizes == sizes
+
+
+def test_failed_atomic_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="disk full"):
+        with experiments._atomic(path) as tmp:
+            tmp.write_text("half")
+            raise RuntimeError("disk full")
+    assert path.read_text() == "old\n"
+    assert [child.name for child in tmp_path.iterdir()] == ["summary.csv"]
+
+
 def test_rerun_from_resolved_config_reproduces_outputs(tmp_path):
     config = tiny_config(tmp_path)
     execute_run(config)
@@ -883,6 +933,42 @@ def test_non_finite_float_flags_fail_at_config_time(tmp_path, capsys):
     config_file.write_text("ldp_delta = nan\n")
     assert cli.main([*run_args, "--config", str(config_file)]) == 1
     assert "--ldp-delta must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config_text, env_seed, source, key", [
+    (["run"], "alpha = 0.5\nablate_iei = maybe\n", None, "{cfg}:2", "ablate_iei"),
+    (["run"], "alpha = 0.5\nmlp_hidden = 8,x\n", None, "{cfg}:2", "mlp_hidden"),
+    (["run"], "alpha = 0.5\nlr = -1\n", None, "{cfg}:2", "lr"),
+    (["run"], "alpha = 0.5\nrounds = soon\n", None, "{cfg}:2", "rounds"),
+    (["run", "--lr", "-1"], None, None, "--lr", "lr"),
+    (["run", "--mlp-hidden", "8,x"], None, None, "--mlp-hidden", "mlp_hidden"),
+    (["run", "--rounds", "soon"], None, None, "--rounds", "rounds"),
+    (["sweep", "--axis", "alpha", "--values", "0.5,x"], None, None, "axis alpha", "alpha"),
+    (["sweep", "--axis", "learning_rate", "--values", "0.1,grid"], None, None,
+     "axis learning_rate", "lr"),
+    (["run"], None, "many", "FEDREC_SEED", "seed"),
+], ids=["file-bool", "file-hidden", "file-lr", "file-int", "flag-lr", "flag-hidden", "flag-int",
+        "axis-float", "axis-grid", "env-seed"])
+def test_unparsed_value_names_its_source_and_key(
+    tmp_path, monkeypatch, capsys, argv, config_text, env_seed, source, key
+):
+    # Every input channel: a config-file line, a flag, a sweep value and
+    # FEDREC_SEED. The value fails at config time, before any output.
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    verb, *flags = argv
+    if config_text is not None:
+        cfg.write_text(config_text)
+        flags += ["--config", str(cfg)]
+    if env_seed is None:
+        monkeypatch.delenv("FEDREC_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FEDREC_SEED", env_seed)
+    assert cli.main([verb, "--dataset", BUNDLED, "--eval-negatives", "49", "--reps", "1",
+                     "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {source.format(cfg=cfg)}: bad value for {key}: " in err
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,10 +420,10 @@ def assert_same_parameters(state, reference):
 
 def test_cohort_step_matches_reference_bit_for_bit():
     # 30 clients with batches of 40 items drawn from 12, so rows repeat: 1200
-    # example rows, more than one chunk holds. Hidden unit 0 of the first
-    # layer has zero weights and bias, so its pre-activation is exactly 0.0.
-    # The clip sits at the median first-step norm: it fires for some clients
-    # and not for others.
+    # example rows, more than one chunk holds, and `_train` runs the step in
+    # chunks. Hidden unit 0 of the first layer has zero weights and bias, so
+    # its pre-activation is exactly 0.0. The clip sits at the median
+    # first-step norm: it fires for some clients and not for others.
     config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
     count, batch = 30, 40
     assert count * batch > mdl.COHORT_ROWS >= batch
@@ -436,18 +437,18 @@ def test_cohort_step_matches_reference_bit_for_bit():
     probes = [clone_state(client) for client in store]
     first_norms = [reference_sgd_step(p, items[c], labels[c], 0.2, None)[1] for c, p in enumerate(probes)]
     clip_norm = float(np.median(first_norms))
+    step_config = replace(config, learning_rate=0.2, clip_norm=clip_norm)
     clipped = set()
     for _ in range(5):
-        rows = rng.permutation(count)
-        got_loss, got_norm = mdl._cohort_step(store, rows, items[rows], labels[rows], 0.2, clip_norm)
-        for c, row in enumerate(rows):
-            reference_store, reference_rows = as_cohort(references[row])
-            pres = mdl._cohort_forward(*reference_store.gather(reference_rows, items[row][None]))[1]
+        reports = mdl._train(store, [[(items[c], labels[c])] for c in range(count)], step_config, range(count))
+        for c, report in enumerate(reports):
+            reference_store, reference_rows = as_cohort(references[c])
+            pres = mdl._cohort_forward(*reference_store.gather(reference_rows, items[c][None]))[1]
             assert np.any(pres[0] == 0.0)
-            want = reference_sgd_step(references[row], items[row], labels[row], 0.2, clip_norm)
-            assert (got_loss[c], got_norm[c]) == want
-            if want[1] == clip_norm:
-                clipped.add(int(row))
+            loss, norm = reference_sgd_step(references[c], items[c], labels[c], 0.2, clip_norm)
+            assert (report.mean_loss, report.grad_norm) == (loss / batch, norm)
+            if norm == clip_norm:
+                clipped.add(c)
         for client, reference in zip(store, references):
             assert_same_parameters(client, reference)
         items = rng.integers(0, 12, size=(count, batch))
@@ -470,20 +471,21 @@ def test_clients_per_chunk_rule():
 
 
 def test_cohort_step_writes_only_the_batch_rows():
-    # 20 of 24 clients step on 100 items drawn from 200 with replacement: more
-    # clients than one chunk takes. Every other item row and the four idle
-    # clients keep their bytes. A batch row moves unless no hidden unit was
+    # The first 20 of 24 clients step on 100 items drawn from 200 with
+    # replacement: more clients than one chunk takes, so `_train` runs them in
+    # chunks. Every other item row and the last four clients, which have no
+    # batch, keep their bytes. A batch row moves unless no hidden unit was
     # active for it, which leaves its gradient zero.
-    config = ModelConfig(embed_dim=4, mlp_hidden=(6,), init_scale=0.3)
+    config = ModelConfig(embed_dim=4, mlp_hidden=(6,), learning_rate=0.1, init_scale=0.3)
     count, num_items, batch = 24, 200, 100
     store = init_store(config, num_items, count, seed=8)
     rng = np.random.default_rng(9)
-    rows = rng.permutation(count)[:20]
+    rows = np.arange(20)
     assert rows.size > mdl.clients_per_chunk(batch) > 1
     items = rng.integers(0, num_items, size=(rows.size, batch))
     labels = rng.integers(0, 2, size=(rows.size, batch)).astype(np.float64)
     before = [a.copy() for a in (store.user_vecs, store.item_tables, *store.weights, *store.biases)]
-    mdl._cohort_step(store, rows, items, labels, 0.1, None)
+    mdl._train(store, [[(items[c], labels[c])] for c in rows], config, rows)
     in_batch = np.zeros((count, num_items), dtype=bool)
     in_batch[rows[:, None], items] = True
     changed = (store.item_tables != before[1]).any(axis=2)
