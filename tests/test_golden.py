@@ -1,7 +1,8 @@
 """Golden traces: seconds-long `fedgraphrec run`s must write exactly the
-committed `rounds.csv` (bar `wall_time`) and `summary.csv`. Six run on the
-bundled file; `synth-2hop` runs on a small `gen-synth` world that the trace
-writes itself.
+committed `rounds.csv` (bar `wall_time`) and `summary.csv`, and the `ablate`
+trace its `ablation.csv` and each variant's `summary.csv`. Seven run on the
+bundled file; `synth-2hop` and `synth-ldp` run on a small `gen-synth` world
+that the trace writes itself.
 
 A change that moves any cell must declare why (summation order, dtype or
 sampler) and show the old and new values. Regenerate the traces with
@@ -19,7 +20,7 @@ from fedgraphrec import cli
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 BUNDLED = str(REPO / "data" / "synthetic-50.tsv")
-BASE = ["run", "--eval-negatives", "49", "--rounds", "4", "--reps", "2", "--lr", "0.01", "--seed", "1"]
+BASE = ["--eval-negatives", "49", "--rounds", "4", "--reps", "2", "--lr", "0.01", "--seed", "1"]
 TRACES = {
     "p50": ["--public-ratio", "0.5"],
     "p100-ldp": ["--public-ratio", "1.0", "--ldp-delta", "0.01"],
@@ -31,26 +32,33 @@ TRACES = {
         "--public-ratio", "0.5", "--layers", "2", "--clip-norm", "0.5",
         "--batch-size", "16", "--local-epochs", "2",
     ],
+    "synth-ldp": ["--public-ratio", "0.5", "--ldp-delta", "0.01"],
+    "ablate": ["--public-ratio", "0.5"],
 }
+# traces that run another verb than `run`
+VERBS = {"ablate": "ablate"}
 # traces on a generated world: the `gen-synth` flags that write it
-WORLDS = {
-    "synth-2hop": [
-        "--users", "60", "--items", "150", "--per-user", "15", "--clusters", "4", "--seed", "3",
-    ],
-}
+SYNTH_WORLD = ["--users", "60", "--items", "150", "--per-user", "15", "--clusters", "4", "--seed", "3"]
+WORLDS = {"synth-2hop": SYNTH_WORLD, "synth-ldp": SYNTH_WORLD}
 
 
 def run_trace(name: str, out: Path) -> dict[str, str]:
-    """The trace files of one run, by path relative to the golden directory,
-    with `wall_time` dropped from every `rounds.csv`."""
+    """The trace files of one run, by path relative to the golden directory:
+    the run's top-level CSVs, each variant's `summary.csv`, and every
+    `rounds.csv` with `wall_time` dropped."""
     dataset = BUNDLED
     if name in WORLDS:
         dataset = str(out / f"{name}.tsv")
         assert cli.main(["gen-synth", *WORLDS[name], "--out", dataset]) == 0
-    argv = [*BASE, "--dataset", dataset, *TRACES[name], "--out", str(out), "--label", name]
+    verb = VERBS.get(name, "run")
+    argv = [verb, *BASE, "--dataset", dataset, *TRACES[name], "--out", str(out), "--label", name]
     assert cli.main(argv) == 0
     run_dir = out / name
-    files = {"summary.csv": (run_dir / "summary.csv").read_text()}
+    files = {
+        path.relative_to(run_dir).as_posix(): path.read_text()
+        for pattern in ("*.csv", "*/summary.csv")
+        for path in sorted(run_dir.glob(pattern))
+    }
     for rounds in sorted(run_dir.glob("rep*/rounds.csv")):
         lines = rounds.read_text().splitlines(keepends=True)
         files[f"{rounds.parent.name}/rounds.csv"] = "".join(
