@@ -21,20 +21,13 @@ class DataFormatError(ValueError):
     """Raised for unparseable interaction files."""
 
 
-class FileFormat(Enum):
-    """Supported interaction-file layouts."""
+# interaction-file layouts: tab-separated, '::'-separated, CSV with a header row
+LAYOUTS = ("tsv", "double-colon", "csv")
 
-    TAB = "tsv"
-    DOUBLE_COLON = "double-colon"
-    CSV = "csv"
 
-    @classmethod
-    def from_string(cls, name: str) -> "FileFormat":
-        for fmt in cls:
-            if fmt.value == name:
-                return fmt
-        choices = ", ".join(f.value for f in cls)
-        raise ValueError(f"unknown file format {name!r} (choices: {choices})")
+def check_layout(name: str) -> None:
+    if name not in LAYOUTS:
+        raise ValueError(f"unknown file format {name!r} (choices: {', '.join(LAYOUTS)})")
 
 
 class Tier(Enum):
@@ -63,7 +56,7 @@ class Interactions:
         return int(self.users.size)
 
 
-def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> Interactions:
+def load_interactions(path, file_format: str = "tsv") -> Interactions:
     """Parse an interaction file and collapse duplicate (user, item) pairs.
 
     Lines hold user, item, rating, and an optional integer timestamp. The
@@ -105,9 +98,10 @@ def load_interactions(path, file_format: FileFormat = FileFormat.TAB) -> Interac
     )
 
 
-def _rows(path: Path, file_format: FileFormat):
+def _rows(path: Path, file_format: str):
     """Yield (1-based line number, fields) for every line that is not blank."""
-    if file_format == FileFormat.CSV:
+    check_layout(file_format)
+    if file_format == "csv":
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             for fields in reader:
@@ -115,7 +109,7 @@ def _rows(path: Path, file_format: FileFormat):
                 if reader.line_num > 1 and any(f.strip() for f in fields):
                     yield reader.line_num, fields
         return
-    sep = "\t" if file_format == FileFormat.TAB else "::"
+    sep = "\t" if file_format == "tsv" else "::"
     with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():

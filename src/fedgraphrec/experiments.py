@@ -17,10 +17,11 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from fedgraphrec.data import (
-    FileFormat,
+    LAYOUTS,
     InteractionDataset,
     Tier,
     assign_privacy,
+    check_layout,
     leave_one_out_split,
     load_interactions,
     public_count,
@@ -29,7 +30,7 @@ from fedgraphrec.data import (
 from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import FederationConfig, RoundRecord, run_federation
 from fedgraphrec.graph import build_user_graph, dump_triplets, normalize
-from fedgraphrec.model import MLP_INIT_CHOICES, ModelConfig, TrainingError
+from fedgraphrec.model import ModelConfig, TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng
 
 log = logging.getLogger(__name__)
@@ -135,7 +136,7 @@ class ExperimentConfig:
     """
 
     dataset: str | None = _option(None, "interaction file path", parse=_parse_optional)
-    format: str = _option("tsv", "dataset layout", choices=tuple(f.value for f in FileFormat))
+    format: str = _option("tsv", "dataset layout", choices=LAYOUTS)
     public_ratio: float = _option(1.0, "fraction of users who share data")
     alpha: float = _option(0.3, "personalization blend weight in [0, 1]")
     ldp_delta: float = _option(0.0, "Laplace noise scale on uploads")
@@ -151,8 +152,7 @@ class ExperimentConfig:
     local_epochs: int = _option(1, "local passes per round")
     neg_ratio: int = _option(4, "train negatives per positive")
     batch_size: int = _option(256, "local mini-batch size")
-    init_scale: float = _option(0.01, "parameter init standard deviation")
-    mlp_init: str = _option("he", "MLP weight init scheme", choices=MLP_INIT_CHOICES)
+    init_scale: float = _option(0.01, "embedding init standard deviation")
     clip_norm: float = _option(0.0, "gradient norm clip (0 disables)")
     ablate_iei: bool = _option(
         False, "server distributes nothing; clients keep their own tables", parse=_parse_bool
@@ -180,10 +180,6 @@ class ExperimentConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value}")
         _check_public_ratio(self.public_ratio)
-        try:
-            FileFormat.from_string(self.format)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {self.seed}")
         if self.reps < 1:
@@ -211,6 +207,7 @@ class ExperimentConfig:
         if self.ldp_delta < 0:
             raise ConfigError(f"--ldp-delta must be >= 0 (0 adds no noise), got {self.ldp_delta}")
         try:
+            check_layout(self.format)
             self.to_federation_config(self.seed, lr=0.01).validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -224,8 +221,7 @@ class ExperimentConfig:
             neg_ratio=self.neg_ratio,
             batch_size=self.batch_size,
             init_scale=self.init_scale,
-            mlp_init=self.mlp_init,
-            clip_norm=self.clip_norm if self.clip_norm > 0 else None,
+            clip_norm=self.clip_norm,
         )
         return FederationConfig(
             rounds=self.rounds,
@@ -349,7 +345,7 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
 def _split_file(path, format_name: str) -> InteractionDataset:
     if not Path(path).is_file():
         raise ConfigError(f"dataset file not found: {path}")
-    return leave_one_out_split(load_interactions(path, FileFormat.from_string(format_name)))
+    return leave_one_out_split(load_interactions(path, format_name))
 
 
 def load_dataset(config: ExperimentConfig) -> InteractionDataset:
@@ -409,18 +405,28 @@ def _submit(pool, config: ExperimentConfig, dataset: InteractionDataset, lr: flo
     return pool.submit(run_repetition, config, dataset, lr, rep).result
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 @contextmanager
 def _pool(workers: int):
-    """`workers` processes, or None for one; leaving cancels what has not started."""
+    """`workers` spawned processes, or None for one; leaving cancels what has not
+    started. Each worker's BLAS, loaded afresh, gets its share of the cores where
+    the environment sets no thread count; closing restores the environment."""
     if workers == 1:
         yield None
         return
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=workers)
+    unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, str(max(1, (os.cpu_count() or 1) // workers))))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         yield pool
     finally:
         pool.shutdown(cancel_futures=True)
+        for name in unset:
+            os.environ.pop(name, None)
 
 
 def select_learning_rate(
@@ -746,7 +752,12 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
 
 
 def ablation_suite(config: ExperimentConfig) -> int:
-    """CLI verb: full configuration plus each single-mechanism ablation."""
+    """CLI verb: full configuration plus each single-mechanism ablation, which
+    each variant switches on itself: the base configuration sets none."""
+    set_flags = ["--" + name.replace("_", "-") for _variant, flags in ABLATION_VARIANTS
+                 for name in flags if getattr(config, name)]
+    if set_flags:
+        raise ConfigError(f"ablate runs each ablation itself; drop {' '.join(set_flags)}")
     cells = []
     for variant, flags in ABLATION_VARIANTS:
         directory = variant.replace("/", "").replace(" ", "_")

@@ -17,8 +17,6 @@ from fedgraphrec.seeding import INIT_SALT, derive_rng
 # Probabilities are clamped to [PROB_FLOOR, 1 - PROB_FLOOR] before any log.
 PROB_FLOOR = 1e-7
 
-MLP_INIT_CHOICES = ("gaussian", "he")
-
 # Example rows per stacked kernel call. A cohort whose batches hold B rows a
 # client runs in chunks of `clients_per_chunk(B)` clients: at least
 # COHORT_CLIENTS of them, within COHORT_ROWS to COHORT_MAX_ROWS rows, and a
@@ -54,13 +52,8 @@ class ModelConfig:
     local_epochs: int = 1
     neg_ratio: int = 4
     batch_size: int = 256
-    init_scale: float = 0.01
-    # "gaussian": every weight ~ N(0, init_scale^2); "he": MLP weights use
-    # N(0, 2/fan_in) instead, embeddings keep init_scale. Gaussian MLP weights
-    # at the default scale leave the net too flat to train in a practical
-    # round budget, so "he" is the default.
-    mlp_init: str = "he"
-    clip_norm: float | None = None
+    init_scale: float = 0.01  # embedding std; MLP weights use He scaling
+    clip_norm: float = 0.0  # gradient norm clip; 0 disables it
 
     def validate(self) -> None:
         if self.embed_dim < 1:
@@ -77,10 +70,8 @@ class ModelConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not math.isfinite(self.init_scale) or self.init_scale < 0:
             raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
-        if self.mlp_init not in MLP_INIT_CHOICES:
-            raise ValueError(f"mlp_init must be one of {MLP_INIT_CHOICES}, got {self.mlp_init!r}")
-        if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
-            raise ValueError(f"clip_norm must be finite and > 0 when set, got {self.clip_norm}")
+        if not math.isfinite(self.clip_norm) or self.clip_norm < 0:
+            raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm}")
 
 
 @dataclass(eq=False)
@@ -185,10 +176,11 @@ def init_client(
     draw_items: bool = True,
 ) -> ClientState:
     """Draw a fresh client into `out`, a row of a ClientStore, and return it:
-    Gaussian embeddings and MLP weights, zero biases. Without `out`, the
-    client is the one row of a new store. With `draw_items` False the item
-    table is left as it is: the user vector keeps its draws, and the MLP's
-    follow it directly in the stream.
+    Gaussian embeddings at std `init_scale`, Gaussian MLP weights at He's
+    std sqrt(2 / fan_in), zero biases. Without `out`, the client is the one
+    row of a new store. With `draw_items` False the item table is left as it
+    is: the user vector keeps its draws, and the MLP's follow it directly in
+    the stream.
 
     `seed` may be an int or a tuple of ints. `tier` is not read: the client's
     privacy tier lives only in the PrivacyAssignment. The parameter stays
@@ -204,11 +196,7 @@ def init_client(
     arrays = [out.user_vec, out.item_table, *out.weights]
     if [a.shape for a in arrays] != [(d,), (num_items, d), *zip(dims[:-1], dims[1:])]:
         raise ValueError("out does not have the shape of this config and item count")
-    if config.mlp_init == "he":
-        mlp_scales = [np.sqrt(2.0 / fan_in) for fan_in in dims[:-1]]
-    else:
-        mlp_scales = [config.init_scale] * (len(dims) - 1)
-    scales = [config.init_scale, config.init_scale, *mlp_scales]
+    scales = [config.init_scale, config.init_scale, *(np.sqrt(2.0 / n) for n in dims[:-1])]
     if not draw_items:
         del arrays[1], scales[1]
     parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
@@ -291,7 +279,7 @@ def _cohort_step(
     items: np.ndarray,
     labels: np.ndarray,
     learning_rate: float,
-    clip_norm: float | None,
+    clip_norm: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One mini-batch update of every parameter of clients `rows`, client c on
     its batch items[c], labels[c] (C, B), as one stacked call. Returns
@@ -355,7 +343,7 @@ def _cohort_step(
     norm = np.sqrt(sq)
 
     scale = np.full(C, float(learning_rate))
-    if clip_norm is not None:
+    if clip_norm > 0:
         clipped = norm > clip_norm
         scale[clipped] = learning_rate * (clip_norm / norm[clipped])
         norm[clipped] = clip_norm

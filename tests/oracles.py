@@ -114,8 +114,7 @@ def reference_init(config, num_items, seed, draw_items=True):
     dims = [2 * d, *config.mlp_hidden, 1]
     weights = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        scale = np.sqrt(2.0 / fan_in) if config.mlp_init == "he" else config.init_scale
-        weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
     return user_vec, item_table, weights, [np.zeros(fan_out) for fan_out in dims[1:]]
 
 
@@ -185,7 +184,7 @@ def analytic_gradients(state, items, labels):
     """Recover the raw gradients by applying one unit-rate step to a copy."""
     clone = clone_state(state)
     labels = np.asarray(labels, dtype=np.float64)
-    mdl._cohort_step(*as_cohort(clone), items[None], labels[None], 1.0, None)
+    mdl._cohort_step(*as_cohort(clone), items[None], labels[None], 1.0, 0.0)
     grads = {
         "user_vec": state.user_vec - clone.user_vec,
         "item_table": state.item_table - clone.item_table,
@@ -322,7 +321,7 @@ def apply_reference_step(
     `clip_norm`, and return the norm after clipping."""
     scale = learning_rate
     effective_norm = norm
-    if clip_norm is not None and norm > clip_norm:
+    if clip_norm > 0 and norm > clip_norm:
         scale = learning_rate * (clip_norm / norm)
         effective_norm = clip_norm
 

@@ -5,7 +5,6 @@ import pytest
 
 from fedgraphrec.data import (
     DataFormatError,
-    FileFormat,
     InteractionDataset,
     Tier,
     assign_privacy,
@@ -40,7 +39,7 @@ def log_fields(log):
 
 def test_load_tsv_basic(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu2\ti1\t3\t200\nu1\ti2\t4\t150\n")
-    assert log_fields(load_interactions(path, FileFormat.TAB)) == dict(
+    assert log_fields(load_interactions(path, "tsv")) == dict(
         user_tokens=["u1", "u2"],
         item_tokens=["i1", "i2"],
         users=[0, 1, 0],
@@ -51,7 +50,7 @@ def test_load_tsv_basic(tmp_path):
 
 def test_load_double_colon(tmp_path):
     path = write(tmp_path, "a.dat", "1::10::5::978300760\n2::10::3::978302109\n")
-    log = log_fields(load_interactions(path, FileFormat.DOUBLE_COLON))
+    log = log_fields(load_interactions(path, "double-colon"))
     assert log["user_tokens"] == ["1", "2"] and log["item_tokens"] == ["10"]
     assert log["timestamps"] == [978300760, 978302109]
 
@@ -62,50 +61,50 @@ def test_load_csv_skips_header_and_handles_quotes(tmp_path):
         "a.csv",
         'user,item,rating,timestamp\nu1,"i,1",5,7\nu2,i2,3,9\n',
     )
-    log = log_fields(load_interactions(path, FileFormat.CSV))
+    log = log_fields(load_interactions(path, "csv"))
     assert log["item_tokens"] == ["i,1", "i2"] and log["items"] == [0, 1]
 
 
 def test_load_without_timestamps(tmp_path):
     # a missing timestamp counts as 0
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu1\ti2\t4\n")
-    assert load_interactions(path, FileFormat.TAB).timestamps.tolist() == [0, 0]
+    assert load_interactions(path, "tsv").timestamps.tolist() == [0, 0]
 
 
 def test_load_rejects_wrong_field_count(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu2\ti2\n")
     with pytest.raises(DataFormatError, match=":2"):
-        load_interactions(path, FileFormat.TAB)
+        load_interactions(path, "tsv")
 
 
 def test_load_rejects_bad_rating(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\tfive\t3\n")
     with pytest.raises(DataFormatError, match=":1"):
-        load_interactions(path, FileFormat.TAB)
+        load_interactions(path, "tsv")
 
 
 def test_load_rejects_bad_timestamp(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\tnoon\n")
     with pytest.raises(DataFormatError, match="timestamp"):
-        load_interactions(path, FileFormat.TAB)
+        load_interactions(path, "tsv")
 
 
 def test_load_rejects_empty_token(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\t\t5\t3\n")
     with pytest.raises(DataFormatError, match="empty user or item"):
-        load_interactions(path, FileFormat.TAB)
+        load_interactions(path, "tsv")
 
 
 def test_load_rejects_empty_file(tmp_path):
     path = write(tmp_path, "a.tsv", "")
     with pytest.raises(DataFormatError, match="no interaction records"):
-        load_interactions(path, FileFormat.TAB)
+        load_interactions(path, "tsv")
 
 
 def test_duplicate_keeps_larger_timestamp(tmp_path):
     # the later-timestamp record wins even when it appears first in the file
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t900\nu2\ti9\t1\t5\nu1\ti1\t2\t100\n")
-    log = log_fields(load_interactions(path, FileFormat.TAB))
+    log = log_fields(load_interactions(path, "tsv"))
     # surviving records keep file order: the u1 line came before the u2 line
     assert log["users"] == [0, 1] and log["items"] == [0, 1]
     assert log["timestamps"] == [900, 5]
@@ -115,19 +114,19 @@ def test_duplicate_keeps_larger_timestamp(tmp_path):
 # between the two duplicates comes first exactly when the later line wins.
 def test_duplicate_timestamp_tie_keeps_later_line(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu2\ti2\t3\t100\nu1\ti1\t2\t100\n")
-    log = log_fields(load_interactions(path, FileFormat.TAB))
+    log = log_fields(load_interactions(path, "tsv"))
     assert log["users"] == [1, 0] and log["items"] == [1, 0]
 
 
 def test_duplicate_without_timestamps_keeps_later_line(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu2\ti2\t3\nu1\ti1\t1\n")
-    log = log_fields(load_interactions(path, FileFormat.TAB))
+    log = log_fields(load_interactions(path, "tsv"))
     assert log["users"] == [1, 0] and log["items"] == [1, 0]
 
 
 def test_blank_lines_are_skipped(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t1\n\nu2\ti2\t3\t2\n")
-    assert len(load_interactions(path, FileFormat.TAB)) == 2
+    assert len(load_interactions(path, "tsv")) == 2
 
 
 # Every case in file order: the earlier record wins on a larger timestamp and
@@ -176,11 +175,11 @@ def write_layouts(tmp_path, rows, rng):
     if rng.random() < 0.5:
         endings[-1] = ""
     paths = {}
-    for fmt, sep, header in ((FileFormat.TAB, "\t", []),
-                             (FileFormat.DOUBLE_COLON, "::", []),
-                             (FileFormat.CSV, ",", ["user,item,rating,timestamp\r\n"])):
+    for fmt, sep, header in (("tsv", "\t", []),
+                             ("double-colon", "::", []),
+                             ("csv", ",", ["user,item,rating,timestamp\r\n"])):
         text = header + [sep.join(f) + end for f, end in zip(lines, endings)]
-        paths[fmt] = tmp_path / f"log.{fmt.value}"
+        paths[fmt] = tmp_path / f"log.{fmt}"
         paths[fmt].write_bytes("".join(text).encode("utf-8"))
     return paths
 
@@ -216,12 +215,12 @@ def test_utf8_bom_does_not_split_a_user(tmp_path):
     # would be two users with too few records each
     rows = [("1", "a", "5", "1"), ("1", "b", "4", "2"), ("1", "c", "3", "3"),
             ("2", "a", "5", "1"), ("2", "b", "4", "2"), ("2", "c", "3", "3")]
-    for fmt, sep, header in ((FileFormat.TAB, "\t", ""),
-                             (FileFormat.DOUBLE_COLON, "::", ""),
-                             (FileFormat.CSV, ",", "user,item,rating,timestamp\n")):
+    for fmt, sep, header in (("tsv", "\t", ""),
+                             ("double-colon", "::", ""),
+                             ("csv", ",", "user,item,rating,timestamp\n")):
         text = header + "".join(sep.join(row) + "\n" for row in rows)
-        plain = write(tmp_path, f"plain.{fmt.value}", text)
-        bom = write(tmp_path, f"bom.{fmt.value}", "\ufeff" + text)
+        plain = write(tmp_path, f"plain.{fmt}", text)
+        bom = write(tmp_path, f"bom.{fmt}", "\ufeff" + text)
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
         expected = leave_one_out_split(load_interactions(plain, fmt))
         got = leave_one_out_split(load_interactions(bom, fmt))
@@ -232,15 +231,14 @@ def test_utf8_bom_does_not_split_a_user(tmp_path):
 def test_timestamp_beyond_64_bits_is_rejected(tmp_path):
     path = write(tmp_path, "a.tsv", f"u1\ti1\t5\t{2**63}\n")
     with pytest.raises(DataFormatError, match=":1: timestamp .* 64 bits"):
-        load_interactions(path, FileFormat.TAB)
+        load_interactions(path, "tsv")
 
 
-def test_format_from_string():
-    assert FileFormat.from_string("tsv") is FileFormat.TAB
-    assert FileFormat.from_string("double-colon") is FileFormat.DOUBLE_COLON
-    assert FileFormat.from_string("csv") is FileFormat.CSV
-    with pytest.raises(ValueError, match="unknown file format"):
-        FileFormat.from_string("parquet")
+def test_format_from_string(tmp_path):
+    path = write(tmp_path, "a.tsv", "u1\ti1\t5\t1\n")
+    with pytest.raises(ValueError, match="unknown file format 'parquet' "
+                                         r"\(choices: tsv, double-colon, csv\)"):
+        load_interactions(path, "parquet")
 
 
 # --- leave_one_out_split ------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 import fedgraphrec
 from fedgraphrec import cli, experiments
-from fedgraphrec.data import FileFormat, leave_one_out_split, load_interactions
+from fedgraphrec.data import leave_one_out_split, load_interactions
 from fedgraphrec.experiments import (
     ABLATION_VARIANTS,
     GRID_LEARNING_RATES,
@@ -104,6 +104,15 @@ def test_config_file_unknown_key_names_line(tmp_path):
         load_config_file(path)
 
 
+def test_config_file_with_the_retired_mlp_init_key_names_its_line(tmp_path):
+    # MLP weights are always He-scaled; a config file written before that
+    # still sets the key, and fails where it does
+    path = tmp_path / "old.cfg"
+    path.write_text("alpha = 0.5\nmlp_init = he\n")
+    with pytest.raises(ConfigError, match=r"old\.cfg:2: unknown config key 'mlp_init'"):
+        build_config(file_path=path, env={})
+
+
 def test_config_file_bad_value_and_shape(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("rounds = soon\n")
@@ -146,7 +155,6 @@ def test_validate_rejects_bad_values():
         dict(k=0),
         dict(k=10, eval_negatives=5),
         dict(eval_every=0),
-        dict(mlp_init="xavier"),
         dict(format="parquet"),
         dict(rounds=0),
         dict(alpha=2.0),
@@ -194,7 +202,7 @@ def test_resolved_config_round_trips(tmp_path):
 NON_DEFAULT = dict(
     dataset=BUNDLED, format="csv", public_ratio=0.25, alpha=0.7, ldp_delta=0.05, layers=2,
     embed_dim=8, mlp_hidden=(8, 4), lr=0.05, rounds=7, local_epochs=2, neg_ratio=3,
-    batch_size=32, init_scale=0.02, mlp_init="gaussian", clip_norm=0.5, ablate_iei=True,
+    batch_size=32, init_scale=0.02, clip_norm=0.5, ablate_iei=True,
     ablate_ugc=True, ablate_upie=True, global_from_public_only=True, k=5, eval_negatives=20,
     eval_every=2, seed=4, reps=3, out="elsewhere", label="all", workers=2,
 )
@@ -605,8 +613,9 @@ class InlinePool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         self.sizes.append(max_workers)
+        self.mp_context = mp_context
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -635,6 +644,22 @@ def test_pool_starts_no_more_processes_than_can_run_at_once(
     monkeypatch.setattr(InlinePool, "sizes", [])
     execute_run(tiny_config(tmp_path, lr=lr, reps=reps, rounds=1, workers=workers))
     assert InlinePool.sizes == sizes
+
+
+def test_pool_workers_are_spawned_with_a_share_of_the_blas_threads(monkeypatch):
+    # Forked workers would keep the parent's loaded BLAS and its thread count;
+    # spawned ones load it afresh and read the variables. A preset one stays.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for name in experiments.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    before = dict(os.environ)
+    with experiments._pool(2) as pool:
+        assert pool.mp_context.get_start_method() == "spawn"
+        threads = {name: os.environ[name] for name in experiments.BLAS_THREAD_VARS}
+    assert threads == {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "4"}
+    assert dict(os.environ) == before
 
 
 def test_failed_atomic_write_keeps_the_old_file(tmp_path):
@@ -770,6 +795,18 @@ def test_ablation_suite_rows(tmp_path):
         assert (out / directory / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("switch", ["--ablate-iei", "--ablate-ugc", "--ablate-upie"])
+def test_ablate_rejects_a_base_ablation_switch_before_any_output(tmp_path, capsys, switch):
+    # The base config is the "full" row; with a switch set, every row would
+    # run that ablation too and be labelled as if it did not.
+    out = tmp_path / "runs"
+    argv = ["ablate", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "1",
+            "--reps", "1", "--lr", "0.01", "--out", str(out), "--label", "a", switch]
+    assert cli.main(argv) == 1
+    assert f"ablate runs each ablation itself; drop {switch}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- synthetic generator --------------------------------------------------------------
 
 
@@ -787,7 +824,7 @@ def test_gen_synthetic_counts_and_determinism(tmp_path):
 
 def test_gen_synthetic_is_loadable(tmp_path):
     path = gen_synthetic(30, 60, 8, 3, seed=2, path=tmp_path / "s.tsv")
-    dataset = leave_one_out_split(load_interactions(path, FileFormat.TAB))
+    dataset = leave_one_out_split(load_interactions(path, "tsv"))
     assert dataset.num_users == 30
     assert all(len(dataset.train[u]) == 6 for u in range(30))
 

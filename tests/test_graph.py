@@ -7,7 +7,6 @@ import pytest
 
 from fedgraphrec import graph as graph_module
 from fedgraphrec.data import (
-    FileFormat,
     assign_privacy,
     leave_one_out_split,
     load_interactions,
@@ -564,7 +563,7 @@ def test_dump_triplets_matches_brute_force_writer(tmp_path, normalized):
 
 
 def test_graph_from_bundled_dataset_matches_oracle():
-    records = load_interactions("data/synthetic-50.tsv", FileFormat.TAB)
+    records = load_interactions("data/synthetic-50.tsv", "tsv")
     dataset = leave_one_out_split(records)
     tiers = assign_privacy(dataset.num_users, 0.5, seed=3)
     graph = normalize(build_user_graph(dataset, tiers))

@@ -70,15 +70,16 @@ def test_init_deterministic_under_seed():
 
 
 def test_init_scale_zero_gives_all_zero_parameters():
-    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), init_scale=0.0, mlp_init="gaussian")
+    # init_scale sets the embeddings; the He-scaled MLP weights ignore it
+    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), init_scale=0.0)
     state = init_client(config, 5, Tier.PUBLIC, seed=0)
     assert not state.user_vec.any()
     assert not state.item_table.any()
-    assert all(not W.any() for W in state.weights)
+    assert all(not b.any() for b in state.biases)
 
 
 def test_init_he_scales_mlp_only():
-    config = ModelConfig(embed_dim=32, mlp_hidden=(32, 16), init_scale=0.01, mlp_init="he")
+    config = ModelConfig(embed_dim=32, mlp_hidden=(32, 16), init_scale=0.01)
     state = init_client(config, 400, Tier.PUBLIC, seed=5)
     # embeddings keep the small scale
     assert abs(float(state.item_table.std()) - 0.01) < 0.002
@@ -91,9 +92,8 @@ def test_init_he_scales_mlp_only():
     "overrides",
     [
         dict(embed_dim=32, mlp_hidden=(32, 16)),
-        dict(embed_dim=5, mlp_hidden=(7,), mlp_init="gaussian", init_scale=0.3),
+        dict(embed_dim=5, mlp_hidden=(7,), init_scale=0.3),
         dict(embed_dim=3, mlp_hidden=(4, 2), init_scale=0.0),
-        dict(embed_dim=3, mlp_hidden=(4, 2), init_scale=0.0, mlp_init="gaussian"),
     ],
 )
 @pytest.mark.parametrize("num_items", [1, 257])
@@ -108,10 +108,9 @@ def test_init_matches_reference_draws(overrides, num_items):
             assert np.array_equal(mine, theirs)
 
 
-@pytest.mark.parametrize("mlp_init", ["he", "gaussian"])
-def test_init_without_items_leaves_the_table_and_draws_the_rest(mlp_init):
+def test_init_without_items_leaves_the_table_and_draws_the_rest():
     # The user vector keeps its draws; the MLP's follow it in the stream.
-    config = ModelConfig(embed_dim=5, mlp_hidden=(7, 3), init_scale=0.3, mlp_init=mlp_init)
+    config = ModelConfig(embed_dim=5, mlp_hidden=(7, 3), init_scale=0.3)
     store = mdl.ClientStore.empty(1, 40, config)
     store.item_tables.fill(np.nan)
     state = init_client(config, 40, None, seed=(4, 9), out=store[0], draw_items=False)
@@ -149,8 +148,6 @@ def test_init_validates():
         init_client(ModelConfig(embed_dim=0), 5, Tier.PUBLIC, seed=0)
     with pytest.raises(ValueError):
         init_client(ModelConfig(), 0, Tier.PUBLIC, seed=0)
-    with pytest.raises(ValueError):
-        ModelConfig(mlp_init="xavier").validate()
     with pytest.raises(ValueError):
         ModelConfig(learning_rate=-0.1).validate()
 
@@ -224,8 +221,10 @@ def test_cohort_forward_matches_naive_loop_oracle(embed_dim, hidden):
 
 
 def test_predict_zero_network_is_half():
-    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), init_scale=0.0, mlp_init="gaussian")
+    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), init_scale=0.0)
     state = init_client(config, 5, Tier.PUBLIC, seed=0)
+    for W in state.weights:
+        W.fill(0.0)
     assert predict(state, 2) == 0.5
 
 
@@ -278,8 +277,10 @@ def test_rank_single_candidate():
 
 
 def test_rank_all_ties_ascending_item_order():
-    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), init_scale=0.0, mlp_init="gaussian")
+    config = ModelConfig(embed_dim=4, mlp_hidden=(3,), init_scale=0.0)
     state = init_client(config, 8, Tier.PUBLIC, seed=0)
+    for W in state.weights:
+        W.fill(0.0)
     ranked = rank_items(state, [5, 2, 7, 0])
     assert [item for item, _ in ranked] == [0, 2, 5, 7]
     assert all(score == 0.5 for _, score in ranked)
@@ -350,7 +351,7 @@ def test_single_step_decreases_single_example_loss():
         succeeded = False
         while rate >= 1e-5:
             clone = clone_state(state)
-            mdl._cohort_step(*as_cohort(clone), items[None], labels[None], rate, None)
+            mdl._cohort_step(*as_cohort(clone), items[None], labels[None], rate, 0.0)
             if batch_loss(clone, items, labels) < before:
                 succeeded = True
                 break
@@ -358,7 +359,7 @@ def test_single_step_decreases_single_example_loss():
         assert succeeded, f"no decrease down to rate {rate}"
 
 
-@pytest.mark.parametrize("clip_norm", [None, 0.05])
+@pytest.mark.parametrize("clip_norm", [0.0, 0.05])
 def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
     # 60 batches of 40 items drawn from 12 with replacement, so rows repeat
     # within a batch. Hidden unit 0 of the first layer has zero weights and
@@ -380,16 +381,16 @@ def test_sgd_step_matches_reference_bit_for_bit(clip_norm):
         got = (float(loss[0]), float(norm[0]))
         want = reference_sgd_step(reference, items, labels, 0.2, clip_norm)
         assert got == want
-        clipped += clip_norm is not None and got[1] == clip_norm
+        clipped += clip_norm > 0 and got[1] == clip_norm
         assert np.array_equal(state.user_vec, reference.user_vec)
         assert np.array_equal(state.item_table, reference.item_table)
         for mine, theirs in zip(state.weights + state.biases, reference.weights + reference.biases):
             assert np.array_equal(mine, theirs)
-    if clip_norm is not None:
+    if clip_norm > 0:
         assert clipped == 60
 
 
-@pytest.mark.parametrize("clip_norm", [None, 0.05])
+@pytest.mark.parametrize("clip_norm", [0.0, 0.05])
 def test_sgd_step_tracks_concat_reference(clip_norm):
     # The factored first layer moves only the rounding of the step as first
     # written, with the input [u; i] built for every example.
@@ -435,7 +436,7 @@ def test_cohort_step_matches_reference_bit_for_bit():
     items = rng.integers(0, 12, size=(count, batch))
     labels = rng.integers(0, 2, size=(count, batch)).astype(np.float64)
     probes = [clone_state(client) for client in store]
-    first_norms = [reference_sgd_step(p, items[c], labels[c], 0.2, None)[1] for c, p in enumerate(probes)]
+    first_norms = [reference_sgd_step(p, items[c], labels[c], 0.2, 0.0)[1] for c, p in enumerate(probes)]
     clip_norm = float(np.median(first_norms))
     step_config = replace(config, learning_rate=0.2, clip_norm=clip_norm)
     clipped = set()
@@ -508,7 +509,7 @@ def ragged_dataset(sizes, num_items=40, seed=3):
     return ds
 
 
-@pytest.mark.parametrize("clip_norm", [None, 0.5])
+@pytest.mark.parametrize("clip_norm", [0.0, 0.5])
 def test_cohort_training_matches_reference_train_local(clip_norm):
     # Unequal train sizes with batch size 16 and 2 epochs: clients take
     # different numbers of steps, and their last batches differ in length.
