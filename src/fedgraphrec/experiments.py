@@ -8,7 +8,7 @@ import io
 import logging
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
@@ -31,7 +31,7 @@ from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import FederationConfig, RoundRecord, run_federation
 from fedgraphrec.graph import build_user_graph, dump_triplets, normalize
 from fedgraphrec.model import ModelConfig, TrainingError
-from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng
+from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng, derive_rngs
 
 log = logging.getLogger(__name__)
 
@@ -376,11 +376,10 @@ def run_repetition(
     """One full federated run with seed base + rep."""
     rep_seed = config.seed + rep
     tiers = assign_privacy(dataset.num_users, config.public_ratio, rep_seed)
+    rngs = derive_rngs(rep_seed, range(dataset.num_users), EVAL_NEG_SALT)
     negatives = np.stack([
-        sample_eval_negatives(
-            dataset, u, config.eval_negatives, derive_rng(rep_seed, u, EVAL_NEG_SALT)
-        )
-        for u in range(dataset.num_users)
+        sample_eval_negatives(dataset, u, config.eval_negatives, rng)
+        for u, rng in enumerate(rngs)
     ])
 
     def eval_hook(round_index, clients):
@@ -603,8 +602,14 @@ def _summary_text(summary: RunSummary, k: int) -> str:
     )
 
 
+def _at_once(config: ExperimentConfig) -> int:
+    """The most repetitions a run has going at once: the grid's candidates
+    together, then the repetitions after the winner."""
+    return max(len(GRID_LEARNING_RATES), config.reps - 1) if config.lr == "grid" else config.reps
+
+
 def execute_run(
-    config: ExperimentConfig, dataset: InteractionDataset | None = None
+    config: ExperimentConfig, dataset: InteractionDataset | None = None, pool=None
 ) -> RunSummary:
     """Grid selection (when asked), all repetitions, and every artifact file
     for one configuration. Returns the cross-repetition summary. The grid
@@ -612,7 +617,8 @@ def execute_run(
     pool; each repetition's files land as it is read, in repetition order.
 
     `dataset` is the configured file as `load_dataset` returns it; omitted,
-    the run loads it."""
+    the run loads it. `pool` is an open `_pool` to run on; omitted, the run
+    opens one of no more processes than `_at_once` needs."""
     config.validate()
     if dataset is None:
         dataset = load_dataset(config)
@@ -623,10 +629,8 @@ def execute_run(
 
     lr = config.lr
     results = []
-    # No more processes than repetitions can run at once: the grid's
-    # candidates together, then the repetitions after the winner.
-    at_once = max(len(GRID_LEARNING_RATES), config.reps - 1) if lr == "grid" else config.reps
-    with _pool(min(config.workers, at_once)) as pool:
+    opened = _pool(min(config.workers, _at_once(config))) if pool is None else nullcontext(pool)
+    with opened as pool:
         if lr == "grid":
             winner, grid_rows = select_learning_rate(config, dataset, pool)
             lr = winner.learning_rate
@@ -690,7 +694,8 @@ def parse_axis_values(axis: str, text: str) -> list:
 
 def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str) -> int:
     """Run each (leading row cells, cell config) of `cells` in turn on one
-    load of the dataset and write one `csv_name` row per cell; a cell that
+    load of the dataset and one worker pool, sized for the cell with the most
+    repetitions at once, and write one `csv_name` row per cell; a cell that
     fails at run time is recorded as `failed: ...` and the next one runs.
 
     No cell changes what `load_dataset` reads, so a dataset problem, or a
@@ -707,15 +712,16 @@ def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str
     base_dir = Path(config.out) / config.label
     base_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for lead, cell_config in cells:
-        try:
-            summary = execute_run(cell_config, dataset)
-            status = "ok"
-        except Exception as exc:  # record and continue with the next cell
-            log.warning("cell %s failed: %s", cell_config.label, exc)
-            summary = None
-            status = f"failed: {exc}"
-        rows.append(lead + [status] + _cell_metric_cells(summary))
+    with _pool(min(config.workers, max(_at_once(c) for _lead, c in cells))) as pool:
+        for lead, cell_config in cells:
+            try:
+                summary = execute_run(cell_config, dataset, pool)
+                status = "ok"
+            except Exception as exc:  # record and continue with the next cell
+                log.warning("cell %s failed: %s", cell_config.label, exc)
+                summary = None
+                status = f"failed: {exc}"
+            rows.append(lead + [status] + _cell_metric_cells(summary))
     header = header + ["status"] + CELL_SUMMARY_COLUMNS
     _atomic_write(base_dir / csv_name, _csv_text(header, rows))
     print(f"wrote {base_dir / csv_name}")

@@ -25,7 +25,7 @@ from fedgraphrec.model import (
     train_clients,
     train_local,  # noqa: F401  perfbench/traced.py wraps federation.train_local by name
 )
-from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng
+from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng, derive_rngs
 
 
 @dataclass
@@ -204,8 +204,8 @@ def run_federation(
             store = clients.item_tables
             if round_index > 1 and config.ldp_scale > 0.0:
                 # Noise drawn per (seed, user, round that trained the table).
-                for u in range(n):
-                    rng = derive_rng(config.seed, u, round_index - 1, LDP_SALT)
+                rngs = derive_rngs(config.seed, range(n), round_index - 1, LDP_SALT)
+                for u, rng in enumerate(rngs):
                     np.copyto(store[u], add_ldp_noise(store[u], config.ldp_scale, rng))
             server = server_update(
                 graph,
@@ -219,7 +219,7 @@ def run_federation(
             private_sum = None  # round 1 only
             distribute(server, tiers, config.alpha, disable_upie=config.disable_upie)
 
-        rngs = (derive_rng(config.seed, u, round_index, TRAIN_SALT) for u in range(n))
+        rngs = derive_rngs(config.seed, range(n), round_index, TRAIN_SALT)
         try:
             reports = train_clients(clients, dataset, config.model, rngs)
         except (TrainingError, ValueError) as exc:

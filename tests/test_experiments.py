@@ -34,6 +34,7 @@ from fedgraphrec.experiments import (
     select_learning_rate,
 )
 from fedgraphrec.model import TrainingError
+from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rngs
 
 BUNDLED = str(Path(__file__).resolve().parents[1] / "data" / "synthetic-50.tsv")
 
@@ -285,6 +286,20 @@ def test_repetition_row_and_snapshot_shape(tmp_path):
     assert record_values(shifted.rounds) == record_values(result.rounds)
     unshifted = run_repetition(config, dataset, lr=0.05, rep=0)
     assert record_values(unshifted.rounds) != record_values(result.rounds)
+
+
+def test_repetition_derives_eval_negative_streams_at_its_seed(tmp_path, monkeypatch):
+    derived = []
+
+    def recording(seed, users, *rest):
+        derived.append((seed, users, *rest))
+        return derive_rngs(seed, users, *rest)
+
+    monkeypatch.setattr(experiments, "derive_rngs", recording)
+    config = tiny_config(tmp_path, rounds=1)
+    dataset = load_dataset(config)
+    run_repetition(config, dataset, lr=0.05, rep=1)
+    assert derived == [(config.seed + 1, range(dataset.num_users), EVAL_NEG_SALT)]
 
 
 def test_repetition_eval_stride(tmp_path):
@@ -646,6 +661,18 @@ def test_pool_starts_no_more_processes_than_can_run_at_once(
     assert InlinePool.sizes == sizes
 
 
+@pytest.mark.parametrize("verb", ["ablate", "sweep"])
+def test_cell_commands_open_one_pool_for_every_cell(tmp_path, monkeypatch, verb):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    config = tiny_config(tmp_path, rounds=1, reps=2, workers=2)
+    if verb == "ablate":
+        experiments.ablation_suite(config)
+    else:
+        experiments.sweep(config, [("alpha", [0.0, 0.5]), ("public_ratio", [0.5, 1.0])])
+    assert InlinePool.sizes == [2]
+
+
 def test_pool_workers_are_spawned_with_a_share_of_the_blas_threads(monkeypatch):
     # Forked workers would keep the parent's loaded BLAS and its thread count;
     # spawned ones load it afresh and read the variables. A preset one stays.
@@ -710,10 +737,10 @@ def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
     config = tiny_config(tmp_path, rounds=2, reps=1)
     execute_run = experiments.execute_run
 
-    def diverging_at_zero(cell_config, dataset):
+    def diverging_at_zero(cell_config, dataset, pool):
         if cell_config.alpha == 0.0:
             raise TrainingError("diverged")
-        return execute_run(cell_config, dataset)
+        return execute_run(cell_config, dataset, pool)
 
     monkeypatch.setattr(experiments, "execute_run", diverging_at_zero)
     assert experiments.sweep(config, [("alpha", [0.0, 0.5])]) == 0

@@ -17,7 +17,7 @@ from fedgraphrec.federation import (
 )
 from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate, server_update
 from fedgraphrec.model import ModelConfig, TrainingError, train_clients
-from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng
+from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng, derive_rngs
 from oracles import dataset_from_train_sets, init_store, tiers_from_mask
 
 
@@ -470,15 +470,22 @@ def test_ldp_noise_perturbs_the_run():
     assert (finals[0] != finals[1]).any()
 
 
-def test_ldp_generators_derived_only_with_noise(monkeypatch):
-    ds, tiers = small_world()
+def record_derive_rngs(monkeypatch):
+    """Patch `federation.derive_rngs` to record each call's coordinates, with
+    users as given; returns the record."""
     derived = []
 
-    def recording(*key):
-        derived.append(key)
-        return derive_rng(*key)
+    def recording(seed, users, *rest):
+        derived.append((seed, users, *rest))
+        return derive_rngs(seed, users, *rest)
 
-    monkeypatch.setattr(federation, "derive_rng", recording)
+    monkeypatch.setattr(federation, "derive_rngs", recording)
+    return derived
+
+
+def test_ldp_generators_derived_only_with_noise(monkeypatch):
+    ds, tiers = small_world()
+    derived = record_derive_rngs(monkeypatch)
     for scale in (0.0, 0.5):
         derived.clear()
         config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
@@ -486,8 +493,16 @@ def test_ldp_generators_derived_only_with_noise(monkeypatch):
         ldp_keys = [key for key in derived if key[-1] == LDP_SALT]
         # Round 2's server step noises what round 1 trained; nothing reads the
         # final round's tables, so they draw no noise.
-        expected = [(3, u, 1, LDP_SALT) for u in range(6)] if scale else []
+        expected = [(3, range(6), 1, LDP_SALT)] if scale else []
         assert ldp_keys == expected
+
+
+def test_training_generators_are_derived_per_round(monkeypatch):
+    ds, tiers = small_world()
+    derived = record_derive_rngs(monkeypatch)
+    run_federation(ds, tiers, FederationConfig(rounds=2, model=small_model(), seed=3))
+    train_keys = [key for key in derived if key[-1] == TRAIN_SALT]
+    assert train_keys == [(3, range(6), 1, TRAIN_SALT), (3, range(6), 2, TRAIN_SALT)]
 
 
 def test_evaluation_reads_clean_tables():
