@@ -2,7 +2,8 @@
 committed `rounds.csv` (bar `wall_time`) and `summary.csv`, and the `ablate`
 trace its `ablation.csv` and each variant's `summary.csv`. Seven run on the
 bundled file; `synth-2hop` and `synth-ldp` run on a small `gen-synth` world
-that the trace writes itself.
+that the trace writes itself, and `synth-ragged` on a `gen-synth` world cut
+so that users have different training counts.
 
 A change that moves any cell must declare why (summation order, dtype or
 sampler) and show the old and new values. Regenerate the traces with
@@ -13,9 +14,11 @@ sampler) and show the old and new values. Regenerate the traces with
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedgraphrec import cli
+from fedgraphrec import model as mdl
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -34,12 +37,24 @@ TRACES = {
     ],
     "synth-ldp": ["--public-ratio", "0.5", "--ldp-delta", "0.01"],
     "ablate": ["--public-ratio", "0.5"],
+    "synth-ragged": ["--public-ratio", "0.5", "--batch-size", "16", "--local-epochs", "2"],
 }
 # traces that run another verb than `run`
 VERBS = {"ablate": "ablate"}
 # traces on a generated world: the `gen-synth` flags that write it
 SYNTH_WORLD = ["--users", "60", "--items", "150", "--per-user", "15", "--clusters", "4", "--seed", "3"]
-WORLDS = {"synth-2hop": SYNTH_WORLD, "synth-ldp": SYNTH_WORLD}
+RAGGED_WORLD = ["--users", "20", "--items", "120", "--per-user", "16", "--clusters", "4", "--seed", "5"]
+WORLDS = {"synth-2hop": SYNTH_WORLD, "synth-ldp": SYNTH_WORLD, "synth-ragged": RAGGED_WORLD}
+# traces whose world keeps only the interactions a user's token `user` stamped
+# at most 4 + (7 · user) mod 13, so training counts run from 2 to 14 and local
+# steps of one length hold clients that are not consecutive
+RAGGED = {"synth-ragged"}
+
+
+def keep_ragged(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if int(line.split("\t")[3]) <= 4 + 7 * int(line.split("\t")[0]) % 13]
+    path.write_text("".join(kept))
 
 
 def run_trace(name: str, out: Path) -> dict[str, str]:
@@ -50,6 +65,8 @@ def run_trace(name: str, out: Path) -> dict[str, str]:
     if name in WORLDS:
         dataset = str(out / f"{name}.tsv")
         assert cli.main(["gen-synth", *WORLDS[name], "--out", dataset]) == 0
+        if name in RAGGED:
+            keep_ragged(Path(dataset))
     verb = VERBS.get(name, "run")
     argv = [verb, *BASE, "--dataset", dataset, *TRACES[name], "--out", str(out), "--label", name]
     assert cli.main(argv) == 0
@@ -68,12 +85,25 @@ def run_trace(name: str, out: Path) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))
-def test_run_matches_golden_trace(name, tmp_path):
+def test_run_matches_golden_trace(name, tmp_path, monkeypatch):
+    chunks = []
+    step = mdl._cohort_step
+
+    def recording_step(store, rows, *args):
+        chunks.append(rows.copy())
+        return step(store, rows, *args)
+
+    monkeypatch.setattr(mdl, "_cohort_step", recording_step)
     files = run_trace(name, tmp_path)
     golden = sorted(p.relative_to(GOLDEN / name).as_posix() for p in (GOLDEN / name).rglob("*.csv"))
     assert sorted(files) == golden
     for rel, text in files.items():
         assert text == (GOLDEN / name / rel).read_text(), f"{name}/{rel} moved"
+    # Equal training counts train every step's chunks as runs of consecutive
+    # clients; a ragged world also trains chunks that are not, and one-client
+    # chunks.
+    assert any((np.diff(rows) != 1).any() for rows in chunks) == (name in RAGGED)
+    assert any(rows.size == 1 for rows in chunks) == (name in RAGGED)
 
 
 if __name__ == "__main__":
