@@ -133,11 +133,16 @@ class ClientStore:
         return self.item_tables.reshape(-1, self.item_tables.shape[2])
 
     def gather(self, rows: np.ndarray, items: np.ndarray):
-        """Copies of clients `rows`' parameters, with client c's item-table rows
-        `items[c]`: (user vectors, item rows, weights, biases)."""
+        """Clients `rows`' parameters, with client c's item-table rows
+        `items[c]`: (user vectors, item rows, weights, biases). The item rows
+        are a copy. The rest view the stacks when `rows` is one ascending run
+        of consecutive clients, and are copies otherwise."""
+        keys = rows[:, None] * self.item_tables.shape[1] + items
+        if rows.size and (np.diff(rows) == 1).all():
+            rows = slice(rows[0], rows[-1] + 1)
         return (
             self.user_vecs[rows],
-            self.flat_items().take(rows[:, None] * self.item_tables.shape[1] + items, axis=0),
+            self.flat_items().take(keys, axis=0),
             [W[rows] for W in self.weights],
             [b[rows] for b in self.biases],
         )
@@ -316,29 +321,31 @@ def _cohort_step(
     del acts
     delta = np.matmul(delta, W1[:, d:].transpose(0, 2, 1))
 
-    # Accumulate duplicate item rows per client; only rows present in a
-    # client's batch change, and each client's unique rows come out as one
-    # sorted block. A row's gradient is its first occurrence plus 0.0 (a -0.0
-    # turns +0.0), then `add.at` adds the later ones cell by cell in batch row
-    # order: 0.0 + x1 + x2 + ..., bit for bit. Every occurrence of a row was
-    # gathered with the same bytes, so the first serves as the row's old
-    # value, and the store is written, not read again.
+    # Accumulate duplicate item rows per client in batch layout; only rows
+    # present in a client's batch change. Each key c·m + item takes its first
+    # batch position from a dense (C·m) slot array, and the filled slots, in
+    # key order, are each client's unique rows as one sorted block: nothing
+    # is sorted. A row's gradient is its first occurrence plus 0.0 (a -0.0
+    # turns +0.0), then `add.at` adds the later occurrences onto it, cell by
+    # cell in batch row order: 0.0 + x1 + x2 + ..., bit for bit.
+    positions = np.arange(items.size)
     keys = (np.arange(C)[:, None] * m + items).ravel()
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    new_rows = item_rows.reshape(-1, d)[first]
-    del item_rows
-    delta = delta.reshape(-1, d)
-    grad_items = delta[first] + 0.0
-    later = np.delete(np.arange(keys.size), first)
-    cells = (inverse[later][:, None] * d + np.arange(d)).ravel()
-    np.add.at(grad_items.reshape(-1), cells, delta[later].ravel())
-    del delta
-    owner = uniq // m
+    slots = np.full(C * m, items.size)
+    np.minimum.at(slots, keys, positions)
+    uniq = np.flatnonzero(slots < items.size)
+    first = slots[keys]
+    later = np.flatnonzero(first != positions)
+    first_of_later = first[later]
+    delta += 0.0
+    flat_delta = delta.reshape(-1, d)
+    cells = (first_of_later[:, None] * d + np.arange(d)).ravel()
+    np.add.at(flat_delta.reshape(-1), cells, flat_delta[later].ravel())
 
     # Each client's squared norm in the one-client order: every vector's and
     # item row's own dot, with the client's item rows added one after another
-    # in item order, as bincount adds them.
-    sq = _row_dots(grad_users) + np.bincount(owner, weights=_row_dots(grad_items), minlength=C)
+    # in item order, as bincount adds the dots taken at their first positions.
+    row_sq = np.bincount(uniq // m, weights=_row_dots(flat_delta)[slots[uniq]], minlength=C)
+    sq = _row_dots(grad_users) + row_sq
     for gW, gb in zip(grads_W, grads_b):
         sq += (gW * gW).reshape(C, -1).sum(axis=1) + _row_dots(gb)
     norm = np.sqrt(sq)
@@ -349,16 +356,27 @@ def _cohort_step(
         scale[clipped] = learning_rate * (clip_norm / norm[clipped])
         norm[clipped] = clip_norm
 
+    # Every occurrence of a row was gathered with the same bytes, so the first
+    # serves as the row's old value: the later ones take its new bytes, and
+    # every batch row is written back, none read again. The other parameters
+    # are views of the store when `rows` is a run of consecutive clients, and
+    # are updated in place; otherwise they are copies and written back.
+    delta *= scale[:, None, None]
+    item_rows -= delta
+    flat_rows = item_rows.reshape(-1, d)
+    flat_rows[later] = flat_rows[first_of_later]
+    store.flat_items()[(rows[:, None] * m + items).ravel()] = flat_rows
     user_vecs -= scale[:, None] * grad_users
-    store.user_vecs[rows] = user_vecs
-    new_rows -= scale[owner, None] * grad_items
-    store.flat_items()[rows[owner] * m + uniq % m] = new_rows
-    for stack, W, gW in zip(store.weights, weights, grads_W):
+    for W, gW in zip(weights, grads_W):
         W -= scale[:, None, None] * gW
-        stack[rows] = W
-    for stack, b, gb in zip(store.biases, biases, grads_b):
+    for b, gb in zip(biases, grads_b):
         b -= scale[:, None] * gb
-        stack[rows] = b
+    if not np.may_share_memory(user_vecs, store.user_vecs):
+        store.user_vecs[rows] = user_vecs
+        for stack, W in zip(store.weights, weights):
+            stack[rows] = W
+        for stack, b in zip(store.biases, biases):
+            stack[rows] = b
     return loss, norm
 
 

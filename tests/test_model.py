@@ -457,6 +457,50 @@ def test_cohort_step_matches_reference_bit_for_bit():
     assert 0 < len(clipped) < count
 
 
+@pytest.mark.parametrize("rows", [[0, 2, 5], [1, 2, 3]])
+@pytest.mark.parametrize("drawn", [12, 2])
+@pytest.mark.parametrize("clip_norm", [0.0, 0.05])
+def test_chunk_step_matches_reference_bit_for_bit(rows, drawn, clip_norm):
+    # One stacked step of three of six clients, against the reference step
+    # client by client: rows [0, 2, 5] are copied and written back, rows
+    # [1, 2, 3] are updated in place. Batches of 40 items drawn from 12, or
+    # from 2, so that almost every row repeats. The other clients keep their
+    # bytes.
+    config = ModelConfig(embed_dim=6, mlp_hidden=(8, 4), init_scale=0.3)
+    store = init_store(config, 12, 6, seed=17)
+    references = [clone_state(client) for client in store]
+    rows = np.asarray(rows)
+    rng = np.random.default_rng(18)
+    clipped = 0
+    for _ in range(10):
+        items = rng.choice(rng.permutation(12)[:drawn], size=(rows.size, 40))
+        labels = rng.integers(0, 2, size=(rows.size, 40)).astype(np.float64)
+        assert all(np.unique(batch).size < batch.size for batch in items)
+        loss, norm = mdl._cohort_step(store, rows, items, labels, 0.2, clip_norm)
+        for c, u in enumerate(rows):
+            want = reference_sgd_step(references[u], items[c], labels[c], 0.2, clip_norm)
+            assert (float(loss[c]), float(norm[c])) == want
+            clipped += want[1] == clip_norm
+        for client, reference in zip(store, references):
+            assert_same_parameters(client, reference)
+    assert (clipped > 0) == (clip_norm > 0)
+
+
+def test_gather_views_a_consecutive_run_and_copies_other_rows():
+    config = ModelConfig(embed_dim=4, mlp_hidden=(6,))
+    store = init_store(config, 10, 6, seed=3)
+    stacks = [store.user_vecs, *store.weights, *store.biases]
+    for rows, views in (([2, 3, 4], True), ([5], True), ([0, 2, 5], False), ([4, 3, 2], False), ([3, 3], False)):
+        rows = np.asarray(rows)
+        items = np.arange(rows.size * 4).reshape(rows.size, 4) % 10
+        user_vecs, item_rows, weights, biases = store.gather(rows, items)
+        for got, stack in zip([user_vecs, *weights, *biases], stacks):
+            assert np.shares_memory(got, stack) == views
+            assert np.array_equal(got, stack[rows])
+        assert not np.shares_memory(item_rows, store.item_tables)
+        assert np.array_equal(item_rows, store.item_tables[rows[:, None], items])
+
+
 def test_clients_per_chunk_rule():
     # At least COHORT_CLIENTS clients, within COHORT_ROWS to COHORT_MAX_ROWS
     # rows, and one client alone above the ceiling.
