@@ -23,8 +23,8 @@ PROB_FLOOR = 1e-7
 # client above the ceiling alone. Each chunk's temporaries are a few (rows,
 # width) float64 arrays. Training plus evaluation, median round, one CPU,
 # default model, at a flat 512/1024/2048 rows and then at 4, 8 and 16 clients
-# (ceilings 2048/2048/4096 rows): 7.0/8.9/9.8/7.5/7.0/7.2 ms on the bundled
-# 50-client file (B = 40) and 745/640/601/659/599/883 ms at the ML-100K shape
+# (ceilings 2048/2048/4096 rows): 6.2/7.2/8.0/6.6/6.3/6.3 ms on the bundled
+# 50-client file (B = 40) and 676/523/489/522/486/699 ms at the ML-100K shape
 # (B = 256). Per-call overhead sets the large shape, where 512 rows hold only
 # two clients; small batches keep their 512-row chunks.
 COHORT_ROWS = 512
