@@ -2,8 +2,9 @@
 committed `rounds.csv` (bar `wall_time`) and `summary.csv`, and the `ablate`
 trace its `ablation.csv` and each variant's `summary.csv`. Seven run on the
 bundled file; `synth-2hop` and `synth-ldp` run on a small `gen-synth` world
-that the trace writes itself, and `synth-ragged` on a `gen-synth` world cut
-so that users have different training counts.
+that the trace writes itself, `synth-ragged` on a `gen-synth` world cut
+so that users have different training counts, and `synth-sparse` on a world
+so sparse that most sharing users share no item with another sharing user.
 
 A change that moves any cell must declare why (summation order, dtype or
 sampler) and show the old and new values. Regenerate the traces with
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from fedgraphrec import cli
+from fedgraphrec import federation as fed
 from fedgraphrec import model as mdl
 
 REPO = Path(__file__).resolve().parents[1]
@@ -38,17 +40,26 @@ TRACES = {
     "synth-ldp": ["--public-ratio", "0.5", "--ldp-delta", "0.01"],
     "ablate": ["--public-ratio", "0.5"],
     "synth-ragged": ["--public-ratio", "0.5", "--batch-size", "16", "--local-epochs", "2"],
+    "synth-sparse": ["--public-ratio", "0.5"],
 }
 # traces that run another verb than `run`
 VERBS = {"ablate": "ablate"}
 # traces on a generated world: the `gen-synth` flags that write it
 SYNTH_WORLD = ["--users", "60", "--items", "150", "--per-user", "15", "--clusters", "4", "--seed", "3"]
 RAGGED_WORLD = ["--users", "20", "--items", "120", "--per-user", "16", "--clusters", "4", "--seed", "5"]
-WORLDS = {"synth-2hop": SYNTH_WORLD, "synth-ldp": SYNTH_WORLD, "synth-ragged": RAGGED_WORLD}
+SPARSE_WORLD = ["--users", "40", "--items", "400", "--per-user", "5", "--clusters", "8", "--seed", "2"]
+WORLDS = {
+    "synth-2hop": SYNTH_WORLD,
+    "synth-ldp": SYNTH_WORLD,
+    "synth-ragged": RAGGED_WORLD,
+    "synth-sparse": SPARSE_WORLD,
+}
 # traces whose world keeps only the interactions a user's token `user` stamped
 # at most 4 + (7 · user) mod 13, so training counts run from 2 to 14 and local
 # steps of one length hold clients that are not consecutive
 RAGGED = {"synth-ragged"}
+# traces whose graph links only some of the sharing users
+SPARSE = {"synth-sparse"}
 
 
 def keep_ragged(path: Path) -> None:
@@ -94,6 +105,15 @@ def test_run_matches_golden_trace(name, tmp_path, monkeypatch):
         return step(store, rows, *args)
 
     monkeypatch.setattr(mdl, "_cohort_step", recording_step)
+    graphs = []
+    build = fed.build_user_graph
+
+    def recording_build(dataset, tiers):
+        graph = build(dataset, tiers)
+        graphs.append((graph, tiers.num_public))
+        return graph
+
+    monkeypatch.setattr(fed, "build_user_graph", recording_build)
     files = run_trace(name, tmp_path)
     golden = sorted(p.relative_to(GOLDEN / name).as_posix() for p in (GOLDEN / name).rglob("*.csv"))
     assert sorted(files) == golden
@@ -104,6 +124,11 @@ def test_run_matches_golden_trace(name, tmp_path, monkeypatch):
     # chunks.
     assert any((np.diff(rows) != 1).any() for rows in chunks) == (name in RAGGED)
     assert any(rows.size == 1 for rows in chunks) == (name in RAGGED)
+    # Every sharing user shares an item with another sharing user, bar in the
+    # sparse world, where the graph links a part of them in each repetition.
+    assert any(graph.linked.size < num_public for graph, num_public in graphs) == (name in SPARSE)
+    if name in SPARSE:
+        assert all(graph.linked.size < num_public for graph, num_public in graphs)
 
 
 if __name__ == "__main__":
