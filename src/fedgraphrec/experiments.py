@@ -29,7 +29,7 @@ from fedgraphrec.data import (
 )
 from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import FederationConfig, RoundRecord, run_federation
-from fedgraphrec.graph import build_user_graph, dump_triplets, normalize
+from fedgraphrec.graph import build_user_graph, dump_triplets, full_matrix, normalize
 from fedgraphrec.model import ModelConfig, TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng, derive_rngs
 
@@ -275,7 +275,8 @@ def load_config_file(path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # the BOM goes after decoding, so error offsets count the file's bytes
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config file is not UTF-8 text (byte {exc.start})") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -834,7 +835,7 @@ def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
         with _atomic(path) as tmp:
             dump_triplets(graph, tmp, normalized=normalized)
 
-    adjacency = graph.adjacency
+    adjacency = full_matrix(graph)
     diagonal = adjacency.diagonal()
     nnz = int(np.count_nonzero(adjacency))
     off_diag_nnz = nnz - int(np.count_nonzero(diagonal))

@@ -9,46 +9,40 @@ import numpy as np
 from fedgraphrec.data import InteractionDataset, PrivacyAssignment
 
 # Column slab width of every product: each hop's temporaries are
-# (rows with neighbours) x SLAB_COLUMNS, never the size of the tables.
+# (linked rows) x SLAB_COLUMNS, never the size of the tables.
 SLAB_COLUMNS = 2048
 
 
 @dataclass(eq=False)
 class UserGraph:
-    """Symmetric user-user co-interaction graph, held as dense arrays.
+    """Symmetric user-user co-interaction graph over the sharing users it links.
 
-    ``adjacency[a, b]`` counts training items users a and b share, for users
-    who opted into sharing; their diagonal is zero. Users who share nothing
-    (non-sharing users, and sharing users with no co-interactions) carry a
-    unit self-loop so degree normalization stays defined. normalize() fills
-    ``normalized``, ``linked``, the sorted rows that have neighbours, and
-    ``_dense_normalized``, the normalized operator restricted to those rows
-    and columns. Every other row of the operator is an identity row.
+    ``linked`` lists, ascending, the sharing users who share a training item
+    with another sharing user; ``adjacency[a, b]`` counts the training items
+    that linked users ``linked[a]`` and ``linked[b]`` share, with a zero
+    diagonal. The graph holds nothing about any other user: propagation
+    leaves their tables as they are. normalize() fills ``_dense_normalized``,
+    the symmetric degree normalization of that block. full_matrix() embeds
+    either block in the (num_users, num_users) form, where every unlinked
+    user carries a unit self-loop; only the output writers build it.
     """
 
+    num_users: int
+    linked: np.ndarray
     adjacency: np.ndarray
-    normalized: np.ndarray | None = None
-    linked: np.ndarray | None = None
     _dense_normalized: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def num_users(self) -> int:
-        return int(self.adjacency.shape[0])
 
 
 def build_user_graph(dataset: InteractionDataset, tiers: PrivacyAssignment) -> UserGraph:
-    """Co-interaction counts between sharing users' training sets.
+    """Co-interaction counts between sharing users' training sets, kept for
+    the users with a co-interaction.
 
-    Reads train_items() only for sharing users; non-sharing users' rows stay
-    empty apart from the unit self-loop. The counts are one product of the
-    sharing users' 0/1 incidence rows: integers, so exact in any summation
-    order.
+    Reads train_items() only for sharing users. The counts are one product of
+    their 0/1 incidence rows: integers, so exact in any summation order.
     """
     num_users = int(tiers.is_public.size)
     if dataset.num_users != num_users:
-        raise ValueError(
-            f"dataset has {dataset.num_users} users but tiers cover {num_users}"
-        )
+        raise ValueError(f"dataset has {dataset.num_users} users but tiers cover {num_users}")
     sharing = tiers.public_users()
     incidence = np.zeros((sharing.size, dataset.num_items))
     for row, u in enumerate(sharing):
@@ -56,38 +50,36 @@ def build_user_graph(dataset: InteractionDataset, tiers: PrivacyAssignment) -> U
     shared = incidence @ incidence.T
     del incidence
     np.fill_diagonal(shared, 0.0)
-    if sharing.size == num_users:
-        adjacency = shared
-    else:
-        adjacency = np.zeros((num_users, num_users))
-        adjacency[np.ix_(sharing, sharing)] = shared
-
-    isolated = np.flatnonzero(adjacency.sum(axis=1) == 0.0)
-    adjacency[isolated, isolated] = 1.0
-    return UserGraph(adjacency=adjacency)
+    keep = np.flatnonzero(shared.any(axis=1))
+    if keep.size < sharing.size:
+        shared = shared[np.ix_(keep, keep)]
+    return UserGraph(num_users=num_users, linked=sharing[keep], adjacency=shared)
 
 
 def normalize(graph: UserGraph) -> UserGraph:
-    """Fill graph.normalized with the symmetric degree normalization."""
+    """Fill graph._dense_normalized with the symmetric degree normalization."""
     degree = graph.adjacency.sum(axis=1)
     if (degree <= 0.0).any():
-        raise ValueError("adjacency has a zero-degree row; self-loops are missing")
+        raise ValueError("adjacency has a zero-degree row; every linked user needs a neighbour")
     inv_sqrt = 1.0 / np.sqrt(degree)
     # (a_ij * s_i) * s_j, entry by entry, into one new array.
     mat = graph.adjacency * inv_sqrt[:, None]
     mat *= inv_sqrt[None, :]
-    # An identity row holds one unit entry on the diagonal, and nothing else
-    # in its column reads it; propagation leaves such rows as they are.
-    identity = (
-        (np.count_nonzero(mat, axis=1) == 1)
-        & (np.count_nonzero(mat, axis=0) == 1)
-        & (mat.diagonal() == 1.0)
-    )
-    linked = np.flatnonzero(~identity)
-    graph.normalized = mat
-    graph.linked = linked
-    graph._dense_normalized = mat if linked.size == mat.shape[0] else mat[np.ix_(linked, linked)]
+    graph._dense_normalized = mat
     return graph
+
+
+def full_matrix(graph: UserGraph, normalized: bool = False) -> np.ndarray:
+    """The (num_users, num_users) adjacency, or with `normalized` the
+    normalized operator: the block at the linked users' rows and columns,
+    and a unit self-loop on every other user. For output only."""
+    block = graph._dense_normalized if normalized else graph.adjacency
+    if block is None:
+        raise ValueError("graph is not normalized; call normalize() first")
+    # The block's zero diagonal overwrites the linked users' unit entries.
+    mat = np.eye(graph.num_users)
+    mat[np.ix_(graph.linked, graph.linked)] = block
+    return mat
 
 
 def propagate(
@@ -99,19 +91,18 @@ def propagate(
     adjacency. `tables` is (num_users, ...) with any trailing shape; `out`,
     when given, receives the result. `out=tables` runs in place; any other
     overlap between the two is rejected. Every hop acts along the user axis
-    only, so the rows with neighbours run one column slab at a time, as a
-    dense matmul with (rows with neighbours) x SLAB_COLUMNS temporaries, and
-    identity rows are never touched after the result holds a copy of
-    `tables`.
+    only, so the linked rows run one column slab at a time, as a dense matmul
+    with (linked rows) x SLAB_COLUMNS temporaries, and the other rows are
+    never touched after the result holds a copy of `tables`.
     """
     if layers < 1:
         raise ValueError(f"layers must be >= 1, got {layers}")
-    if graph.normalized is None:
+    block = graph._dense_normalized
+    if block is None:
         raise ValueError("graph is not normalized; call normalize() first")
     n = graph.num_users
     if tables.shape[0] != n:
         raise ValueError(f"tables cover {tables.shape[0]} users, graph has {n}")
-    block = graph._dense_normalized
     if out is None:
         out = np.array(tables, dtype=np.result_type(tables.dtype, block.dtype))
     elif out.shape != tables.shape:
@@ -123,7 +114,7 @@ def propagate(
 
     flat = out.reshape(n, -1)
     k = block.shape[0]
-    # A plain slice when every row has neighbours: no fancy-index copies.
+    # A plain slice when every user is linked: no fancy-index copies.
     rows = graph.linked if k < n else slice(None)
     if k:
         for start in range(0, flat.shape[1], SLAB_COLUMNS):
@@ -135,11 +126,30 @@ def propagate(
     return out
 
 
-def global_embedding(propagated: np.ndarray) -> np.ndarray:
-    """Mean of the smoothed tables over users (fixed reduction order)."""
+def global_embedding(
+    propagated: np.ndarray,
+    sharing: np.ndarray | None = None,
+    private_sum: np.ndarray | None = None,
+) -> np.ndarray:
+    """The global item table: the rows read, summed in user order, over the
+    users they stand for.
+
+    Without `sharing` every row is read and the sum is over all n users. With
+    `sharing`, a boolean user mask, only its rows are read: `private_sum`,
+    the other users' tables summed, completes the sum over n; without it the
+    sum is over the sharing users alone.
+    """
     if propagated.shape[0] == 0:
         raise ValueError("no user tables to average")
-    return propagated.mean(axis=0)
+    where = True if sharing is None else sharing.reshape((-1,) + (1,) * (propagated.ndim - 1))
+    total = propagated.sum(axis=0, where=where)
+    count = propagated.shape[0]
+    if private_sum is not None:
+        total += private_sum
+    elif sharing is not None:
+        count = int(np.count_nonzero(sharing))
+    total /= count
+    return total
 
 
 @dataclass(eq=False)
@@ -170,38 +180,26 @@ def server_update(
     over `graph` (in place with `out=uploads`), or passed through unsmoothed
     when `graph` is None.
 
-    With `private_sum`, the non-sharing users' rows are not read: the global
-    table is (the sharing rows' sum + `private_sum`) / n. Non-sharing users
-    are identity rows of `graph`, so propagation does not read them either.
+    The global table is global_embedding() of the smoothed tables. It reads
+    only the sharing rows under `global_from_public_only`, and when given
+    `private_sum`, the non-sharing users' tables summed. Propagation does not
+    read the non-sharing rows either: `graph` holds nothing about them.
     """
     if global_from_public_only and tiers.num_public == 0:
         raise ValueError("global_from_public_only needs at least one sharing user")
-    if graph is None:
-        propagated = uploads
-    else:
-        propagated = propagate(graph, uploads, layers=layers, out=out)
-    if global_from_public_only or private_sum is not None:
-        # Sums the sharing rows in user order, as a loop accumulating them would.
-        sharing = tiers.is_public.reshape((-1,) + (1,) * (propagated.ndim - 1))
-        total = propagated.sum(axis=0, where=sharing)
-        if global_from_public_only:
-            global_table = total / tiers.num_public
-        else:
-            total += private_sum
-            global_table = total / propagated.shape[0]
-    else:
-        global_table = global_embedding(propagated)
+    propagated = uploads if graph is None else propagate(graph, uploads, layers=layers, out=out)
+    sharing = tiers.is_public if global_from_public_only or private_sum is not None else None
+    global_table = global_embedding(propagated, sharing, private_sum)
     return ServerState(propagated=propagated, global_table=global_table)
 
 
 def dump_triplets(graph: UserGraph, path, normalized: bool = False) -> int:
-    """Write `user_a<TAB>user_b<TAB>weight` triplets (upper triangle).
+    """Write `user_a<TAB>user_b<TAB>weight` triplets of full_matrix() (upper
+    triangle, unit self-loops included).
 
     Returns the number of triplets written.
     """
-    mat = graph.normalized if normalized else graph.adjacency
-    if mat is None:
-        raise ValueError("graph is not normalized; call normalize() first")
+    mat = full_matrix(graph, normalized)
     rows, cols = np.nonzero(np.triu(mat))
     weights = mat[rows, cols].tolist()
     with open(path, "w", encoding="utf-8") as fh:

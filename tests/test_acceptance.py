@@ -22,7 +22,7 @@ from fedgraphrec.experiments import (
     gen_synthetic,
 )
 from fedgraphrec.federation import distribute
-from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate
+from fedgraphrec.graph import ServerState, build_user_graph, full_matrix, normalize, propagate
 from fedgraphrec.model import ModelConfig
 from oracles import (
     brute_adjacency,
@@ -215,7 +215,7 @@ def test_06_graph_oracle_suite():
         train_sets, m, mask = random_graph_instance(rng, max_users=8)
         graph = build_user_graph(dataset_from_train_sets(train_sets, m), tiers_from_mask(mask))
         expected_adj = brute_adjacency(train_sets, mask)
-        assert np.array_equal(graph.adjacency, expected_adj)
+        assert np.array_equal(full_matrix(graph), expected_adj)
 
         normalize(graph)
         expected_norm = brute_normalized(expected_adj)

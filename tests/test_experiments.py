@@ -105,6 +105,23 @@ def test_config_file_unknown_key_names_line(tmp_path):
         load_config_file(path)
 
 
+def test_config_file_with_a_byte_order_mark_parses(tmp_path):
+    # an editor's UTF-8 byte order mark is not part of the first key, and
+    # error messages keep counting lines from 1 and bytes from the file's start
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfdataset = data.tsv\nrounds = 3\n")
+    assert load_config_file(path) == {"dataset": "data.tsv", "rounds": 3}
+    path.write_bytes(b"\xef\xbb\xbfrounds = soon\n")
+    with pytest.raises(ConfigError, match=r"bom\.cfg:1: .*rounds"):
+        load_config_file(path)
+    path.write_bytes(b"\xef\xbb\xbfalpha = 0.5\nlearning_rate = 0.1\n")
+    with pytest.raises(ConfigError, match=r"bom\.cfg:2: unknown config key 'learning_rate'"):
+        load_config_file(path)
+    path.write_bytes(b"\xef\xbb\xbfrounds = 2\n\xff\n")
+    with pytest.raises(ConfigError, match=r"bom\.cfg: config file is not UTF-8 text \(byte 14\)"):
+        load_config_file(path)
+
+
 def test_config_file_with_the_retired_mlp_init_key_names_its_line(tmp_path):
     # MLP weights are always He-scaled; a config file written before that
     # still sets the key, and fails where it does

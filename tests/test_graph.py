@@ -17,6 +17,7 @@ from fedgraphrec.graph import (
     UserGraph,
     build_user_graph,
     dump_triplets,
+    full_matrix,
     global_embedding,
     normalize,
     propagate,
@@ -57,7 +58,9 @@ HAND_ADJ = np.array(
 
 def test_adjacency_hand_example():
     graph = built(HAND_SETS, 10, HAND_MASK)
-    np.testing.assert_array_equal(graph.adjacency, HAND_ADJ)
+    np.testing.assert_array_equal(full_matrix(graph), HAND_ADJ)
+    np.testing.assert_array_equal(graph.linked, [0, 1])
+    np.testing.assert_array_equal(graph.adjacency, [[0.0, 2.0], [2.0, 0.0]])
 
 
 def test_adjacency_counts_are_not_binarized():
@@ -75,7 +78,7 @@ def test_normalized_hand_example_is_row_swap():
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    np.testing.assert_allclose(graph.normalized, swap, atol=1e-15)
+    np.testing.assert_allclose(full_matrix(graph, normalized=True), swap, atol=1e-15)
 
 
 def test_second_hand_example_normalization_constants():
@@ -85,7 +88,7 @@ def test_second_hand_example_normalization_constants():
         graph.adjacency,
         np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 2.0, 0.0]]),
     )
-    dense = graph.normalized
+    dense = full_matrix(graph, normalized=True)
     assert dense[0, 1] == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert dense[0, 2] == pytest.approx(2.0 / np.sqrt(12.0), rel=1e-15)
     assert dense[1, 2] == pytest.approx(2.0 / np.sqrt(12.0), rel=1e-15)
@@ -103,7 +106,7 @@ def test_nonsharing_rows_hold_only_the_self_loop():
     rng = np.random.default_rng(41)
     for _ in range(50):
         train_sets, m, mask = random_graph_instance(rng)
-        dense = built(train_sets, m, mask).adjacency
+        dense = full_matrix(built(train_sets, m, mask))
         for u in np.flatnonzero(~mask):
             row = dense[u].copy()
             row[u] = 0.0
@@ -120,11 +123,11 @@ def test_matches_brute_force_oracles():
         train_sets, m, mask = random_graph_instance(rng)
         graph = built(train_sets, m, mask)
         expected_adj = brute_adjacency(train_sets, mask)
-        np.testing.assert_array_equal(graph.adjacency, expected_adj)
+        np.testing.assert_array_equal(full_matrix(graph), expected_adj)
 
         normalize(graph)
         expected_norm = brute_normalized(expected_adj)
-        np.testing.assert_allclose(graph.normalized, expected_norm, atol=1e-10)
+        np.testing.assert_allclose(full_matrix(graph, normalized=True), expected_norm, atol=1e-10)
 
         n = len(train_sets)
         tables = rng.normal(size=(n, 3, 2))
@@ -158,12 +161,36 @@ def test_all_sharing_build_is_canonical_and_allocates_little():
 
 def test_all_nonsharing_gives_identity_adjacency():
     graph = built([{0, 1}, {1, 2}, {2}], 3, [False] * 3)
-    np.testing.assert_array_equal(graph.adjacency, np.eye(3))
+    np.testing.assert_array_equal(full_matrix(graph), np.eye(3))
+    assert graph.linked.size == 0 and graph.adjacency.shape == (0, 0)
 
 
 def test_sharing_user_with_empty_train_gets_self_loop():
     graph = built([set(), {0, 1}], 2, [True, True])
-    np.testing.assert_array_equal(graph.adjacency, np.eye(2))
+    np.testing.assert_array_equal(full_matrix(graph), np.eye(2))
+    assert graph.linked.size == 0 and graph.adjacency.shape == (0, 0)
+
+
+def test_graph_holds_nothing_about_nonsharing_users():
+    # The server's graph is cut from the sharing users' data alone: it has no
+    # row for a non-sharing user, and rewriting every non-sharing user's
+    # training set leaves it the same byte for byte.
+    rng = np.random.default_rng(44)
+    for _ in range(100):
+        train_sets, m, mask = random_graph_instance(rng, max_users=12)
+        tiers = tiers_from_mask(mask)
+        graph = normalize(built(train_sets, m, mask))
+        assert np.isin(graph.linked, tiers.public_users()).all()
+        assert graph.adjacency.shape == (graph.linked.size, graph.linked.size)
+        rewritten = [
+            train_set if shares else set(rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False).tolist())
+            for train_set, shares in zip(train_sets, mask)
+        ]
+        again = normalize(built(rewritten, m, mask))
+        for name in ("linked", "adjacency", "_dense_normalized"):
+            before, after = getattr(graph, name), getattr(again, name)
+            assert before.dtype == after.dtype and before.shape == after.shape
+            assert before.tobytes() == after.tobytes(), name
 
 
 def test_user_count_mismatch_rejected():
@@ -176,7 +203,7 @@ def test_user_count_mismatch_rejected():
 
 
 def test_normalize_rejects_zero_degree_row():
-    bad = UserGraph(adjacency=np.array([[0.0, 0.0], [0.0, 1.0]]))
+    bad = UserGraph(num_users=2, linked=np.arange(2), adjacency=np.array([[0.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="zero-degree"):
         normalize(bad)
 
@@ -275,11 +302,11 @@ def test_propagate_dense_path_matches_oracle():
     rng = np.random.default_rng(30)
     train_sets, mask = dense_scale_graph(rng)
     graph = normalize(built(train_sets, 12, mask))
-    density = np.count_nonzero(graph.normalized) / graph.num_users**2
+    density = np.count_nonzero(full_matrix(graph, normalized=True)) / graph.num_users**2
     assert density >= 0.05, "instance too sparse for a dense graph"
     tables = rng.normal(size=(80, 6, 3))
     got = propagate(graph, tables, layers=2)
-    assert graph._dense_normalized is graph.normalized
+    assert graph._dense_normalized.shape == (80, 80)
     expected = brute_propagate(
         brute_normalized(brute_adjacency(train_sets, mask)), tables, 2
     )
@@ -416,6 +443,26 @@ def test_global_embedding_matches_loop_mean():
     for u in range(9):
         acc += propagated[u]
     np.testing.assert_allclose(global_embedding(propagated), acc / 9, atol=1e-12)
+
+
+def test_global_embedding_sums_rows_in_user_order():
+    # Every row read: bit for bit the mean over users. The sharing rows only:
+    # bit for bit a loop accumulating them in user order, over the sharing
+    # users, or with private_sum added, over all n.
+    rng = np.random.default_rng(16)
+    for shape in ((50, 100, 32), (9, 5, 3)):
+        propagated = rng.normal(size=shape)
+        np.testing.assert_array_equal(global_embedding(propagated), propagated.mean(axis=0))
+        sharing = rng.random(shape[0]) < 0.5
+        sharing[0] = True
+        acc = np.zeros(shape[1:])
+        for u in np.flatnonzero(sharing):
+            acc += propagated[u]
+        np.testing.assert_array_equal(global_embedding(propagated, sharing), acc / sharing.sum())
+        private_sum = rng.normal(size=shape[1:])
+        np.testing.assert_array_equal(
+            global_embedding(propagated, sharing, private_sum), (acc + private_sum) / shape[0]
+        )
 
 
 def mixed_blend_instance(rng, n=6):
@@ -568,7 +615,7 @@ def test_graph_from_bundled_dataset_matches_oracle():
     tiers = assign_privacy(dataset.num_users, 0.5, seed=3)
     graph = normalize(build_user_graph(dataset, tiers))
 
-    dense = graph.adjacency
+    dense = full_matrix(graph)
     np.testing.assert_array_equal(dense, dense.T)
     assert (dense.sum(axis=1) >= 1.0).all()
 
