@@ -8,6 +8,8 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count, dropwhile, repeat
+from operator import attrgetter, methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -66,19 +68,70 @@ def load_interactions(path, file_format: str = "tsv") -> Interactions:
     position as the tie-break. Output preserves the file order of the
     surviving records. Whitespace-only lines are skipped; any other
     malformed line raises DataFormatError naming its 1-based line number.
+    The rating must parse as a number and is then dropped: every record
+    counts as a positive.
 
-    Each line goes straight into flat arrays, with its tokens coded by
-    first appearance, so no per-line object outlives the loop.
+    One loop reads the file as a stream and checks each line inline. Each
+    line goes straight into flat arrays, with its tokens coded by first
+    appearance, so no per-line object outlives the loop.
     """
+    check_layout(file_format)
     path = Path(path)
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
     users, items, stamps = array("q"), array("q"), array("q")
-    for line_no, fields in _rows(path, file_format):
-        user, item, timestamp = _parse_fields(path, line_no, fields)
-        users.append(user_code.setdefault(user, len(user_code)))
-        items.append(item_code.setdefault(item, len(item_code)))
-        stamps.append(timestamp)
+    csv_layout = file_format == "csv"
+    # A line is blank when `joint.join(fields)` is whitespace: the whole line
+    # for the split layouts, every field for CSV.
+    joint = "" if csv_layout else "\t" if file_format == "tsv" else "::"
+    with open(path, "r", encoding="utf-8-sig", newline="" if csv_layout else None) as fh:
+        # (fields, 1-based line number) pairs from C iterators, no generator:
+        # a CSV record's number is the reader's line count once it is read.
+        if csv_layout:
+            reader = csv.reader(fh)
+            numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
+            # line 1 is the header row
+            numbered = dropwhile(lambda record: record[1] == 1, numbered)
+        else:
+            # the last field keeps the newline; every field is stripped
+            numbered = zip(map(methodcaller("split", joint), fh), count(1))
+        for fields, line_no in numbered:
+            if len(fields) == 4:
+                user, item, rating, stamp = fields
+            elif len(fields) == 3:
+                user, item, rating = fields
+                stamp = ""
+            elif joint.join(fields).strip():
+                raise DataFormatError(
+                    f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
+                )
+            else:
+                continue
+            user = user.strip()
+            item = item.strip()
+            if not user or not item:
+                if joint.join(fields).strip():
+                    raise DataFormatError(f"{path}:{line_no}: empty user or item token")
+                continue
+            rating = rating.strip()
+            try:
+                float(rating)
+            except ValueError:
+                raise DataFormatError(f"{path}:{line_no}: bad rating {rating!r}") from None
+            stamp = stamp.strip()
+            timestamp = 0
+            if stamp:
+                try:
+                    timestamp = int(stamp)
+                except ValueError:
+                    raise DataFormatError(f"{path}:{line_no}: bad timestamp {stamp!r}") from None
+                if not -(2**63) <= timestamp < 2**63:
+                    raise DataFormatError(
+                        f"{path}:{line_no}: timestamp {timestamp} does not fit in 64 bits"
+                    )
+            users.append(user_code.setdefault(user, len(user_code)))
+            items.append(item_code.setdefault(item, len(item_code)))
+            stamps.append(timestamp)
     if not users:
         raise DataFormatError(f"{path}: no interaction records")
     users, items, stamps = (np.frombuffer(a, dtype=np.int64) for a in (users, items, stamps))
@@ -96,55 +149,6 @@ def load_interactions(path, file_format: str = "tsv") -> Interactions:
         items=items[keep],
         timestamps=stamps[keep],
     )
-
-
-def _rows(path: Path, file_format: str):
-    """Yield (1-based line number, fields) for every line that is not blank."""
-    check_layout(file_format)
-    if file_format == "csv":
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            for fields in reader:
-                # line 1 is the header row
-                if reader.line_num > 1 and any(f.strip() for f in fields):
-                    yield reader.line_num, fields
-        return
-    sep = "\t" if file_format == "tsv" else "::"
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                # the last field keeps the newline; the parser strips every field
-                yield line_no, line.split(sep)
-
-
-def _parse_fields(path: Path, line_no: int, fields: list[str]) -> tuple[str, str, int]:
-    """(user, item, timestamp) of one line, a missing timestamp read as 0.
-    The rating is checked to be a number and then dropped: every record
-    counts as a positive whatever its rating."""
-    if len(fields) not in (3, 4):
-        raise DataFormatError(
-            f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
-        )
-    user, item, rating_text = (f.strip() for f in fields[:3])
-    if not user or not item:
-        raise DataFormatError(f"{path}:{line_no}: empty user or item token")
-    try:
-        float(rating_text)
-    except ValueError:
-        raise DataFormatError(f"{path}:{line_no}: bad rating {rating_text!r}") from None
-    timestamp = 0
-    if len(fields) == 4 and fields[3].strip():
-        try:
-            timestamp = int(fields[3].strip())
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{line_no}: bad timestamp {fields[3].strip()!r}"
-            ) from None
-        if not -(2**63) <= timestamp < 2**63:
-            raise DataFormatError(
-                f"{path}:{line_no}: timestamp {timestamp} does not fit in 64 bits"
-            )
-    return user, item, timestamp
 
 
 @dataclass(eq=False)

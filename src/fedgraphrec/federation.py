@@ -25,7 +25,14 @@ from fedgraphrec.model import (
     train_clients,
     train_local,  # noqa: F401  perfbench/traced.py wraps federation.train_local by name
 )
-from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_rng, derive_rngs
+from fedgraphrec.seeding import (
+    INIT_SALT,
+    LDP_SALT,
+    PRIVATE_SUM_SALT,
+    TRAIN_SALT,
+    derive_rng,
+    derive_rngs,
+)
 
 
 @dataclass
@@ -184,8 +191,9 @@ def run_federation(
     # graph and the aggregation work entirely.
     serving = not config.disable_iei
     clients = ClientStore.empty(n, m, config.model)
-    for u in range(n):
-        init_client(config.model, m, None, seed=(config.seed, u), out=clients[u],
+    # Client u's stream is the one that seed (config.seed, u) names.
+    for u, rng in enumerate(derive_rngs(config.seed, range(n), INIT_SALT)):
+        init_client(config.model, m, None, seed=rng, out=clients[u],
                     draw_items=not serving or tiers.is_public[u])
     num_private = n - tiers.num_public
     private_sum = None

@@ -37,14 +37,19 @@ def build_user_graph(dataset: InteractionDataset, tiers: PrivacyAssignment) -> U
     """Co-interaction counts between sharing users' training sets, kept for
     the users with a co-interaction.
 
-    Reads train_items() only for sharing users. The counts are one product of
-    their 0/1 incidence rows: integers, so exact in any summation order.
+    Reads train_items() only for sharing users. The counts are one float32
+    product of their 0/1 incidence rows, cast to float64. Every partial sum is
+    an integer of at most num_items, so the counts are exact in any summation
+    order while num_items < 2**24; a larger item count is an error.
     """
     num_users = int(tiers.is_public.size)
     if dataset.num_users != num_users:
         raise ValueError(f"dataset has {dataset.num_users} users but tiers cover {num_users}")
+    if dataset.num_items >= 2**24:
+        raise ValueError("float32 co-interaction counts are exact only below 2**24 items, "
+                         f"got {dataset.num_items}")
     sharing = tiers.public_users()
-    incidence = np.zeros((sharing.size, dataset.num_items))
+    incidence = np.zeros((sharing.size, dataset.num_items), dtype=np.float32)
     for row, u in enumerate(sharing):
         incidence[row, dataset.train_items(int(u))] = 1.0
     shared = incidence @ incidence.T
@@ -53,7 +58,8 @@ def build_user_graph(dataset: InteractionDataset, tiers: PrivacyAssignment) -> U
     keep = np.flatnonzero(shared.any(axis=1))
     if keep.size < sharing.size:
         shared = shared[np.ix_(keep, keep)]
-    return UserGraph(num_users=num_users, linked=sharing[keep], adjacency=shared)
+    return UserGraph(num_users=num_users, linked=sharing[keep],
+                     adjacency=shared.astype(np.float64))
 
 
 def normalize(graph: UserGraph) -> UserGraph:

@@ -187,9 +187,11 @@ def init_client(
     is: the user vector keeps its draws, and the MLP's follow it directly in
     the stream.
 
-    `seed` may be an int or a tuple of ints. `tier` is not read: the client's
-    privacy tier lives only in the PrivacyAssignment. The parameter stays
-    because `perfbench/test_checks.py` passes it, by position and by name.
+    `seed` may be an int, a tuple of ints, or a Generator, used as is: the
+    one `derive_rng(*seed, INIT_SALT)` makes draws what that seed names.
+    `tier` is not read: the client's privacy tier lives only in the
+    PrivacyAssignment. The parameter stays because `perfbench/test_checks.py`
+    passes it, by position and by name.
     """
     config.validate()
     if num_items < 1:
@@ -204,8 +206,11 @@ def init_client(
     scales = [config.init_scale, config.init_scale, *(np.sqrt(2.0 / n) for n in dims[:-1])]
     if not draw_items:
         del arrays[1], scales[1]
-    parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    rng = derive_rng(*parts, INIT_SALT)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        parts = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+        rng = derive_rng(*parts, INIT_SALT)
     # In place, z * scale equals the scale * z + 0 that rng.normal(0, scale)
     # returns, bar the sign of a zero.
     for array, scale in zip(arrays, scales):

@@ -4,12 +4,19 @@ Everything here is deliberately naive: plain loops, dense matrices, and
 sort-and-scan ranking, written separately from the library code paths.
 """
 
+import csv
 import math
 
 import numpy as np
 
 from fedgraphrec import model as mdl
-from fedgraphrec.data import InteractionDataset, PrivacyAssignment, Tier, sample_train_negatives
+from fedgraphrec.data import (
+    DataFormatError,
+    InteractionDataset,
+    PrivacyAssignment,
+    Tier,
+    sample_train_negatives,
+)
 from fedgraphrec.model import ClientState, ClientStore, ModelConfig, init_client
 from fedgraphrec.seeding import INIT_SALT, derive_rng
 
@@ -74,6 +81,71 @@ def reference_load_split(lines):
         dropped_interactions=sum(counts[user] for user in dropped),
     )
     return log, split
+
+
+def reference_load_interactions(path, file_format="tsv"):
+    """`load_interactions` as a per-line parser: a generator of each non-blank
+    line's (1-based line number, fields), then one call per line that checks
+    the fields and returns (user, item, timestamp). Returns the Interactions
+    fields as a dict of lists, as `reference_load_split`'s log."""
+    records = []
+    for line_no, fields in _reference_rows(path, file_format):
+        records.append(_reference_parse_fields(path, line_no, fields))
+    if not records:
+        raise DataFormatError(f"{path}: no interaction records")
+    user_tokens = list(dict.fromkeys(user for user, _item, _ts in records))
+    item_tokens = list(dict.fromkeys(item for _user, item, _ts in records))
+    # per (user, item), the record with the largest (timestamp, line)
+    best = {}
+    for line, (user, item, ts) in enumerate(records):
+        if (user, item) not in best or (ts, line) >= best[(user, item)]:
+            best[(user, item)] = (ts, line)
+    kept = sorted(line for _ts, line in best.values())
+    return dict(
+        user_tokens=user_tokens,
+        item_tokens=item_tokens,
+        users=[user_tokens.index(records[line][0]) for line in kept],
+        items=[item_tokens.index(records[line][1]) for line in kept],
+        timestamps=[records[line][2] for line in kept],
+    )
+
+
+def _reference_rows(path, file_format):
+    if file_format == "csv":
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            for fields in reader:
+                if reader.line_num > 1 and any(f.strip() for f in fields):
+                    yield reader.line_num, fields
+        return
+    sep = "\t" if file_format == "tsv" else "::"
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, line.split(sep)
+
+
+def _reference_parse_fields(path, line_no, fields):
+    if len(fields) not in (3, 4):
+        raise DataFormatError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}")
+    user, item, rating_text = (f.strip() for f in fields[:3])
+    if not user or not item:
+        raise DataFormatError(f"{path}:{line_no}: empty user or item token")
+    try:
+        float(rating_text)
+    except ValueError:
+        raise DataFormatError(f"{path}:{line_no}: bad rating {rating_text!r}") from None
+    timestamp = 0
+    if len(fields) == 4 and fields[3].strip():
+        try:
+            timestamp = int(fields[3].strip())
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{line_no}: bad timestamp {fields[3].strip()!r}") from None
+        if not -(2**63) <= timestamp < 2**63:
+            raise DataFormatError(
+                f"{path}:{line_no}: timestamp {timestamp} does not fit in 64 bits")
+    return user, item, timestamp
 
 
 def reference_negative_pool(dataset, user):

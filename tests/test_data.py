@@ -14,7 +14,7 @@ from fedgraphrec.data import (
     sample_train_negatives,
 )
 from fedgraphrec.seeding import derive_rng
-from oracles import reference_load_split, reference_negative_pool
+from oracles import reference_load_interactions, reference_load_split, reference_negative_pool
 
 
 def write(tmp_path, name, text):
@@ -200,6 +200,105 @@ def test_load_and_split_match_reference_in_every_layout(tmp_path, seed):
         assert got == expected, fmt
         assert all(arr.dtype == np.int64 for arr in ds.train)
         assert all(type(i) is int for i in ds.validation + ds.test)
+
+
+# Padding the split layouts and CSV all take: str.strip removes each of
+# these, and "\x1c" is one that float and int do not skip on their own.
+PADS = ["", " ", "  ", "\xa0", "\x1c", "\u3000"]
+LAYOUT_SEPS = {"tsv": "\t", "double-colon": "::", "csv": ","}
+
+
+def random_raw_lines(rng, fmt):
+    """Data lines of one layout, newlines not yet added: 3- and 4-field
+    records with padded tokens, inner spaces, duplicate pairs and tied
+    timestamps, between blank lines and whitespace-only lines (with
+    separators where the layout skips them)."""
+    sep = LAYOUT_SEPS[fmt]
+    blanks = ["", " ", "\t", "  \t "]
+    if fmt != "double-colon":
+        blanks += [sep.join([" ", "\t", ""]), sep.join(["\t"] * 4)]
+
+    def pad(token):
+        return str(rng.choice(PADS)) + token + str(rng.choice(PADS))
+
+    lines = []
+    for _ in range(int(rng.integers(5, 40))):
+        while rng.random() < 0.2:
+            lines.append(str(rng.choice(blanks)))
+        user = f"u {rng.integers(4)}" if rng.random() < 0.3 else f"u{rng.integers(4)}"
+        item = f"i {rng.integers(6)}" if rng.random() < 0.3 else f"i{rng.integers(6)}"
+        fields = [pad(user), pad(item), pad(str(rng.integers(1, 11) / 2))]
+        draw = rng.random()
+        if draw < 0.6:
+            fields.append(pad(str(int(rng.integers(-2, 3)))))
+        elif draw < 0.8:
+            fields.append(str(rng.choice(["", " ", "\xa0"])))
+        lines.append(sep.join(fields))
+    return lines
+
+
+def write_raw(tmp_path, fmt, lines, rng, name="raw"):
+    """The lines with mixed LF / CRLF endings, a header row for CSV, and
+    sometimes a BOM."""
+    if fmt == "csv":
+        lines = ["user,item,rating,timestamp", *lines]
+    endings = [str(rng.choice(["\n", "\r\n"])) for _ in lines]
+    if rng.random() < 0.5:
+        endings[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if rng.random() < 0.5:
+        text = "\ufeff" + text
+    path = tmp_path / f"{name}.{fmt}"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("fmt", list(LAYOUT_SEPS))
+def test_load_matches_per_line_reference_on_random_files(tmp_path, fmt, seed):
+    rng = np.random.default_rng([seed, len(fmt)])
+    path = write_raw(tmp_path, fmt, random_raw_lines(rng, fmt), rng)
+    expected = reference_load_interactions(path, fmt)
+    assert log_fields(load_interactions(path, fmt)) == expected
+
+
+def malformed_lines(fmt):
+    """Lines every layout rejects, and those only a layout's separator makes
+    malformed: whitespace and separators alone are not blank in '::'."""
+    sep = LAYOUT_SEPS[fmt]
+    cases = [
+        ["u1", "i1"],
+        ["u1", "i1", "5", "7", "x"],
+        ["", "i1", "5", "7"],
+        ["u1", " ", "5"],
+        ["u1", "i1", "five", "7"],
+        ["u1", "i1", " ", "7"],
+        ["u1", "i1", "5\x85x"],
+        ["u1", "i1", "5", "noon"],
+        ["u1", "i1", "5", " 1.5 "],
+        ["u1", "i1", "5", str(2**63)],
+        ["u1", "i1", "5", str(-(2**63) - 1)],
+        ["u1", "i1", "5", "1" * 5000],
+    ]
+    lines = [sep.join(fields) for fields in cases]
+    if fmt == "double-colon":
+        lines += [" :: ", " :: \t:: ", "\t::\t::\t::\t"]
+    return lines
+
+
+@pytest.mark.parametrize("fmt", list(LAYOUT_SEPS))
+def test_malformed_lines_fail_as_the_per_line_reference(tmp_path, fmt):
+    rng = np.random.default_rng(len(fmt))
+    for case, bad in enumerate(malformed_lines(fmt)):
+        lines = random_raw_lines(rng, fmt)
+        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+        path = write_raw(tmp_path, fmt, lines, rng, name=f"bad{case}")
+        with pytest.raises(DataFormatError) as expected:
+            reference_load_interactions(path, fmt)
+        with pytest.raises(DataFormatError) as got:
+            load_interactions(path, fmt)
+        assert str(got.value) == str(expected.value), bad
+        assert f"{path}:" in str(got.value)
 
 
 def dataset_fields(ds):

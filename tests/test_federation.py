@@ -326,6 +326,28 @@ def test_full_draws_match_init_store(monkeypatch, disable_iei, first_call):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("mask", [None, [True] * 6, [False] * 6])
+@pytest.mark.parametrize("disable_iei", [False, True])
+def test_store_equals_per_client_init_from_tuple_seeds(monkeypatch, mask, disable_iei):
+    # run_federation takes every client's init stream from one vectorized
+    # hash; each client must hold what init_client(seed=(seed, u)) draws on
+    # its own, with or without its item table.
+    ds, tiers = small_world(mask=mask)
+    config = FederationConfig(rounds=1, disable_iei=disable_iei, model=small_model(), seed=9)
+    snapshots = _store_at_first(monkeypatch, "train_clients" if disable_iei else "server_update")
+    run_federation(ds, tiers, config)
+    user_vecs, tables, weights, biases = snapshots[0]
+    for u in range(ds.num_users):
+        draw_items = disable_iei or bool(tiers.is_public[u])
+        want = mdl.init_client(config.model, ds.num_items, None, seed=(config.seed, u),
+                               draw_items=draw_items)
+        np.testing.assert_array_equal(user_vecs[u], want.user_vec)
+        for got, drawn in zip([*weights, *biases], [*want.weights, *want.biases], strict=True):
+            np.testing.assert_array_equal(got[u], drawn)
+        if draw_items:
+            np.testing.assert_array_equal(tables[u], want.item_table)
+
+
 # --- determinism and bookkeeping --------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Server graph tests: adjacency construction, normalization, smoothing, blending."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +137,35 @@ def test_matches_brute_force_oracles():
             np.testing.assert_allclose(
                 got, brute_propagate(expected_norm, tables, layers), atol=1e-10
             )
+
+
+def test_float32_counts_match_set_intersections_on_large_worlds():
+    # The counts are built in float32: integers up to 2**24 are exact there,
+    # so thousands of shared items still count exactly. Users 0 and 1 share
+    # over 1,000 items in every world.
+    rng = np.random.default_rng(24)
+    for _ in range(6):
+        n = int(rng.integers(2, 30))
+        m = int(rng.integers(2500, 6000))
+        train_sets = [set(rng.choice(m, size=int(rng.integers(0, m)), replace=False).tolist())
+                      for _u in range(n)]
+        common = set(rng.choice(m, size=int(rng.integers(1001, 2400)), replace=False).tolist())
+        train_sets[0] |= common
+        train_sets[1] |= common
+        mask = rng.random(n) < 0.8
+        mask[:2] = True
+        graph = built(train_sets, m, mask)
+        assert graph.adjacency.dtype == np.float64
+        expected = brute_adjacency(train_sets, mask)
+        assert expected[0, 1] > 1000
+        np.testing.assert_array_equal(full_matrix(graph), expected)
+
+
+def test_build_rejects_item_counts_float32_cannot_count_exactly():
+    ds = dataset_from_train_sets([{0, 1}, {1}], 2)
+    tiers = tiers_from_mask([True, True])
+    with pytest.raises(ValueError, match=r"exact only below 2\*\*24 items, got 16777216"):
+        build_user_graph(replace(ds, num_items=2**24), tiers)
 
 
 def test_all_sharing_build_is_canonical_and_allocates_little():

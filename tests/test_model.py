@@ -19,7 +19,7 @@ from fedgraphrec.model import (
     train_clients,
     train_local,
 )
-from fedgraphrec.seeding import TRAIN_SALT, derive_rng
+from fedgraphrec.seeding import INIT_SALT, TRAIN_SALT, derive_rng
 from oracles import (
     as_cohort,
     batch_loss,
@@ -67,6 +67,21 @@ def test_init_deterministic_under_seed():
         np.testing.assert_array_equal(Wa, Wb)
     c = init_client(config, 20, Tier.PRIVATE, seed=43)
     assert (a.user_vec != c.user_vec).any()
+
+
+@pytest.mark.parametrize("draw_items", [True, False])
+def test_init_from_a_generator_equals_init_from_its_seed(draw_items):
+    # A Generator seed is used as is: derive_rng(s, u, INIT_SALT) draws what
+    # the tuple (s, u) names.
+    config = ModelConfig(embed_dim=6, mlp_hidden=(5, 3))
+    for s, u in [(0, 0), (7, 3), (2**40, 2**32 - 1)]:
+        a = init_client(config, 30, None, seed=derive_rng(s, u, INIT_SALT), draw_items=draw_items)
+        b = init_client(config, 30, None, seed=(s, u), draw_items=draw_items)
+        for mine, theirs in zip([a.user_vec, *a.weights, *a.biases],
+                                [b.user_vec, *b.weights, *b.biases], strict=True):
+            assert np.array_equal(mine, theirs)
+        # an item table not drawn is left as the new store allocated it
+        assert not draw_items or np.array_equal(a.item_table, b.item_table)
 
 
 def test_init_scale_zero_gives_all_zero_parameters():
