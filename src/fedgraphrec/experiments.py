@@ -73,12 +73,9 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
-        widths = tuple(int(part) for part in str(text).split(",") if part.strip())
+        return tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"expected comma-separated widths, got {text!r}") from None
-    if not widths:
-        raise ConfigError("mlp_hidden needs at least one width")
-    return widths
 
 
 def _parse_optional(text: str) -> str | None:
@@ -112,15 +109,11 @@ def resolve_seed(seed: int | None = None, env=None) -> int:
     return seed
 
 
-def _check_public_ratio(public_ratio: float) -> None:
-    if not 0.0 <= public_ratio <= 1.0:
-        raise ConfigError(f"public_ratio must be in [0, 1], got {public_ratio}")
-
-
 def _option(default, help_text: str, **metadata):
     """One config field. It is also the flag `--<name with hyphens>` and the
     config-file key `<name>`. Metadata: `help`; `parse`, text to value, where
-    the default's type is not enough; `choices` for the flag."""
+    the default's type is not enough; `choices` for the flag; `bounds`, the
+    least and most value (None: no upper bound) that `validate` accepts."""
     return field(default=default, metadata={"help": help_text, **metadata})
 
 
@@ -137,23 +130,25 @@ class ExperimentConfig:
 
     dataset: str | None = _option(None, "interaction file path", parse=_parse_optional)
     format: str = _option("tsv", "dataset layout", choices=LAYOUTS)
-    public_ratio: float = _option(1.0, "fraction of users who share data")
-    alpha: float = _option(0.3, "personalization blend weight in [0, 1]")
-    ldp_delta: float = _option(0.0, "Laplace noise scale on uploads")
-    layers: int = _option(1, "graph smoothing hops")
-    embed_dim: int = _option(32, "embedding width")
+    public_ratio: float = _option(1.0, "fraction of users who share data", bounds=(0, 1))
+    alpha: float = _option(0.3, "personalization blend weight", bounds=(0, 1))
+    ldp_delta: float = _option(
+        0.0, "Laplace noise scale on uploads; 0 adds no noise", bounds=(0, None)
+    )
+    layers: int = _option(1, "graph smoothing hops", bounds=(1, None))
+    embed_dim: int = _option(32, "embedding width", bounds=(1, None))
     mlp_hidden: tuple[int, ...] = _option(
         (32, 16), "comma-separated hidden widths, e.g. 32,16", parse=_parse_hidden
     )
     lr: object = _option(
         "grid", "learning rate, or 'grid' to select on validation", parse=parse_learning_rate
     )
-    rounds: int = _option(100, "federated rounds")
-    local_epochs: int = _option(1, "local passes per round")
-    neg_ratio: int = _option(4, "train negatives per positive")
-    batch_size: int = _option(256, "local mini-batch size")
-    init_scale: float = _option(0.01, "embedding init standard deviation")
-    clip_norm: float = _option(0.0, "gradient norm clip (0 disables)")
+    rounds: int = _option(100, "federated rounds", bounds=(1, None))
+    local_epochs: int = _option(1, "local passes per round", bounds=(1, None))
+    neg_ratio: int = _option(4, "train negatives per positive", bounds=(1, None))
+    batch_size: int = _option(256, "local mini-batch size", bounds=(1, None))
+    init_scale: float = _option(0.01, "embedding init standard deviation", bounds=(0, None))
+    clip_norm: float = _option(0.0, "gradient norm clip; 0 disables clipping", bounds=(0, None))
     ablate_iei: bool = _option(
         False, "server distributes nothing; clients keep their own tables", parse=_parse_bool
     )
@@ -164,51 +159,35 @@ class ExperimentConfig:
     global_from_public_only: bool = _option(
         False, "average only sharing users' tables into the global table", parse=_parse_bool
     )
-    k: int = _option(10, "ranking cutoff")
+    k: int = _option(10, "ranking cutoff", bounds=(1, None))
     eval_negatives: int = _option(99, "sampled negatives per evaluation")
-    eval_every: int = _option(1, "evaluation stride in rounds")
+    eval_every: int = _option(1, "evaluation stride in rounds", bounds=(1, None))
     seed: int = _option(0, "seed base (env FEDREC_SEED as fallback)")
-    reps: int = _option(5, "independent repetitions")
+    reps: int = _option(5, "independent repetitions", bounds=(1, None))
     out: str = _option("runs", "output directory")
     label: str = _option("experiment", "run label (subdirectory of --out)")
-    workers: int = _option(1, "worker processes for grid candidates and repetitions")
+    workers: int = _option(
+        1, "worker processes for grid candidates and repetitions", bounds=(1, None)
+    )
 
     def validate(self) -> None:
         self.lr = parse_learning_rate(self.lr)
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{f.name.replace('_', '-')} must be finite, got {value}")
-        _check_public_ratio(self.public_ratio)
+        for name in CONFIG_FIELDS:
+            check_field(name, getattr(self, name))
         if self.seed < 0:
             raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {self.seed}")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be >= 1, got {self.reps}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
+            raise ConfigError(f"--mlp-hidden must be positive widths, got {self.mlp_hidden}")
         label = PurePath(self.label)
         if not self.label or label.is_absolute() or ".." in label.parts:
             raise ConfigError(f"--label must be a non-empty relative path without '..', "
                               f"so the run's files stay inside --out; got {self.label!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.eval_negatives < self.k - 1:
             raise ConfigError(
                 f"eval_negatives ({self.eval_negatives}) must be >= k - 1 ({self.k - 1})"
             )
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.clip_norm < 0:
-            raise ConfigError(
-                f"--clip-norm must be >= 0 (0 disables clipping), got {self.clip_norm}"
-            )
-        if self.layers < 1:
-            raise ConfigError(f"--layers must be >= 1, got {self.layers}")
-        if self.ldp_delta < 0:
-            raise ConfigError(f"--ldp-delta must be >= 0 (0 adds no noise), got {self.ldp_delta}")
         try:
             check_layout(self.format)
-            self.to_federation_config(self.seed, lr=0.01).validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -252,6 +231,21 @@ class ExperimentConfig:
 
 
 CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
+
+def check_field(name: str, value) -> None:
+    """Reject a non-finite float, or a value outside config field `name`'s
+    bounds, with a message that names the flag and quotes its help."""
+    f = CONFIG_FIELDS[name]
+    least, most = f.metadata.get("bounds", (None, None))
+    if isinstance(value, float) and not math.isfinite(value):
+        need = "finite"
+    elif least is not None and not least <= value <= (math.inf if most is None else most):
+        need = f">= {least}" if most is None else f"in [{least}, {most}]"
+    else:
+        return
+    raise ConfigError(f"--{name.replace('_', '-')} must be {need}, got {value} "
+                      f"({f.metadata['help']})")
 
 
 def parse_value(name: str, text: str, source: str):
@@ -822,7 +816,7 @@ def gen_synthetic(
 
 def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
     """CLI verb: build the user graph for a dataset and dump sparse triplets."""
-    _check_public_ratio(public_ratio)
+    check_field("public_ratio", public_ratio)
     dataset = _split_file(dataset_path, format_name)
     tiers = assign_privacy(dataset.num_users, public_ratio, seed)
     graph = normalize(build_user_graph(dataset, tiers))

@@ -37,7 +37,7 @@ from fedgraphrec.seeding import (
 
 @dataclass
 class FederationConfig:
-    """Knobs for the federated round loop.
+    """Knobs for the federated round loop; `ExperimentConfig.validate` checks them.
 
     The three ablation switches each remove one server-side mechanism:
     disable_iei skips distribution entirely (clients keep their own tables),
@@ -57,17 +57,6 @@ class FederationConfig:
     global_from_public_only: bool = False
     model: ModelConfig = field(default_factory=ModelConfig)
     seed: int = 0
-
-    def validate(self) -> None:
-        self.model.validate()
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gcn_layers < 1:
-            raise ValueError(f"gcn_layers must be >= 1, got {self.gcn_layers}")
-        if not math.isfinite(self.ldp_scale) or self.ldp_scale < 0.0:
-            raise ValueError(f"ldp_scale must be finite and >= 0, got {self.ldp_scale}")
 
 
 @dataclass(eq=False)
@@ -181,7 +170,6 @@ def run_federation(
     `clients[u]` is client u. The hook reads the clean tables. The final
     round's tables are never noised, because no server step reads them.
     """
-    config.validate()
     n = dataset.num_users
     if tiers.is_public.size != n:
         raise ValueError(f"dataset has {n} users but tiers cover {tiers.is_public.size}")

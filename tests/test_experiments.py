@@ -179,6 +179,13 @@ def test_validate_rejects_bad_values():
         dict(seed=-1),
         dict(layers=0),
         dict(ldp_delta=-1.0),
+        dict(embed_dim=0),
+        dict(mlp_hidden=(0,)),
+        dict(local_epochs=0),
+        dict(neg_ratio=0),
+        dict(batch_size=0),
+        dict(init_scale=-0.1),
+        dict(clip_norm=-1.0),
     ]
     for overrides in cases:
         config = ExperimentConfig(**overrides)
@@ -774,7 +781,7 @@ def test_sweep_rejects_bad_cell_before_any_cell_runs(tmp_path, capsys):
             "--reps", "1", "--lr", "0.05", "--out", str(tmp_path)]
     cases = [
         (["--axis", "alpha", "--values", "0.5,1.5"], "alpha=1.5", "alpha must be in [0, 1]"),
-        (["--axis", "public_ratio", "--values", "0.5,2"], "public_ratio=2", "public_ratio must"),
+        (["--axis", "public_ratio", "--values", "0.5,2"], "public_ratio=2", "--public-ratio must"),
         (["--axis", "public_ratio", "--values", "0.5,0", "--global-from-public-only"],
          "public_ratio=0", "needs at least one sharing user"),
     ]
@@ -967,7 +974,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"dataset file not found: {absent}" in capsys.readouterr().err
     assert cli.main(["inspect-graph", "--dataset", BUNDLED, "--public-ratio", "1.5",
                      "--out", str(tmp_path / "out")]) == 1
-    assert "config error: public_ratio must be in [0, 1], got 1.5" in capsys.readouterr().err
+    assert "config error: --public-ratio must be in [0, 1], got 1.5" in capsys.readouterr().err
     # a --config path that is a directory, or a file that is not UTF-8, is a
     # config error that names the path
     binary = tmp_path / "binary.cfg"
@@ -1006,7 +1013,8 @@ def test_non_finite_float_flags_fail_at_config_time(tmp_path, capsys):
     run_args = ["run", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "2",
                 "--reps", "1", "--lr", "0.01", "--out", str(out)]
     for flag, value in (("--ldp-delta", "nan"), ("--clip-norm", "nan"), ("--lr", "nan"),
-                        ("--lr", "inf"), ("--ldp-delta", "inf"), ("--init-scale", "nan")):
+                        ("--lr", "inf"), ("--ldp-delta", "inf"), ("--init-scale", "nan"),
+                        ("--init-scale", "inf"), ("--clip-norm", "inf")):
         assert cli.main([*run_args, flag, value]) == 1, (flag, value)
         assert f"{flag} must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
@@ -1015,6 +1023,39 @@ def test_non_finite_float_flags_fail_at_config_time(tmp_path, capsys):
     assert cli.main([*run_args, "--config", str(config_file)]) == 1
     assert "--ldp-delta must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+BOUNDS = {name: f.metadata["bounds"] for name, f in experiments.CONFIG_FIELDS.items()
+          if "bounds" in f.metadata}
+
+
+def test_every_ranged_setting_declares_its_bounds():
+    # dropping a field's bounds would drop its only range check
+    assert set(BOUNDS) == {
+        "public_ratio", "alpha", "ldp_delta", "init_scale", "clip_norm", "layers",
+        "embed_dim", "rounds", "local_epochs", "neg_ratio", "batch_size", "k",
+        "eval_every", "reps", "workers",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_value_just_outside_a_bound_fails_at_config_time(name, tmp_path, capsys):
+    least, most = BOUNDS[name]
+    kind = type(experiments.CONFIG_FIELDS[name].default)
+
+    def beyond(bound, way):  # the nearest value of the field's type past `bound`
+        return math.nextafter(bound, way * math.inf) if kind is float else bound + way
+
+    flag = "--" + name.replace("_", "-")
+    out = tmp_path / "out"
+    for value in [beyond(least, -1)] + ([] if most is None else [beyond(most, 1)]):
+        assert cli.main(["run", "--dataset", BUNDLED, f"{flag}={value!r}",
+                         "--out", str(out)]) == 1, value
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not out.exists()
+    for bound in (least, most):
+        if bound is not None:
+            ExperimentConfig(**{name: kind(bound)}).validate()
 
 
 @pytest.mark.parametrize("argv, config_text, env_seed, source, key", [

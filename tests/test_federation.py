@@ -339,8 +339,9 @@ def test_store_equals_per_client_init_from_tuple_seeds(monkeypatch, mask, disabl
     user_vecs, tables, weights, biases = snapshots[0]
     for u in range(ds.num_users):
         draw_items = disable_iei or bool(tiers.is_public[u])
+        row = mdl.ClientStore.empty(1, ds.num_items, config.model)[0]
         want = mdl.init_client(config.model, ds.num_items, None, seed=(config.seed, u),
-                               draw_items=draw_items)
+                               out=row, draw_items=draw_items)
         np.testing.assert_array_equal(user_vecs[u], want.user_vec)
         for got, drawn in zip([*weights, *biases], [*want.weights, *want.biases], strict=True):
             np.testing.assert_array_equal(got[u], drawn)
@@ -477,8 +478,6 @@ def test_ldp_noise_leaves_the_table_alone():
 def test_ldp_rejects_non_finite_scale(scale):
     with pytest.raises(ValueError, match="noise scale"):
         add_ldp_noise(np.zeros((2, 2)), scale, derive_rng(0, 404))
-    with pytest.raises(ValueError, match="ldp_scale"):
-        FederationConfig(ldp_scale=scale).validate()
 
 
 def test_ldp_noise_perturbs_the_run():
@@ -637,17 +636,6 @@ def test_training_failure_carries_round_context():
     config = FederationConfig(rounds=1, model=small_model(), seed=8)
     with pytest.raises(TrainingError, match=r"round 1.*user 2"):
         run_federation(ds, tiers, config)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError, match="rounds"):
-        FederationConfig(rounds=0).validate()
-    with pytest.raises(ValueError, match="alpha"):
-        FederationConfig(alpha=1.5).validate()
-    with pytest.raises(ValueError, match="gcn_layers"):
-        FederationConfig(gcn_layers=0).validate()
-    with pytest.raises(ValueError, match="ldp_scale"):
-        FederationConfig(ldp_scale=-0.5).validate()
 
 
 def test_tier_count_mismatch():

@@ -11,6 +11,7 @@ import pytest
 from fedgraphrec import model as mdl
 from fedgraphrec.data import InteractionDataset, Tier
 from fedgraphrec.evaluation import evaluate_round
+from fedgraphrec.experiments import ConfigError, ExperimentConfig
 from fedgraphrec.model import (
     ClientState,
     ModelConfig,
@@ -74,14 +75,20 @@ def test_init_from_a_generator_equals_init_from_its_seed(draw_items):
     # A Generator seed is used as is: derive_rng(s, u, INIT_SALT) draws what
     # the tuple (s, u) names.
     config = ModelConfig(embed_dim=6, mlp_hidden=(5, 3))
+
+    def init(seed):
+        out = mdl.ClientStore.empty(1, 30, config)[0]
+        out.item_table.fill(0.5)
+        return init_client(config, 30, None, seed=seed, out=out, draw_items=draw_items)
+
     for s, u in [(0, 0), (7, 3), (2**40, 2**32 - 1)]:
-        a = init_client(config, 30, None, seed=derive_rng(s, u, INIT_SALT), draw_items=draw_items)
-        b = init_client(config, 30, None, seed=(s, u), draw_items=draw_items)
-        for mine, theirs in zip([a.user_vec, *a.weights, *a.biases],
-                                [b.user_vec, *b.weights, *b.biases], strict=True):
+        a = init(derive_rng(s, u, INIT_SALT))
+        b = init((s, u))
+        for mine, theirs in zip([a.user_vec, a.item_table, *a.weights, *a.biases],
+                                [b.user_vec, b.item_table, *b.weights, *b.biases], strict=True):
             assert np.array_equal(mine, theirs)
-        # an item table not drawn is left as the new store allocated it
-        assert not draw_items or np.array_equal(a.item_table, b.item_table)
+        # an item table not drawn is left as it was
+        assert draw_items or (a.item_table == 0.5).all()
 
 
 def test_init_scale_zero_gives_all_zero_parameters():
@@ -160,11 +167,11 @@ def test_init_into_store_row_draws_in_place():
 
 def test_init_validates():
     with pytest.raises(ValueError):
-        init_client(ModelConfig(embed_dim=0), 5, Tier.PUBLIC, seed=0)
-    with pytest.raises(ValueError):
         init_client(ModelConfig(), 0, Tier.PUBLIC, seed=0)
-    with pytest.raises(ValueError):
-        ModelConfig(learning_rate=-0.1).validate()
+    # without `out` the item table is new: not drawing it would return
+    # uninitialized memory
+    with pytest.raises(ValueError, match="unwritten"):
+        init_client(ModelConfig(), 5, Tier.PUBLIC, seed=0, draw_items=False)
 
 
 @pytest.mark.parametrize(
@@ -179,9 +186,11 @@ def test_init_validates():
     ],
 )
 def test_config_rejects_non_finite_floats(field, value):
-    # nan < 0 is False, so a range check alone lets NaN through
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        ModelConfig(**{field: value}).validate()
+    # ModelConfig holds no rules: the schema field that fills `field` checks
+    # it. nan < 0 is False, so a range check alone lets NaN through.
+    owner = {"learning_rate": "lr"}.get(field, field)
+    with pytest.raises(ConfigError, match=f"--{owner.replace('_', '-')} must be finite"):
+        ExperimentConfig(**{owner: value}).validate()
 
 
 # --- predict / rank_items -----------------------------------------------------
