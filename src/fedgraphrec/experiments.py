@@ -104,8 +104,7 @@ def resolve_seed(seed: int | None = None, env=None) -> int:
     if seed is None and env.get("FEDREC_SEED"):
         seed = parse_value("seed", env["FEDREC_SEED"], "FEDREC_SEED")
     seed = 0 if seed is None else seed
-    if seed < 0:
-        raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {seed}")
+    check_field("seed", seed)
     return seed
 
 
@@ -162,7 +161,7 @@ class ExperimentConfig:
     k: int = _option(10, "ranking cutoff", bounds=(1, None))
     eval_negatives: int = _option(99, "sampled negatives per evaluation")
     eval_every: int = _option(1, "evaluation stride in rounds", bounds=(1, None))
-    seed: int = _option(0, "seed base (env FEDREC_SEED as fallback)")
+    seed: int = _option(0, "seed base (env FEDREC_SEED as fallback)", bounds=(0, None))
     reps: int = _option(5, "independent repetitions", bounds=(1, None))
     out: str = _option("runs", "output directory")
     label: str = _option("experiment", "run label (subdirectory of --out)")
@@ -174,8 +173,6 @@ class ExperimentConfig:
         self.lr = parse_learning_rate(self.lr)
         for name in CONFIG_FIELDS:
             check_field(name, getattr(self, name))
-        if self.seed < 0:
-            raise ConfigError(f"--seed/FEDREC_SEED must be >= 0, got {self.seed}")
         if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"--mlp-hidden must be positive widths, got {self.mlp_hidden}")
         label = PurePath(self.label)
@@ -778,20 +775,17 @@ def gen_synthetic(
 
     Users in the same cluster draw CLUSTER_BIAS of their items from a shared
     pool, so sharing users form co-interaction blocks. Timestamps increase
-    per user; tokens are 1-based integers.
+    per user; tokens are 1-based integers. A range error names the
+    `gen-synth` flag that sets the parameter.
     """
     if num_users < 1:
-        raise ConfigError(f"num_users must be >= 1, got {num_users}")
+        raise ConfigError(f"--users must be >= 1, got {num_users}")
     if interactions_per_user < 3:
-        raise ConfigError(
-            f"interactions_per_user must be >= 3 for leave-one-out, got {interactions_per_user}"
-        )
+        raise ConfigError(f"--per-user must be >= 3 for leave-one-out, got {interactions_per_user}")
     if num_items < interactions_per_user:
-        raise ConfigError(
-            f"num_items ({num_items}) must be >= interactions_per_user ({interactions_per_user})"
-        )
+        raise ConfigError(f"--items ({num_items}) must be >= --per-user ({interactions_per_user})")
     if not 1 <= clusters <= num_items:
-        raise ConfigError(f"clusters must be in [1, num_items], got {clusters}")
+        raise ConfigError(f"--clusters must be in [1, --items], got {clusters}")
 
     rng = derive_rng(seed, SYNTH_SALT)
     pools = np.array_split(np.arange(num_items), clusters)

@@ -20,15 +20,18 @@ PROB_FLOOR = 1e-7
 # client runs in chunks of `clients_per_chunk(B)` clients: at least
 # COHORT_CLIENTS of them, within COHORT_ROWS to COHORT_MAX_ROWS rows, and a
 # client above the ceiling alone. Each chunk's temporaries are a few (rows,
-# width) float64 arrays. Training plus evaluation, median round, one CPU,
-# default model, at a flat 512/1024/2048 rows and then at 4, 8 and 16 clients
-# (ceilings 2048/2048/4096 rows): 6.2/7.2/8.0/6.6/6.3/6.3 ms on the bundled
-# 50-client file (B = 40) and 676/523/489/522/486/699 ms at the ML-100K shape
-# (B = 256). Per-call overhead sets the large shape, where 512 rows hold only
-# two clients; small batches keep their 512-row chunks.
-COHORT_ROWS = 512
+# width) float64 arrays. One call costs ~120 us whatever it holds, plus ~48
+# us a client at B = 40 and ~210 us at B = 256, so small batches want many
+# clients a call; past ~1280 rows the temporaries likely outgrow the 2 MB L2
+# per core of the CPU this was tuned on. Median round of the bundled file's
+# benchmark run (B = 40; 3 seeds, one CPU) at
+# COHORT_ROWS 512/768/1024/1280/2048: 6.65/6.23/5.85/6.05/7.67 ms. At the
+# ML-100K shape (B = 256) every one of these keeps training chunks of 8
+# clients (2048 rows, which beat 4096 by 486 to 699 ms a round), and only
+# the 51-row ranking chunks grow: 21.7/20.6/20.2/19.7/19.1 ms a round.
+COHORT_ROWS = 1024
 COHORT_CLIENTS = 8
-COHORT_MAX_ROWS = 4 * COHORT_ROWS
+COHORT_MAX_ROWS = 2048
 
 
 def clients_per_chunk(length: int) -> int:
@@ -301,10 +304,9 @@ def _cohort_step(
     # need only s, the row sum of delta: u ⊗ s, and s W1[:d]ᵀ for u itself.
     W1 = weights[0]
     s = grads_b[0] = delta.sum(axis=1)
-    grads_W[0] = np.concatenate(
-        [user_vecs[:, :, None] * s[:, None, :], np.matmul(item_rows.transpose(0, 2, 1), delta)],
-        axis=1,
-    )
+    gW = grads_W[0] = np.empty(W1.shape)
+    np.multiply(user_vecs[:, :, None], s[:, None, :], out=gW[:, :d])
+    np.matmul(item_rows.transpose(0, 2, 1), delta, out=gW[:, d:])
     grad_users = np.matmul(s[:, None, :], W1[:, :d].transpose(0, 2, 1))[:, 0]
     del acts
     delta = np.matmul(delta, W1[:, d:].transpose(0, 2, 1))
@@ -356,9 +358,11 @@ def _cohort_step(
     store.flat_items()[(rows[:, None] * m + items).ravel()] = flat_rows
     user_vecs -= scale[:, None] * grad_users
     for W, gW in zip(weights, grads_W):
-        W -= scale[:, None, None] * gW
+        gW *= scale[:, None, None]
+        W -= gW
     for b, gb in zip(biases, grads_b):
-        b -= scale[:, None] * gb
+        gb *= scale[:, None]
+        b -= gb
     if not np.may_share_memory(user_vecs, store.user_vecs):
         store.user_vecs[rows] = user_vecs
         for stack, W in zip(store.weights, weights):
@@ -368,62 +372,85 @@ def _cohort_step(
     return loss, norm
 
 
-def local_batches(
-    dataset: InteractionDataset, user: int, config: ModelConfig, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every mini-batch of one local pass, in order, as (items, labels), where
-    a label is True for a positive.
+@dataclass(eq=False)
+class Batches:
+    """Every mini-batch of one local pass of a list of clients, as one flat
+    stream. Client i's epoch e is the `sizes[i]` examples of `items` and
+    `labels` (True for a positive) that start at `starts[i] + e * sizes[i]`,
+    cut into batches of the config's `batch_size`, in order."""
+
+    items: np.ndarray
+    labels: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def draw_batches(dataset: InteractionDataset, users, config: ModelConfig, rngs) -> Batches:
+    """The batches of one local pass of each of `users`, client i drawing
+    from the i-th generator of `rngs`.
 
     Each epoch draws a fresh negative sample and shuffles positives and
-    negatives together. No draw depends on the parameters, so all of them
-    can be made before the first step.
+    negatives together; each client makes its draws in that order. No draw
+    depends on the parameters, so all of them are made before the first
+    step, and the gathers that put every shuffle in place run once.
     """
-    positives = dataset.train[user]
-    if positives.size == 0:
-        raise ValueError(f"user {user}: no training interactions")
-    batches = []
-    for _epoch in range(config.local_epochs):
-        negatives = sample_train_negatives(dataset, user, config.neg_ratio, rng)
-        order = rng.permutation(positives.size + negatives.size)
-        items = np.concatenate([positives, negatives])[order]
-        labels = order < positives.size
-        for start in range(0, items.size, config.batch_size):
-            batches.append(
-                (items[start : start + config.batch_size], labels[start : start + config.batch_size])
-            )
-    return batches
+    sources, orders = [], []
+    for user, rng in zip(users, rngs):
+        positives = dataset.train[user]
+        if positives.size == 0:
+            raise ValueError(f"user {user}: no training interactions")
+        for _epoch in range(config.local_epochs):
+            negatives = sample_train_negatives(dataset, user, config.neg_ratio, rng)
+            sources += (positives, negatives)
+            orders.append(rng.permutation(positives.size + negatives.size))
+    sizes = np.array([order.size for order in orders], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    # Epoch k's examples are sources[2k], its positives, then sources[2k + 1],
+    # its negatives: a shuffled index below the positive count is a positive.
+    order = np.concatenate(orders)
+    labels = order < np.repeat([source.size for source in sources[::2]], sizes)
+    order += np.repeat(starts, sizes)
+    items = np.concatenate(sources)[order]
+    epochs = config.local_epochs
+    return Batches(items, labels, starts[::epochs], sizes[::epochs])
 
 
-def _train(store: ClientStore, batches: list, config: ModelConfig, users) -> list[TrainReport]:
-    """Plain SGD for store client i over batches[i], named users[i] in errors.
+def _train(store: ClientStore, batches: Batches, config: ModelConfig, users) -> list[TrainReport]:
+    """Plain SGD for store client i over its `batches`, named users[i] in errors.
 
     Local step s of every client runs in cohorts of the clients whose step s
     has the same length, each in chunks of `clients_per_chunk(length)`
-    clients. A non-finite loss or gradient stops its client and
-    every client above it after the step; the clients below train on, as a
-    client-by-client loop would, and then the lowest failing client's first
+    clients, whose batches are gathered from the flat stream into one
+    (clients, length) array. A non-finite loss or gradient stops its client
+    and every client above it after the step; the clients below train on, as
+    a client-by-client loop would, and then the lowest failing client's first
     failing step is raised.
     """
-    count = len(batches)
-    steps = np.array([len(b) for b in batches])
+    size, starts, batch = batches.sizes, batches.starts, config.batch_size
+    count = size.size
+    per_epoch = -(-size // batch)
+    steps = config.local_epochs * per_epoch
     loss_sums = np.zeros(count)
     norms = np.zeros((count, int(steps.max(initial=0))))
     failed, failed_step = count, 0
     for s in range(norms.shape[1]):
-        cohorts: dict[int, list[int]] = {}
-        for i in range(failed):
-            if s < steps[i]:
-                cohorts.setdefault(batches[i][s][0].size, []).append(i)
-        for length, members in cohorts.items():
-            per = clients_per_chunk(length)
-            for start in range(0, len(members), per):
-                chunk = members[start : start + per]
-                rows = np.asarray(chunk)
+        active = np.flatnonzero(steps[:failed] > s)
+        epoch, offset = np.divmod(s, per_epoch[active])
+        offset *= batch
+        lengths = np.minimum(size[active] - offset, batch)
+        begins = starts[active] + epoch * size[active] + offset
+        for length in np.unique(lengths):
+            same = lengths == length
+            members, firsts = active[same], begins[same]
+            per = clients_per_chunk(int(length))
+            for at in range(0, members.size, per):
+                rows = members[at : at + per]
+                window = firsts[at : at + per, None] + np.arange(length)
                 loss, norm = _cohort_step(
                     store,
                     rows,
-                    np.stack([batches[i][s][0] for i in chunk]),
-                    np.stack([batches[i][s][1] for i in chunk]),
+                    batches.items[window],
+                    batches.labels[window],
                     config.learning_rate,
                     config.clip_norm,
                 )
@@ -437,8 +464,7 @@ def _train(store: ClientStore, batches: list, config: ModelConfig, users) -> lis
             f"user {users[failed]}: non-finite loss or gradient at local step {failed_step}"
         )
 
-    examples = [sum(items.size for items, _labels in b) for b in batches]
-    mean_losses = loss_sums / examples
+    mean_losses = loss_sums / (config.local_epochs * size)
     # np.mean over each client's own steps, as one row per step count.
     grad_norms = np.empty(count)
     for n_steps in np.unique(steps):
@@ -459,8 +485,8 @@ def train_local(
 ) -> TrainReport:
     """One local optimization pass over the user's training interactions,
     drawing its batches from `rng`: the cohort training of a cohort of one."""
-    batches = local_batches(dataset, user, config, rng)
-    (report,) = _train(ClientStore.of(state), [batches], config, [user])
+    batches = draw_batches(dataset, [user], config, [rng])
+    (report,) = _train(ClientStore.of(state), batches, config, [user])
     return report
 
 
@@ -469,5 +495,5 @@ def train_clients(
 ) -> list[TrainReport]:
     """One local optimization pass of every client in the store; client u is
     dataset user u and draws its batches from the u-th generator of `rngs`."""
-    batches = [local_batches(dataset, u, config, rng) for u, rng in zip(range(len(store)), rngs)]
-    return _train(store, batches, config, range(len(batches)))
+    users = range(len(store))
+    return _train(store, draw_batches(dataset, users, config, rngs), config, users)

@@ -405,6 +405,29 @@ def apply_reference_step(
     return effective_norm
 
 
+def reference_local_batches(dataset, user, config, rng):
+    """Every mini-batch of one client's local pass, in order, as (items,
+    labels), drawn client by client as first written: each epoch draws a
+    negative sample, then a permutation of positives and negatives.
+
+    `model.draw_batches` must give every client these batches byte for byte.
+    """
+    positives = dataset.train[user]
+    if positives.size == 0:
+        raise ValueError(f"user {user}: no training interactions")
+    batches = []
+    for _epoch in range(config.local_epochs):
+        negatives = sample_train_negatives(dataset, user, config.neg_ratio, rng)
+        order = rng.permutation(positives.size + negatives.size)
+        items = np.concatenate([positives, negatives])[order]
+        labels = order < positives.size
+        for start in range(0, items.size, config.batch_size):
+            batches.append(
+                (items[start : start + config.batch_size], labels[start : start + config.batch_size])
+            )
+    return batches
+
+
 def reference_train_local(state, dataset, user, config, rng):
     """One client's local pass as first written: a loop of
     `reference_sgd_step` calls, drawing from `rng` epoch by epoch.

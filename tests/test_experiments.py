@@ -262,6 +262,23 @@ def test_every_config_field_is_a_flag_a_key_and_round_trips(tmp_path, capsys):
     assert rebuilt == config
 
 
+def test_negative_seed_has_one_message_on_every_path(tmp_path, monkeypatch, capsys):
+    # The flag, the environment and the schema all reject a negative seed
+    # through the `seed` field's bounds, with one message.
+    message = "--seed must be >= 0, got -1 (seed base (env FEDREC_SEED as fallback))"
+    monkeypatch.delenv("FEDREC_SEED", raising=False)
+    run_args = ["run", "--dataset", BUNDLED, "--out", str(tmp_path / "runs")]
+    assert cli.main([*run_args, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    monkeypatch.setenv("FEDREC_SEED", "-1")
+    assert cli.main(run_args) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    with pytest.raises(ConfigError) as schema:
+        ExperimentConfig(seed=-1).validate()
+    assert str(schema.value) == message
+    assert not list(tmp_path.iterdir())
+
+
 def test_negative_seed_fails_before_any_output(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("FEDREC_SEED", raising=False)
     run_args = ["run", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "1",
@@ -905,14 +922,29 @@ def test_gen_synthetic_clusters_bias_items(tmp_path):
 
 
 def test_gen_synthetic_validation():
-    with pytest.raises(ConfigError, match="interactions_per_user"):
+    with pytest.raises(ConfigError, match="--per-user"):
         gen_synthetic(5, 10, 2, 1, seed=0, path="x.tsv")
-    with pytest.raises(ConfigError, match="num_items"):
+    with pytest.raises(ConfigError, match="--items"):
         gen_synthetic(5, 4, 5, 1, seed=0, path="x.tsv")
-    with pytest.raises(ConfigError, match="clusters"):
+    with pytest.raises(ConfigError, match="--clusters"):
         gen_synthetic(5, 10, 3, 11, seed=0, path="x.tsv")
-    with pytest.raises(ConfigError, match="num_users"):
+    with pytest.raises(ConfigError, match="--users"):
         gen_synthetic(0, 10, 3, 1, seed=0, path="x.tsv")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--users", "0", "--users must be >= 1, got 0"),
+    ("--per-user", "2", "--per-user must be >= 3 for leave-one-out, got 2"),
+    ("--clusters", "0", "--clusters must be in [1, --items], got 0"),
+])
+def test_cli_gen_synth_range_error_names_its_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "g.tsv"
+    argv = ["gen-synth", "--users", "10", "--items", "20", "--per-user", "4",
+            "--clusters", "2", "--seed", "1", "--out", str(out)]
+    argv[argv.index(flag) + 1] = value
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -1034,7 +1066,7 @@ def test_every_ranged_setting_declares_its_bounds():
     assert set(BOUNDS) == {
         "public_ratio", "alpha", "ldp_delta", "init_scale", "clip_norm", "layers",
         "embed_dim", "rounds", "local_epochs", "neg_ratio", "batch_size", "k",
-        "eval_every", "reps", "workers",
+        "eval_every", "seed", "reps", "workers",
     }
 
 

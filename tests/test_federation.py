@@ -590,7 +590,10 @@ def test_round_memory_is_bounded_by_the_row_cap():
     # 300 clients with 100-example batches and 51 ranking candidates each.
     # Uncapped, one cohort's hidden layer alone would take 300 * 100 * 32 * 8
     # bytes = 7.7 MB; capped, a round of training plus evaluation allocates a
-    # few (COHORT_ROWS, width) temporaries beyond the drawn batches.
+    # few (rows, width) temporaries beyond the drawn batches. The budget is
+    # fixed at 512 rows, not read from COHORT_ROWS, so that a larger chunk
+    # rule must still fit it: its peak was 1.04 MB at 512 rows and is 1.24 MB
+    # at 1024.
     n, m, d, hidden = 300, 80, 8, 32
     rng = np.random.default_rng(5)
     train_sets = [set(rng.choice(m - 2, size=20, replace=False).tolist()) for _ in range(n)]
@@ -609,7 +612,7 @@ def test_round_memory_is_bounded_by_the_row_cap():
     finally:
         tracemalloc.stop()
     batch_bytes = n * 5 * 20 * (8 + 8)
-    budget = 2 * batch_bytes + 16 * mdl.COHORT_ROWS * max(2 * d, hidden) * 8
+    budget = 2 * batch_bytes + 16 * 512 * max(2 * d, hidden) * 8
     assert peak < budget, f"peak {peak} bytes over the {budget}-byte budget"
 
 

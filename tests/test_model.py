@@ -36,6 +36,7 @@ from oracles import (
     random_instance,
     rank_items,
     reference_init,
+    reference_local_batches,
     reference_sgd_step,
     reference_train_local,
     tiers_from_mask,
@@ -443,6 +444,13 @@ def assert_same_parameters(state, reference):
         assert np.array_equal(mine, theirs)
 
 
+def one_batch_each(items, labels):
+    """Batches of one step per client: client c's is items[c], labels[c]."""
+    count, batch = items.shape
+    sizes = np.full(count, batch)
+    return mdl.Batches(items.ravel(), labels.ravel(), np.arange(count) * batch, sizes)
+
+
 def test_cohort_step_matches_reference_bit_for_bit():
     # 30 clients with batches of 40 items drawn from 12, so rows repeat: 1200
     # example rows, more than one chunk holds, and `_train` runs the step in
@@ -465,7 +473,7 @@ def test_cohort_step_matches_reference_bit_for_bit():
     step_config = replace(config, learning_rate=0.2, clip_norm=clip_norm)
     clipped = set()
     for _ in range(5):
-        reports = mdl._train(store, [[(items[c], labels[c])] for c in range(count)], step_config, range(count))
+        reports = mdl._train(store, one_batch_each(items, labels), step_config, range(count))
         for c, report in enumerate(reports):
             reference_store, reference_rows = as_cohort(references[c])
             pres = mdl._cohort_forward(*reference_store.gather(reference_rows, items[c][None]))[1]
@@ -527,13 +535,15 @@ def test_gather_views_a_consecutive_run_and_copies_other_rows():
 
 def test_clients_per_chunk_rule():
     # At least COHORT_CLIENTS clients, within COHORT_ROWS to COHORT_MAX_ROWS
-    # rows, and one client alone above the ceiling.
+    # rows, and one client alone above the ceiling. Batches of 256 rows (the
+    # ML-100K shape) keep chunks of 8 clients; small batches fill 1024 rows.
     assert mdl.clients_per_chunk(256) == 8
-    assert mdl.clients_per_chunk(100) == 8
+    assert mdl.clients_per_chunk(128) == 8
+    assert mdl.clients_per_chunk(100) == mdl.COHORT_ROWS // 100 == 10
     assert mdl.clients_per_chunk(512) == 4
-    assert mdl.clients_per_chunk(40) == mdl.COHORT_ROWS // 40 == 12
-    assert mdl.clients_per_chunk(51) == mdl.COHORT_ROWS // 51 == 10
-    assert mdl.clients_per_chunk(64) == 8
+    assert mdl.clients_per_chunk(40) == mdl.COHORT_ROWS // 40 == 25
+    assert mdl.clients_per_chunk(51) == mdl.COHORT_ROWS // 51 == 20
+    assert mdl.clients_per_chunk(64) == 16
     assert mdl.clients_per_chunk(1) == mdl.COHORT_ROWS
     assert mdl.clients_per_chunk(mdl.COHORT_MAX_ROWS) == 1
     assert mdl.clients_per_chunk(10 * mdl.COHORT_MAX_ROWS) == 1
@@ -554,7 +564,7 @@ def test_cohort_step_writes_only_the_batch_rows():
     items = rng.integers(0, num_items, size=(rows.size, batch))
     labels = rng.integers(0, 2, size=(rows.size, batch)).astype(np.float64)
     before = [a.copy() for a in (store.user_vecs, store.item_tables, *store.weights, *store.biases)]
-    mdl._train(store, [[(items[c], labels[c])] for c in rows], config, rows)
+    mdl._train(store, one_batch_each(items, labels), config, rows)
     in_batch = np.zeros((count, num_items), dtype=bool)
     in_batch[rows[:, None], items] = True
     changed = (store.item_tables != before[1]).any(axis=2)
@@ -597,13 +607,56 @@ def test_cohort_training_matches_reference_train_local(clip_norm):
         assert_same_parameters(store[u], reference)
 
 
+def test_cohort_drawn_batches_equal_per_client_reference(monkeypatch):
+    # Ragged train sizes, 2 epochs and batch size 16, which divides the 80
+    # examples of the 16-item user and none of the others: every client's
+    # flat stream, and every batch `_train` hands the step, must equal the
+    # per-client draws byte for byte, in step order.
+    sizes = [3, 7, 4, 9, 3, 12, 5, 16, 6, 4, 10, 2]
+    ds = ragged_dataset(sizes)
+    config = ModelConfig(
+        embed_dim=4, mlp_hidden=(4,), learning_rate=0.05, batch_size=16,
+        local_epochs=2, neg_ratio=4,
+    )
+    users = range(len(sizes))
+    references = [reference_local_batches(ds, u, config, derive_rng(9, u, 1, TRAIN_SALT)) for u in users]
+    batches = mdl.draw_batches(ds, users, config, (derive_rng(9, u, 1, TRAIN_SALT) for u in users))
+    assert batches.sizes.tolist() == [5 * size for size in sizes]
+    for u, reference in enumerate(references):
+        span = slice(batches.starts[u], batches.starts[u] + 2 * batches.sizes[u])
+        for got, want in ((batches.items, 0), (batches.labels, 1)):
+            want = np.concatenate([batch[want] for batch in reference])
+            assert got[span].dtype == want.dtype
+            assert got[span].tobytes() == want.tobytes()
+
+    seen = [[] for _ in users]
+    step = mdl._cohort_step
+
+    def recording_step(store, rows, items, labels, *args):
+        for c, u in enumerate(rows):
+            seen[u].append((items[c].copy(), labels[c].copy()))
+        return step(store, rows, items, labels, *args)
+
+    monkeypatch.setattr(mdl, "_cohort_step", recording_step)
+    store = init_store(config, ds.num_items, len(sizes), seed=9)
+    train_clients(store, ds, config, (derive_rng(9, u, 1, TRAIN_SALT) for u in users))
+    assert len({len(reference) for reference in references}) > 1
+    for got, want in zip(seen, references):
+        assert len(got) == len(want)
+        for (items, labels), (want_items, want_labels) in zip(got, want):
+            assert (items.dtype, labels.dtype) == (want_items.dtype, want_labels.dtype)
+            assert items.tobytes() == want_items.tobytes()
+            assert labels.tobytes() == want_labels.tobytes()
+
+
 def test_training_and_ranking_are_chunk_invariant(monkeypatch):
-    # 20 users with 22-37 training items and batch size 128 over 2 epochs:
-    # steps of 128 rows in chunks of 8 clients, plus ragged last batches.
-    # Negatives are drawn with replacement, so batches repeat items, and the
-    # clients of one chunk share items. One client per chunk, the default
-    # rule and one chunk of every client must agree to the bit.
-    sizes = [22 + (7 * u) % 16 for u in range(20)]
+    # 44 users with 22-37 training items and batch size 128 over 2 epochs:
+    # steps of 128 rows in chunks of 8 clients, plus ragged last batches,
+    # and ranking chunks of 20 clients. Negatives are drawn with replacement,
+    # so batches repeat items, and the clients of one chunk share items. One
+    # client per chunk, the default rule and one chunk of every client must
+    # agree to the bit.
+    sizes = [22 + (7 * u) % 16 for u in range(44)]
     ds = ragged_dataset(sizes, num_items=60)
     config = ModelConfig(
         embed_dim=5, mlp_hidden=(6, 3), learning_rate=0.1, batch_size=128,
@@ -613,7 +666,7 @@ def test_training_and_ranking_are_chunk_invariant(monkeypatch):
     negatives = np.stack([rng.permutation(58)[:49] for _ in sizes])
     tiers = tiers_from_mask([u % 3 == 0 for u in range(len(sizes))])
 
-    batches = [mdl.local_batches(ds, u, config, derive_rng(13, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
+    batches = [reference_local_batches(ds, u, config, derive_rng(13, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
     full = [u for u in range(len(sizes)) if batches[u][0][0].size == 128]
     per = mdl.clients_per_chunk(128)
     assert len(full) > per > 1
@@ -647,7 +700,7 @@ def test_cohort_training_error_names_lowest_user_at_its_first_step():
     config = ModelConfig(embed_dim=4, mlp_hidden=(4,), learning_rate=0.05, batch_size=8)
     store = init_store(config, ds.num_items, len(sizes), seed=5)
     rngs = [derive_rng(5, u, 1, TRAIN_SALT) for u in range(len(sizes))]
-    batches = [mdl.local_batches(ds, u, config, derive_rng(5, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
+    batches = [reference_local_batches(ds, u, config, derive_rng(5, u, 1, TRAIN_SALT)) for u in range(len(sizes))]
 
     def first_seen_at(user, step):
         # An item that user's batches first contain at the given 1-based step.
