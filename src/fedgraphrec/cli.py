@@ -17,22 +17,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by run/sweep/ablate, one per ExperimentConfig field; None
-    means 'not set on the command line'. A value flag keeps its text, which
-    `build_config` parses as the field's value."""
-    parser.add_argument("--config", help="flat key = value config file")
-    for f in experiments.CONFIG_FIELDS.values():
-        flag = "--" + f.name.replace("_", "-")
+INSPECT_FIELDS = ("dataset", "public_ratio", "seed")
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
+    """One flag per ExperimentConfig field in `names`, or per field and
+    `--config` when `names` is None. An unset flag reads None; a value flag
+    keeps its text, which `build_config` parses as the field's value."""
+    if names is None:
+        parser.add_argument("--config", help="flat key = value config file")
+    for name in names or experiments.CONFIG_FIELDS:
+        f = experiments.CONFIG_FIELDS[name]
+        flag = "--" + name.replace("_", "-")
         if isinstance(f.default, bool):
             parser.add_argument(flag, action="store_const", const=True, help=f.metadata["help"])
         else:
-            parser.add_argument(flag, choices=f.metadata.get("choices"), help=f.metadata["help"])
+            parser.add_argument(flag, help=f.metadata["help"])
 
 
-def _config_from_args(args) -> experiments.ExperimentConfig:
-    overrides = {name: getattr(args, name) for name in experiments.CONFIG_FIELDS}
-    return experiments.build_config(file_path=args.config, overrides=overrides)
+def _config_from_args(args, names=None) -> experiments.ExperimentConfig:
+    overrides = {name: getattr(args, name) for name in names or experiments.CONFIG_FIELDS}
+    return experiments.build_config(file_path=getattr(args, "config", None), overrides=overrides)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_run = sub.add_parser("run", help="one configuration, several repetitions")
-    _add_experiment_flags(p_run)
+    _add_config_flags(p_run)
 
     p_sweep = sub.add_parser("sweep", help="repeat a run across axis values")
-    _add_experiment_flags(p_sweep)
+    _add_config_flags(p_sweep)
     p_sweep.add_argument("--axis", required=True, choices=list(experiments.SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--axis2", choices=list(experiments.SWEEP_AXES),
@@ -51,23 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values2", help="comma-separated values for --axis2")
 
     p_ablate = sub.add_parser("ablate", help="full model and each single-mechanism ablation")
-    _add_experiment_flags(p_ablate)
+    _add_config_flags(p_ablate)
 
     p_gen = sub.add_parser("gen-synth", help="write a clustered synthetic interaction TSV")
     p_gen.add_argument("--users", type=int, default=50)
     p_gen.add_argument("--items", type=int, default=100)
     p_gen.add_argument("--per-user", type=int, default=10, help="interactions per user")
     p_gen.add_argument("--clusters", type=int, default=5)
-    p_gen.add_argument("--seed", type=int, default=None)
+    _add_config_flags(p_gen, ("seed",))
     p_gen.add_argument("--out", default="synthetic.tsv", help="output TSV path")
 
     p_inspect = sub.add_parser("inspect-graph", help="dump the user graph as sparse triplets")
-    p_inspect.add_argument("--dataset", required=True)
-    p_inspect.add_argument(
-        "--format", choices=experiments.CONFIG_FIELDS["format"].metadata["choices"], default="tsv"
-    )
-    p_inspect.add_argument("--public-ratio", type=float, default=1.0)
-    p_inspect.add_argument("--seed", type=int, default=None)
+    _add_config_flags(p_inspect, INSPECT_FIELDS)
     p_inspect.add_argument("--out", default="graph-dump", help="output directory")
 
     return parser
@@ -94,15 +94,12 @@ def main(argv=None) -> int:
         if args.verb == "gen-synth":
             path = experiments.gen_synthetic(
                 args.users, args.items, args.per_user, args.clusters,
-                experiments.resolve_seed(args.seed), args.out,
+                _config_from_args(args, ("seed",)).seed, args.out,
             )
             print(f"wrote {path}")
             return 0
         if args.verb == "inspect-graph":
-            return experiments.inspect_graph(
-                args.dataset, args.format, args.public_ratio,
-                experiments.resolve_seed(args.seed), args.out,
-            )
+            return experiments.inspect_graph(_config_from_args(args, INSPECT_FIELDS), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

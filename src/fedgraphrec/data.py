@@ -23,15 +23,6 @@ class DataFormatError(ValueError):
     """Raised for unparseable interaction files."""
 
 
-# interaction-file layouts: tab-separated, '::'-separated, CSV with a header row
-LAYOUTS = ("tsv", "double-colon", "csv")
-
-
-def check_layout(name: str) -> None:
-    if name not in LAYOUTS:
-        raise ValueError(f"unknown file format {name!r} (choices: {', '.join(LAYOUTS)})")
-
-
 class Tier(Enum):
     """Whether a user shares interaction data with the server."""
 
@@ -58,40 +49,54 @@ class Interactions:
         return int(self.users.size)
 
 
-def load_interactions(path, file_format: str = "tsv") -> Interactions:
+def read_separator(path) -> tuple[str, int]:
+    """The field separator of an interaction file and the 1-based number of
+    the line it is read off, the first that is not whitespace alone: a tab,
+    else '::', else a comma, which makes that line a CSV header row."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                for separator in ("\t", "::", ","):
+                    if separator in line:
+                        return separator, line_no
+                raise DataFormatError(f"{path}:{line_no}: no tab, '::' or comma separates "
+                                      f"the fields of {line.strip()!r}")
+    raise DataFormatError(f"{path}: no interaction records")
+
+
+def load_interactions(path) -> Interactions:
     """Parse an interaction file and collapse duplicate (user, item) pairs.
 
     Lines hold user, item, rating, and an optional integer timestamp. The
-    CSV layout carries a header row; the others do not. A leading UTF-8 BOM
-    is ignored. For duplicate (user, item) pairs the most recent record
-    wins: larger timestamp first (a missing one counts as 0), later file
-    position as the tie-break. Output preserves the file order of the
-    surviving records. Whitespace-only lines are skipped; any other
-    malformed line raises DataFormatError naming its 1-based line number.
-    The rating must parse as a number and is then dropped: every record
-    counts as a positive.
+    layout is the one `read_separator` reads off the file; a CSV file's
+    header row is the line it reads. A leading UTF-8 BOM is ignored. For
+    duplicate (user, item) pairs the most recent record wins: larger
+    timestamp first (a missing one counts as 0), later file position as the
+    tie-break. Output preserves the file order of the surviving records.
+    Whitespace-only lines are skipped; any other malformed line raises
+    DataFormatError naming its 1-based line number. The rating must parse
+    as a number and is then dropped: every record counts as a positive.
 
     One loop reads the file as a stream and checks each line inline. Each
     line goes straight into flat arrays, with its tokens coded by first
     appearance, so no per-line object outlives the loop.
     """
-    check_layout(file_format)
     path = Path(path)
+    separator, header_no = read_separator(path)
     user_code: dict[str, int] = {}
     item_code: dict[str, int] = {}
     users, items, stamps = array("q"), array("q"), array("q")
-    csv_layout = file_format == "csv"
+    csv_layout = separator == ","
     # A line is blank when `joint.join(fields)` is whitespace: the whole line
     # for the split layouts, every field for CSV.
-    joint = "" if csv_layout else "\t" if file_format == "tsv" else "::"
+    joint = "" if csv_layout else separator
     with open(path, "r", encoding="utf-8-sig", newline="" if csv_layout else None) as fh:
         # (fields, 1-based line number) pairs from C iterators, no generator:
         # a CSV record's number is the reader's line count once it is read.
         if csv_layout:
             reader = csv.reader(fh)
             numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
-            # line 1 is the header row
-            numbered = dropwhile(lambda record: record[1] == 1, numbered)
+            numbered = dropwhile(lambda record: record[1] <= header_no, numbered)
         else:
             # the last field keeps the newline; every field is stripped
             numbered = zip(map(methodcaller("split", joint), fh), count(1))

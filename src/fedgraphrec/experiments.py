@@ -17,11 +17,9 @@ from pathlib import Path, PurePath
 import numpy as np
 
 from fedgraphrec.data import (
-    LAYOUTS,
     InteractionDataset,
     Tier,
     assign_privacy,
-    check_layout,
     leave_one_out_split,
     load_interactions,
     public_count,
@@ -98,21 +96,11 @@ def parse_learning_rate(text) -> "float | str":
     return value
 
 
-def resolve_seed(seed: int | None = None, env=None) -> int:
-    """`seed` when set, else the FEDREC_SEED environment variable, else 0."""
-    env = os.environ if env is None else env
-    if seed is None and env.get("FEDREC_SEED"):
-        seed = parse_value("seed", env["FEDREC_SEED"], "FEDREC_SEED")
-    seed = 0 if seed is None else seed
-    check_field("seed", seed)
-    return seed
-
-
 def _option(default, help_text: str, **metadata):
     """One config field. It is also the flag `--<name with hyphens>` and the
     config-file key `<name>`. Metadata: `help`; `parse`, text to value, where
-    the default's type is not enough; `choices` for the flag; `bounds`, the
-    least and most value (None: no upper bound) that `validate` accepts."""
+    the default's type is not enough; `bounds`, the least and most value
+    (None: no upper bound) that `validate` accepts."""
     return field(default=default, metadata={"help": help_text, **metadata})
 
 
@@ -128,7 +116,6 @@ class ExperimentConfig:
     """
 
     dataset: str | None = _option(None, "interaction file path", parse=_parse_optional)
-    format: str = _option("tsv", "dataset layout", choices=LAYOUTS)
     public_ratio: float = _option(1.0, "fraction of users who share data", bounds=(0, 1))
     alpha: float = _option(0.3, "personalization blend weight", bounds=(0, 1))
     ldp_delta: float = _option(
@@ -159,7 +146,7 @@ class ExperimentConfig:
         False, "average only sharing users' tables into the global table", parse=_parse_bool
     )
     k: int = _option(10, "ranking cutoff", bounds=(1, None))
-    eval_negatives: int = _option(99, "sampled negatives per evaluation")
+    eval_negatives: int = _option(99, "sampled negatives per evaluation", bounds=(0, None))
     eval_every: int = _option(1, "evaluation stride in rounds", bounds=(1, None))
     seed: int = _option(0, "seed base (env FEDREC_SEED as fallback)", bounds=(0, None))
     reps: int = _option(5, "independent repetitions", bounds=(1, None))
@@ -180,13 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"--label must be a non-empty relative path without '..', "
                               f"so the run's files stay inside --out; got {self.label!r}")
         if self.eval_negatives < self.k - 1:
-            raise ConfigError(
-                f"eval_negatives ({self.eval_negatives}) must be >= k - 1 ({self.k - 1})"
-            )
-        try:
-            check_layout(self.format)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"--eval-negatives must be >= --k - 1 ({self.k - 1}), got "
+                              f"{self.eval_negatives}; raise --eval-negatives or lower --k")
 
     def to_federation_config(self, rep_seed: int, lr: float) -> FederationConfig:
         model = ModelConfig(
@@ -259,9 +241,11 @@ def parse_value(name: str, text: str, source: str):
 def load_config_file(path) -> dict:
     """Parse a flat `key = value` file into typed overrides.
 
-    Unknown keys are a hard error; blank lines and `#` comments are ignored.
+    Unknown keys, and a key set twice, are a hard error; blank lines and `#`
+    comments are ignored.
     """
     overrides = {}
+    line_of = {}  # key -> the line that set it
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -281,6 +265,10 @@ def load_config_file(path) -> dict:
         raw = raw.strip()
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{path}:{line_no}: config key {key!r} is set twice, "
+                              f"on lines {line_of[key]} and {line_no}")
+        line_of[key] = line_no
         overrides[key] = parse_value(key, raw, f"{path}:{line_no}")
     return overrides
 
@@ -297,7 +285,9 @@ def build_config(file_path=None, overrides=None, env=None) -> ExperimentConfig:
             value = parse_value(key, value, "--" + key.replace("_", "-"))
         if value is not None:
             values[key] = value
-    values["seed"] = resolve_seed(values.get("seed"), env)
+    env = os.environ if env is None else env
+    if "seed" not in values and env.get("FEDREC_SEED"):
+        values["seed"] = parse_value("seed", env["FEDREC_SEED"], "FEDREC_SEED")
     config = ExperimentConfig(**values)
     config.validate()
     return config
@@ -334,19 +324,19 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
         )
 
 
-def _split_file(path, format_name: str) -> InteractionDataset:
+def _split_file(path) -> InteractionDataset:
+    if path is None:
+        raise ConfigError("no dataset configured (--dataset or config file)")
     if not Path(path).is_file():
         raise ConfigError(f"dataset file not found: {path}")
-    return leave_one_out_split(load_interactions(path, format_name))
+    return leave_one_out_split(load_interactions(path))
 
 
 def load_dataset(config: ExperimentConfig) -> InteractionDataset:
     """Parse and split the configured file, and fail before any training when
     it cannot carry the evaluation. Every run, repetition and grid candidate
     of one command shares it."""
-    if config.dataset is None:
-        raise ConfigError("no dataset configured (--dataset or config file)")
-    dataset = _split_file(config.dataset, config.format)
+    dataset = _split_file(config.dataset)
     check_eval_negatives(dataset, config.eval_negatives)
     return dataset
 
@@ -731,6 +721,9 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
     axis_names = [axis for axis, _ in axes]
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("sweep axes must be distinct")
+    # sweep.csv names each axis column by its config key, which no summary
+    # column shares ('learning_rate' does)
+    fields = [_AXIS_FIELDS[axis] for axis in axis_names]
 
     cells = []
     taken = {}  # cell name -> the values that named it
@@ -743,10 +736,10 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
                 f"{cell_name!r}; give values that differ within 6 significant digits"
             )
         taken[cell_name] = named
-        settings = {_AXIS_FIELDS[axis]: value for axis, value in zip(axis_names, combo)}
+        settings = dict(zip(fields, combo))
         cell_config = replace(config, **settings, label=f"{config.label}/{cell_name}")
         cells.append(([f"{v:g}" for v in combo], cell_config))
-    return _run_cells(config, axis_names, cells, "sweep.csv")
+    return _run_cells(config, fields, cells, "sweep.csv")
 
 
 def ablation_suite(config: ExperimentConfig) -> int:
@@ -808,11 +801,11 @@ def gen_synthetic(
     return path
 
 
-def inspect_graph(dataset_path, format_name, public_ratio, seed, out) -> int:
-    """CLI verb: build the user graph for a dataset and dump sparse triplets."""
-    check_field("public_ratio", public_ratio)
-    dataset = _split_file(dataset_path, format_name)
-    tiers = assign_privacy(dataset.num_users, public_ratio, seed)
+def inspect_graph(config: ExperimentConfig, out) -> int:
+    """CLI verb: build the user graph of the configured dataset, sharing
+    ratio and seed, and dump sparse triplets to directory `out`."""
+    dataset = _split_file(config.dataset)
+    tiers = assign_privacy(dataset.num_users, config.public_ratio, config.seed)
     graph = normalize(build_user_graph(dataset, tiers))
 
     out_dir = Path(out)

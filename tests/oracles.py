@@ -83,13 +83,14 @@ def reference_load_split(lines):
     return log, split
 
 
-def reference_load_interactions(path, file_format="tsv"):
-    """`load_interactions` as a per-line parser: a generator of each non-blank
-    line's (1-based line number, fields), then one call per line that checks
-    the fields and returns (user, item, timestamp). Returns the Interactions
+def reference_load_interactions(path, layout):
+    """`load_interactions` as a per-line parser told the file's layout
+    ("tsv", "double-colon" or "csv"): a generator of each non-blank line's
+    (1-based line number, fields), then one call per line that checks the
+    fields and returns (user, item, timestamp). Returns the Interactions
     fields as a dict of lists, as `reference_load_split`'s log."""
     records = []
-    for line_no, fields in _reference_rows(path, file_format):
+    for line_no, fields in _reference_rows(path, layout):
         records.append(_reference_parse_fields(path, line_no, fields))
     if not records:
         raise DataFormatError(f"{path}: no interaction records")
@@ -110,15 +111,19 @@ def reference_load_interactions(path, file_format="tsv"):
     )
 
 
-def _reference_rows(path, file_format):
-    if file_format == "csv":
+def _reference_rows(path, layout):
+    if layout == "csv":
+        # the header row is the first line that is not whitespace alone
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            lines = list(fh)
+        header = next((n for n, line in enumerate(lines, start=1) if line.strip()), 0)
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             for fields in reader:
-                if reader.line_num > 1 and any(f.strip() for f in fields):
+                if reader.line_num > header and any(f.strip() for f in fields):
                     yield reader.line_num, fields
         return
-    sep = "\t" if file_format == "tsv" else "::"
+    sep = "\t" if layout == "tsv" else "::"
     with open(path, "r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip():

@@ -10,6 +10,7 @@ from fedgraphrec.data import (
     assign_privacy,
     leave_one_out_split,
     load_interactions,
+    read_separator,
     sample_eval_negatives,
     sample_train_negatives,
 )
@@ -39,7 +40,7 @@ def log_fields(log):
 
 def test_load_tsv_basic(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu2\ti1\t3\t200\nu1\ti2\t4\t150\n")
-    assert log_fields(load_interactions(path, "tsv")) == dict(
+    assert log_fields(load_interactions(path)) == dict(
         user_tokens=["u1", "u2"],
         item_tokens=["i1", "i2"],
         users=[0, 1, 0],
@@ -50,7 +51,7 @@ def test_load_tsv_basic(tmp_path):
 
 def test_load_double_colon(tmp_path):
     path = write(tmp_path, "a.dat", "1::10::5::978300760\n2::10::3::978302109\n")
-    log = log_fields(load_interactions(path, "double-colon"))
+    log = log_fields(load_interactions(path))
     assert log["user_tokens"] == ["1", "2"] and log["item_tokens"] == ["10"]
     assert log["timestamps"] == [978300760, 978302109]
 
@@ -61,50 +62,50 @@ def test_load_csv_skips_header_and_handles_quotes(tmp_path):
         "a.csv",
         'user,item,rating,timestamp\nu1,"i,1",5,7\nu2,i2,3,9\n',
     )
-    log = log_fields(load_interactions(path, "csv"))
+    log = log_fields(load_interactions(path))
     assert log["item_tokens"] == ["i,1", "i2"] and log["items"] == [0, 1]
 
 
 def test_load_without_timestamps(tmp_path):
     # a missing timestamp counts as 0
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu1\ti2\t4\n")
-    assert load_interactions(path, "tsv").timestamps.tolist() == [0, 0]
+    assert load_interactions(path).timestamps.tolist() == [0, 0]
 
 
 def test_load_rejects_wrong_field_count(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu2\ti2\n")
     with pytest.raises(DataFormatError, match=":2"):
-        load_interactions(path, "tsv")
+        load_interactions(path)
 
 
 def test_load_rejects_bad_rating(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\tfive\t3\n")
     with pytest.raises(DataFormatError, match=":1"):
-        load_interactions(path, "tsv")
+        load_interactions(path)
 
 
 def test_load_rejects_bad_timestamp(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\tnoon\n")
     with pytest.raises(DataFormatError, match="timestamp"):
-        load_interactions(path, "tsv")
+        load_interactions(path)
 
 
 def test_load_rejects_empty_token(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\t\t5\t3\n")
     with pytest.raises(DataFormatError, match="empty user or item"):
-        load_interactions(path, "tsv")
+        load_interactions(path)
 
 
 def test_load_rejects_empty_file(tmp_path):
     path = write(tmp_path, "a.tsv", "")
     with pytest.raises(DataFormatError, match="no interaction records"):
-        load_interactions(path, "tsv")
+        load_interactions(path)
 
 
 def test_duplicate_keeps_larger_timestamp(tmp_path):
     # the later-timestamp record wins even when it appears first in the file
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t900\nu2\ti9\t1\t5\nu1\ti1\t2\t100\n")
-    log = log_fields(load_interactions(path, "tsv"))
+    log = log_fields(load_interactions(path))
     # surviving records keep file order: the u1 line came before the u2 line
     assert log["users"] == [0, 1] and log["items"] == [0, 1]
     assert log["timestamps"] == [900, 5]
@@ -114,19 +115,19 @@ def test_duplicate_keeps_larger_timestamp(tmp_path):
 # between the two duplicates comes first exactly when the later line wins.
 def test_duplicate_timestamp_tie_keeps_later_line(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t100\nu2\ti2\t3\t100\nu1\ti1\t2\t100\n")
-    log = log_fields(load_interactions(path, "tsv"))
+    log = log_fields(load_interactions(path))
     assert log["users"] == [1, 0] and log["items"] == [1, 0]
 
 
 def test_duplicate_without_timestamps_keeps_later_line(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\nu2\ti2\t3\nu1\ti1\t1\n")
-    log = log_fields(load_interactions(path, "tsv"))
+    log = log_fields(load_interactions(path))
     assert log["users"] == [1, 0] and log["items"] == [1, 0]
 
 
 def test_blank_lines_are_skipped(tmp_path):
     path = write(tmp_path, "a.tsv", "u1\ti1\t5\t1\n\nu2\ti2\t3\t2\n")
-    assert len(load_interactions(path, "tsv")) == 2
+    assert len(load_interactions(path)) == 2
 
 
 # Every case in file order: the earlier record wins on a larger timestamp and
@@ -191,7 +192,7 @@ def test_load_and_split_match_reference_in_every_layout(tmp_path, seed):
     expected_log, expected = reference_load_split(rows)
     assert expected["dropped_users"] >= 1
     for fmt, path in write_layouts(tmp_path, rows, rng).items():
-        log = load_interactions(path, fmt)
+        log = load_interactions(path)
         assert log_fields(log) == expected_log, fmt
         assert all(a.dtype == np.int64 for a in (log.users, log.items, log.timestamps))
         ds = leave_one_out_split(log)
@@ -239,9 +240,12 @@ def random_raw_lines(rng, fmt):
 
 def write_raw(tmp_path, fmt, lines, rng, name="raw"):
     """The lines with mixed LF / CRLF endings, a header row for CSV, and
-    sometimes a BOM."""
+    sometimes a BOM and whitespace-only lines, tabs among them, before
+    everything else."""
     if fmt == "csv":
         lines = ["user,item,rating,timestamp", *lines]
+    lead = rng.choice(["", " ", "\t", " \t\t ", "\u3000"], size=int(rng.integers(3)))
+    lines = [str(blank) for blank in lead] + lines
     endings = [str(rng.choice(["\n", "\r\n"])) for _ in lines]
     if rng.random() < 0.5:
         endings[-1] = ""
@@ -253,13 +257,14 @@ def write_raw(tmp_path, fmt, lines, rng, name="raw"):
     return path
 
 
+# The loader reads the layout off the file; the reference is told it.
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("fmt", list(LAYOUT_SEPS))
 def test_load_matches_per_line_reference_on_random_files(tmp_path, fmt, seed):
     rng = np.random.default_rng([seed, len(fmt)])
     path = write_raw(tmp_path, fmt, random_raw_lines(rng, fmt), rng)
     expected = reference_load_interactions(path, fmt)
-    assert log_fields(load_interactions(path, fmt)) == expected
+    assert log_fields(load_interactions(path)) == expected
 
 
 def malformed_lines(fmt):
@@ -291,12 +296,15 @@ def test_malformed_lines_fail_as_the_per_line_reference(tmp_path, fmt):
     rng = np.random.default_rng(len(fmt))
     for case, bad in enumerate(malformed_lines(fmt)):
         lines = random_raw_lines(rng, fmt)
-        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+        # after the first record, which gives the layout: a bad first line
+        # can read as another one ('\t::\t' as tab-separated)
+        first = next(i for i, line in enumerate(lines) if line.strip())
+        lines.insert(int(rng.integers(first + 1, len(lines) + 1)), bad)
         path = write_raw(tmp_path, fmt, lines, rng, name=f"bad{case}")
         with pytest.raises(DataFormatError) as expected:
             reference_load_interactions(path, fmt)
         with pytest.raises(DataFormatError) as got:
-            load_interactions(path, fmt)
+            load_interactions(path)
         assert str(got.value) == str(expected.value), bad
         assert f"{path}:" in str(got.value)
 
@@ -321,8 +329,8 @@ def test_utf8_bom_does_not_split_a_user(tmp_path):
         plain = write(tmp_path, f"plain.{fmt}", text)
         bom = write(tmp_path, f"bom.{fmt}", "\ufeff" + text)
         assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
-        expected = leave_one_out_split(load_interactions(plain, fmt))
-        got = leave_one_out_split(load_interactions(bom, fmt))
+        expected = leave_one_out_split(load_interactions(plain))
+        got = leave_one_out_split(load_interactions(bom))
         assert got.user_tokens == ["1", "2"] and got.dropped_users == 0, fmt
         assert dataset_fields(got) == dataset_fields(expected), fmt
 
@@ -330,14 +338,20 @@ def test_utf8_bom_does_not_split_a_user(tmp_path):
 def test_timestamp_beyond_64_bits_is_rejected(tmp_path):
     path = write(tmp_path, "a.tsv", f"u1\ti1\t5\t{2**63}\n")
     with pytest.raises(DataFormatError, match=":1: timestamp .* 64 bits"):
-        load_interactions(path, "tsv")
+        load_interactions(path)
 
 
-def test_format_from_string(tmp_path):
-    path = write(tmp_path, "a.tsv", "u1\ti1\t5\t1\n")
-    with pytest.raises(ValueError, match="unknown file format 'parquet' "
-                                         r"\(choices: tsv, double-colon, csv\)"):
-        load_interactions(path, "parquet")
+def test_layout_is_read_off_the_first_line_that_is_not_whitespace_alone(tmp_path):
+    # a tab in that line wins over '::' and a comma, and '::' over a comma
+    for sep, first in (("\t", "u1\ti::1,x\t5"), ("::", "u1::i,1::5"), (",", "user,item,rating")):
+        path = write(tmp_path, "a.log", f" \t\n\n{first}\n" + sep.join(["u2", "i2", "3"]) + "\n")
+        assert read_separator(path) == (sep, 3)
+    assert log_fields(load_interactions(path))["item_tokens"] == ["i2"]
+    path = write(tmp_path, "a.log", "\t \n\nu1 i1 5 100\nu2\ti1\t3\n")
+    with pytest.raises(DataFormatError) as err:
+        load_interactions(path)
+    assert str(err.value) == (f"{path}:3: no tab, '::' or comma separates the fields of "
+                              "'u1 i1 5 100'")
 
 
 # --- leave_one_out_split ------------------------------------------------------

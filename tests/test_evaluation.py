@@ -285,7 +285,7 @@ def test_round_validates_inputs():
 def test_round_one_pass_matches_two_reference_passes():
     # Bundled file after 3 trained rounds: the one scoring pass gives the
     # test and validation metrics of two separate sort-based passes.
-    dataset = leave_one_out_split(load_interactions(BUNDLED, "tsv"))
+    dataset = leave_one_out_split(load_interactions(BUNDLED))
     tiers = assign_privacy(dataset.num_users, 0.5, 1)
     negatives = np.stack([
         sample_eval_negatives(dataset, u, 49, derive_rng(1, u, EVAL_NEG_SALT))

@@ -131,6 +131,27 @@ def test_config_file_with_the_retired_mlp_init_key_names_its_line(tmp_path):
         build_config(file_path=path, env={})
 
 
+def test_config_file_with_the_retired_format_key_names_its_line(tmp_path):
+    # the layout is read off the dataset file; a resolved_config.txt written
+    # before that still sets it
+    path = tmp_path / "resolved_config.txt"
+    path.write_text("dataset = data.tsv\nformat = tsv\n")
+    with pytest.raises(ConfigError, match=r"resolved_config\.txt:2: unknown config key 'format'"):
+        build_config(file_path=path, env={})
+
+
+def test_config_file_that_sets_a_key_twice_names_both_lines(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("alpha = 0.3\nrounds = 2\nalpha = 0.7\n")
+    with pytest.raises(ConfigError) as err:
+        load_config_file(path)
+    assert str(err.value) == f"{path}:3: config key 'alpha' is set twice, on lines 1 and 3"
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--dataset", BUNDLED, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {err.value}\n"
+    assert not out.exists()
+
+
 def test_config_file_bad_value_and_shape(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("rounds = soon\n")
@@ -173,7 +194,6 @@ def test_validate_rejects_bad_values():
         dict(k=0),
         dict(k=10, eval_negatives=5),
         dict(eval_every=0),
-        dict(format="parquet"),
         dict(rounds=0),
         dict(alpha=2.0),
         dict(seed=-1),
@@ -225,7 +245,7 @@ def test_resolved_config_round_trips(tmp_path):
 
 # Every config field at a value other than its default.
 NON_DEFAULT = dict(
-    dataset=BUNDLED, format="csv", public_ratio=0.25, alpha=0.7, ldp_delta=0.05, layers=2,
+    dataset=BUNDLED, public_ratio=0.25, alpha=0.7, ldp_delta=0.05, layers=2,
     embed_dim=8, mlp_hidden=(8, 4), lr=0.05, rounds=7, local_epochs=2, neg_ratio=3,
     batch_size=32, init_scale=0.02, clip_norm=0.5, ablate_iei=True,
     ablate_ugc=True, ablate_upie=True, global_from_public_only=True, k=5, eval_negatives=20,
@@ -773,6 +793,28 @@ def test_sweep_single_axis(tmp_path):
     assert (out / "alpha=0.5" / "summary.csv").exists()
 
 
+AXIS_VALUES = {"alpha": "0.5", "public_ratio": "0.5", "delta": "0.1", "layers": "2",
+               "embed_dim": "4", "learning_rate": "0.01,0.001"}
+
+
+def test_every_sweep_csv_header_names_each_column_once(tmp_path, monkeypatch):
+    # An axis column is named by its config key: the 'learning_rate' axis
+    # once shared its name with a summary column, and csv.DictReader kept one.
+    def untrained(cell_config, dataset, pool):
+        raise TrainingError("not trained")
+
+    monkeypatch.setattr(experiments, "execute_run", untrained)
+    config = tiny_config(tmp_path)
+    keys = {"learning_rate": "lr", "delta": "ldp_delta"}
+    for n, names in enumerate([[axis] for axis in experiments.SWEEP_AXES]
+                              + [["learning_rate", "delta"]]):
+        axes = [(axis, experiments.parse_axis_values(axis, AXIS_VALUES[axis])) for axis in names]
+        experiments.sweep(replace(config, label=f"s{n}"), axes)
+        header = read_csv(tmp_path / "runs" / f"s{n}" / "sweep.csv")[0]
+        assert len(set(header)) == len(header), header
+        assert header[:len(names) + 1] == [keys.get(axis, axis) for axis in names] + ["status"]
+
+
 def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
     # A cell that fails at run time is recorded, and the next cell runs.
     config = tiny_config(tmp_path, rounds=2, reps=1)
@@ -892,7 +934,7 @@ def test_gen_synthetic_counts_and_determinism(tmp_path):
 
 def test_gen_synthetic_is_loadable(tmp_path):
     path = gen_synthetic(30, 60, 8, 3, seed=2, path=tmp_path / "s.tsv")
-    dataset = leave_one_out_split(load_interactions(path, "tsv"))
+    dataset = leave_one_out_split(load_interactions(path))
     assert dataset.num_users == 30
     assert all(len(dataset.train[u]) == 6 for u in range(30))
 
@@ -1066,7 +1108,7 @@ def test_every_ranged_setting_declares_its_bounds():
     assert set(BOUNDS) == {
         "public_ratio", "alpha", "ldp_delta", "init_scale", "clip_norm", "layers",
         "embed_dim", "rounds", "local_epochs", "neg_ratio", "batch_size", "k",
-        "eval_every", "seed", "reps", "workers",
+        "eval_every", "seed", "reps", "workers", "eval_negatives",
     }
 
 
@@ -1085,9 +1127,20 @@ def test_value_just_outside_a_bound_fails_at_config_time(name, tmp_path, capsys)
                          "--out", str(out)]) == 1, value
         assert f"{flag} must be" in capsys.readouterr().err
         assert not out.exists()
+    # the fewest evaluation negatives pass with the cutoff that allows them
+    partners = {"eval_negatives": {"k": 1}}.get(name, {})
     for bound in (least, most):
         if bound is not None:
-            ExperimentConfig(**{name: kind(bound)}).validate()
+            ExperimentConfig(**{name: kind(bound)}, **partners).validate()
+
+
+def test_eval_negatives_below_the_cutoff_names_both_flags(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--dataset", BUNDLED, "--k", "10", "--eval-negatives", "5",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: --eval-negatives must be >= --k - 1 (9), "
+                                       "got 5; raise --eval-negatives or lower --k\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config_text, env_seed, source, key", [
@@ -1190,6 +1243,20 @@ def test_cli_inspect_graph(tmp_path, capsys):
     assert adjacency[0] == "user_a\tuser_b\tweight"
     assert len(adjacency) > 1
     assert (out / "graph_normalized.tsv").exists()
+
+
+@pytest.mark.parametrize("argv, flag, key", [
+    (["inspect-graph", "--dataset", BUNDLED, "--public-ratio", "x"], "--public-ratio",
+     "public_ratio"),
+    (["gen-synth", "--seed", "x"], "--seed", "seed"),
+])
+def test_inspect_graph_and_gen_synth_parse_flags_through_the_schema(
+    tmp_path, capsys, argv, flag, key
+):
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: bad value for {key}: ")
+    assert not out.exists()
 
 
 def test_cli_sweep_smoke(tmp_path, capsys):

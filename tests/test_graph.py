@@ -640,7 +640,7 @@ def test_dump_triplets_matches_brute_force_writer(tmp_path, normalized):
 
 
 def test_graph_from_bundled_dataset_matches_oracle():
-    records = load_interactions("data/synthetic-50.tsv", "tsv")
+    records = load_interactions("data/synthetic-50.tsv")
     dataset = leave_one_out_split(records)
     tiers = assign_privacy(dataset.num_users, 0.5, seed=3)
     graph = normalize(build_user_graph(dataset, tiers))
