@@ -28,7 +28,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, names=None) -> None:
         parser.add_argument("--config", help="flat key = value config file")
     for name in names or experiments.CONFIG_FIELDS:
         f = experiments.CONFIG_FIELDS[name]
-        flag = "--" + name.replace("_", "-")
+        flag = experiments.flag(name)
         if isinstance(f.default, bool):
             parser.add_argument(flag, action="store_const", const=True, help=f.metadata["help"])
         else:

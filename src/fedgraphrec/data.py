@@ -189,12 +189,16 @@ class InteractionDataset:
         """All item indices the user never touched in any split, ascending:
         a read-only int32 view into one flat array that holds every user's
         pool, built on first use."""
-        if self._neg_pools is None:
-            self._neg_pools = self._build_negative_pools()
-        pools, offsets = self._neg_pools
+        pools, offsets = self._negative_pools()
         return pools[offsets[user]:offsets[user + 1]]
 
-    def _build_negative_pools(self) -> tuple[np.ndarray, np.ndarray]:
+    def negative_pool_sizes(self) -> np.ndarray:
+        """Every user's `negative_pool` size, in user order."""
+        return np.diff(self._negative_pools()[1])
+
+    def _negative_pools(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._neg_pools is not None:
+            return self._neg_pools
         n = self.num_users
         seen = np.zeros((n, self.num_items), dtype=bool)
         for u in range(n):
@@ -207,7 +211,8 @@ class InteractionDataset:
         for u in range(n):
             pools[offsets[u]:offsets[u + 1]] = np.flatnonzero(~seen[u])
         pools.flags.writeable = False
-        return pools, offsets
+        self._neg_pools = pools, offsets
+        return self._neg_pools
 
 
 def leave_one_out_split(interactions: Interactions) -> InteractionDataset:

@@ -27,7 +27,7 @@ from fedgraphrec.data import (
 )
 from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import FederationConfig, RoundRecord, run_federation
-from fedgraphrec.graph import build_user_graph, dump_triplets, full_matrix, normalize
+from fedgraphrec.graph import build_user_graph, dump_triplets, normalize
 from fedgraphrec.model import ModelConfig, TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng, derive_rngs
 
@@ -37,16 +37,8 @@ GRID_LEARNING_RATES = (0.0001, 0.001, 0.01, 0.1)
 # Probability mass a synthetic user puts on their own cluster's item pool.
 CLUSTER_BIAS = 0.8
 
-# axis name -> config field; the field's parser reads the axis values
-_AXIS_FIELDS = {
-    "alpha": "alpha",
-    "public_ratio": "public_ratio",
-    "delta": "ldp_delta",
-    "layers": "layers",
-    "embed_dim": "embed_dim",
-    "learning_rate": "lr",
-}
-SWEEP_AXES = tuple(_AXIS_FIELDS)
+# config keys a sweep can vary; each axis parses and names itself as its key
+SWEEP_AXES = ("alpha", "public_ratio", "ldp_delta", "layers", "embed_dim", "lr")
 
 ABLATION_VARIANTS = (
     ("full", {}),
@@ -212,6 +204,11 @@ class ExperimentConfig:
 CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
 
+def flag(name: str) -> str:
+    """The CLI flag of config field `name`: `--<name with hyphens>`."""
+    return "--" + name.replace("_", "-")
+
+
 def check_field(name: str, value) -> None:
     """Reject a non-finite float, or a value outside config field `name`'s
     bounds, with a message that names the flag and quotes its help."""
@@ -223,8 +220,7 @@ def check_field(name: str, value) -> None:
         need = f">= {least}" if most is None else f"in [{least}, {most}]"
     else:
         return
-    raise ConfigError(f"--{name.replace('_', '-')} must be {need}, got {value} "
-                      f"({f.metadata['help']})")
+    raise ConfigError(f"{flag(name)} must be {need}, got {value} ({f.metadata['help']})")
 
 
 def parse_value(name: str, text: str, source: str):
@@ -282,7 +278,7 @@ def build_config(file_path=None, overrides=None, env=None) -> ExperimentConfig:
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         if isinstance(value, str):
-            value = parse_value(key, value, "--" + key.replace("_", "-"))
+            value = parse_value(key, value, flag(key))
         if value is not None:
             values[key] = value
     env = os.environ if env is None else env
@@ -305,11 +301,10 @@ class RepetitionResult:
 
 
 def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
-    """Fail before any training when some user has no unseen item to draw
-    training negatives from, or fewer unseen items than the evaluation
-    samples. A user's items are distinct across the splits, so the unseen
-    items number num_items - (train size + 2)."""
-    sizes = dataset.num_items - 2 - np.array([items.size for items in dataset.train])
+    """Fail before any training when some user's negative pool is empty, so
+    training has no item to draw negatives from, or smaller than the
+    evaluation samples."""
+    sizes = dataset.negative_pool_sizes()
     fewest = int(np.argmin(sizes))
     largest = int(sizes[fewest])  # the most negatives every user can give
     if largest == 0:
@@ -324,9 +319,9 @@ def check_eval_negatives(dataset: InteractionDataset, count: int) -> None:
         )
 
 
-def _split_file(path) -> InteractionDataset:
+def _split_file(path, set_by: str = "--dataset or config file") -> InteractionDataset:
     if path is None:
-        raise ConfigError("no dataset configured (--dataset or config file)")
+        raise ConfigError(f"no dataset configured ({set_by})")
     if not Path(path).is_file():
         raise ConfigError(f"dataset file not found: {path}")
     return leave_one_out_split(load_interactions(path))
@@ -662,13 +657,13 @@ def _cell_metric_cells(summary: RunSummary | None) -> list[str]:
 
 
 def parse_axis_values(axis: str, text: str) -> list:
-    if axis not in _AXIS_FIELDS:
+    """The comma-separated values of sweep axis `axis`, parsed as its config key."""
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r} (choices: {', '.join(SWEEP_AXES)})")
-    name = _AXIS_FIELDS[axis]
     parts = [part.strip() for part in str(text).split(",")]
-    values = [parse_value(name, part, f"axis {axis}") for part in parts if part]
+    values = [parse_value(axis, part, f"axis {axis}") for part in parts if part]
     if "grid" in values:  # selects a learning rate; it is not one
-        raise ConfigError(f"axis {axis}: bad value for {name}: 'grid' is not a number")
+        raise ConfigError(f"axis {axis}: bad value for {axis}: 'grid' is not a number")
     if not values:
         raise ConfigError(f"no values given for axis {axis}")
     return values
@@ -715,15 +710,12 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
     sharing-ratio grid)."""
     if not 1 <= len(axes) <= 2:
         raise ConfigError(f"sweep takes one or two axes, got {len(axes)}")
-    for axis, _values in axes:
-        if axis not in _AXIS_FIELDS:
-            raise ConfigError(f"unknown sweep axis {axis!r} (choices: {', '.join(SWEEP_AXES)})")
     axis_names = [axis for axis, _ in axes]
+    for axis in axis_names:
+        if axis not in SWEEP_AXES:
+            raise ConfigError(f"unknown sweep axis {axis!r} (choices: {', '.join(SWEEP_AXES)})")
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("sweep axes must be distinct")
-    # sweep.csv names each axis column by its config key, which no summary
-    # column shares ('learning_rate' does)
-    fields = [_AXIS_FIELDS[axis] for axis in axis_names]
 
     cells = []
     taken = {}  # cell name -> the values that named it
@@ -736,16 +728,17 @@ def sweep(config: ExperimentConfig, axes: list[tuple[str, list]]) -> int:
                 f"{cell_name!r}; give values that differ within 6 significant digits"
             )
         taken[cell_name] = named
-        settings = dict(zip(fields, combo))
+        settings = dict(zip(axis_names, combo))
         cell_config = replace(config, **settings, label=f"{config.label}/{cell_name}")
         cells.append(([f"{v:g}" for v in combo], cell_config))
-    return _run_cells(config, fields, cells, "sweep.csv")
+    # the axis columns are config keys, which no summary column shares
+    return _run_cells(config, axis_names, cells, "sweep.csv")
 
 
 def ablation_suite(config: ExperimentConfig) -> int:
     """CLI verb: full configuration plus each single-mechanism ablation, which
     each variant switches on itself: the base configuration sets none."""
-    set_flags = ["--" + name.replace("_", "-") for _variant, flags in ABLATION_VARIANTS
+    set_flags = [flag(name) for _variant, flags in ABLATION_VARIANTS
                  for name in flags if getattr(config, name)]
     if set_flags:
         raise ConfigError(f"ablate runs each ablation itself; drop {' '.join(set_flags)}")
@@ -804,7 +797,7 @@ def gen_synthetic(
 def inspect_graph(config: ExperimentConfig, out) -> int:
     """CLI verb: build the user graph of the configured dataset, sharing
     ratio and seed, and dump sparse triplets to directory `out`."""
-    dataset = _split_file(config.dataset)
+    dataset = _split_file(config.dataset, "--dataset")  # the verb reads no config file
     tiers = assign_privacy(dataset.num_users, config.public_ratio, config.seed)
     graph = normalize(build_user_graph(dataset, tiers))
 
@@ -816,15 +809,14 @@ def inspect_graph(config: ExperimentConfig, out) -> int:
         with _atomic(path) as tmp:
             dump_triplets(graph, tmp, normalized=normalized)
 
-    adjacency = full_matrix(graph)
-    diagonal = adjacency.diagonal()
-    nnz = int(np.count_nonzero(adjacency))
-    off_diag_nnz = nnz - int(np.count_nonzero(diagonal))
+    # off the linked block (zero diagonal); every other user has a self-loop
+    edge_ends = int(np.count_nonzero(graph.adjacency))
+    self_loops = dataset.num_users - graph.linked.size
     print(f"users: {dataset.num_users} ({tiers.num_public} public, {tiers.num_private} private)")
     print(f"items: {dataset.num_items}")
-    print(f"co-interaction edges: {off_diag_nnz // 2}")
-    print(f"self-loops: {int(np.count_nonzero(diagonal))}")
-    density = nnz / max(dataset.num_users**2, 1)
+    print(f"co-interaction edges: {edge_ends // 2}")
+    print(f"self-loops: {self_loops}")
+    density = (edge_ends + self_loops) / max(dataset.num_users**2, 1)
     print(f"adjacency density: {density:.4f}")
     print(f"wrote {adjacency_path} and {normalized_path}")
     return 0

@@ -511,6 +511,17 @@ def test_negative_pools_and_draws_match_flatnonzero_reference(tmp_path):
                 sample_eval_negatives(ds, u, count, derive_rng(8, u)), expected[draw])
 
 
+def test_negative_pool_sizes_are_the_pool_lengths(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [(f"u{u}", f"i{i}", 1, t) for u in range(13)
+            for t, i in enumerate(rng.choice(15, size=3 + u, replace=False))]
+    split = leave_one_out_split(load_interactions(write(tmp_path, "a.tsv", lines(*rows))))
+    for ds in (small_dataset(), split):
+        sizes = ds.negative_pool_sizes()
+        assert sizes.tolist() == [ds.negative_pool(u).size for u in range(ds.num_users)]
+    assert sizes.min() == 0  # a user with all 15 items
+
+
 def test_train_negatives_count_and_membership():
     ds = small_dataset()
     negs = sample_train_negatives(ds, 0, ratio=4, rng=derive_rng(1))

@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -17,7 +18,7 @@ import pytest
 
 import fedgraphrec
 from fedgraphrec import cli, experiments
-from fedgraphrec.data import leave_one_out_split, load_interactions
+from fedgraphrec.data import assign_privacy, leave_one_out_split, load_interactions
 from fedgraphrec.experiments import (
     ABLATION_VARIANTS,
     GRID_LEARNING_RATES,
@@ -33,6 +34,7 @@ from fedgraphrec.experiments import (
     run_repetition,
     select_learning_rate,
 )
+from fedgraphrec.graph import build_user_graph, full_matrix
 from fedgraphrec.model import TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rngs
 
@@ -793,26 +795,56 @@ def test_sweep_single_axis(tmp_path):
     assert (out / "alpha=0.5" / "summary.csv").exists()
 
 
-AXIS_VALUES = {"alpha": "0.5", "public_ratio": "0.5", "delta": "0.1", "layers": "2",
-               "embed_dim": "4", "learning_rate": "0.01,0.001"}
+AXIS_VALUES = {"alpha": "0.5", "public_ratio": "0.5", "ldp_delta": "0.1", "layers": "2",
+               "embed_dim": "4", "lr": "0.01,0.001"}
+
+
+def test_every_sweep_axis_is_a_config_key():
+    assert set(experiments.SWEEP_AXES) <= set(experiments.CONFIG_FIELDS)
+    assert set(AXIS_VALUES) == set(experiments.SWEEP_AXES)
 
 
 def test_every_sweep_csv_header_names_each_column_once(tmp_path, monkeypatch):
-    # An axis column is named by its config key: the 'learning_rate' axis
+    # An axis column is its config key: the retired 'learning_rate' axis
     # once shared its name with a summary column, and csv.DictReader kept one.
     def untrained(cell_config, dataset, pool):
         raise TrainingError("not trained")
 
     monkeypatch.setattr(experiments, "execute_run", untrained)
     config = tiny_config(tmp_path)
-    keys = {"learning_rate": "lr", "delta": "ldp_delta"}
     for n, names in enumerate([[axis] for axis in experiments.SWEEP_AXES]
-                              + [["learning_rate", "delta"]]):
+                              + [["lr", "ldp_delta"]]):
         axes = [(axis, experiments.parse_axis_values(axis, AXIS_VALUES[axis])) for axis in names]
         experiments.sweep(replace(config, label=f"s{n}"), axes)
         header = read_csv(tmp_path / "runs" / f"s{n}" / "sweep.csv")[0]
         assert len(set(header)) == len(header), header
-        assert header[:len(names) + 1] == [keys.get(axis, axis) for axis in names] + ["status"]
+        assert header[:len(names) + 1] == names + ["status"]
+
+
+@pytest.mark.parametrize("axis_flag", ["--axis", "--axis2"])
+@pytest.mark.parametrize("retired", ["delta", "learning_rate"])
+def test_retired_sweep_axis_names_stop_at_the_choice_check(tmp_path, capsys, axis_flag, retired):
+    # 'delta' and 'learning_rate' were second names for ldp_delta and lr
+    axes = {"--axis": ["--axis", retired, "--values", "0.1"],
+            "--axis2": ["--axis", "alpha", "--values", "0.5", "--axis2", retired,
+                        "--values2", "0.1"]}[axis_flag]
+    assert cli.main(["sweep", "--dataset", BUNDLED, "--eval-negatives", "49", "--rounds", "1",
+                     "--reps", "1", "--out", str(tmp_path / "out"), *axes]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: argument {axis_flag}: invalid choice: ")
+    assert all(key in err for key in experiments.SWEEP_AXES)
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_cells_are_named_by_config_key(tmp_path):
+    config = tiny_config(tmp_path, rounds=1, reps=1)
+    assert experiments.sweep(config, [("ldp_delta", [0.0, 0.1]), ("lr", [0.01])]) == 0
+    out = tmp_path / "runs" / "t"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "ldp_delta=0,lr=0.01", "ldp_delta=0.1,lr=0.01"]
+    assert read_csv(out / "sweep.csv")[0][:3] == ["ldp_delta", "lr", "status"]
+    resolved = (out / "ldp_delta=0.1,lr=0.01" / "resolved_config.txt").read_text()
+    assert "ldp_delta = 0.1\n" in resolved and "lr = 0.01\n" in resolved
 
 
 def test_sweep_records_cell_failure_and_continues(tmp_path, monkeypatch):
@@ -1152,8 +1184,7 @@ def test_eval_negatives_below_the_cutoff_names_both_flags(tmp_path, capsys):
     (["run", "--mlp-hidden", "8,x"], None, None, "--mlp-hidden", "mlp_hidden"),
     (["run", "--rounds", "soon"], None, None, "--rounds", "rounds"),
     (["sweep", "--axis", "alpha", "--values", "0.5,x"], None, None, "axis alpha", "alpha"),
-    (["sweep", "--axis", "learning_rate", "--values", "0.1,grid"], None, None,
-     "axis learning_rate", "lr"),
+    (["sweep", "--axis", "lr", "--values", "0.1,grid"], None, None, "axis lr", "lr"),
     (["run"], None, "many", "FEDREC_SEED", "seed"),
 ], ids=["file-bool", "file-hidden", "file-lr", "file-int", "flag-lr", "flag-hidden", "flag-int",
         "axis-float", "axis-grid", "env-seed"])
@@ -1230,19 +1261,59 @@ def test_cli_gen_synth_and_seed_env(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+# Pinned from the code that counted the summary off the full n x n matrix:
+# on the bundled file at seed 3, the printed summary (bar its last line) and
+# the sha256 of each dump, adjacency then normalized.
+INSPECT_GRAPH_PINNED = {
+    "0.5": ("users: 50 (25 public, 25 private)\nitems: 100\nco-interaction edges: 116\n"
+            "self-loops: 25\nadjacency density: 0.1028\n",
+            "056df504e1fc1582c2f96c045fa9eb281823f3203b42d7f2da5cbad2a2488b05",
+            "02f00da970ce22742d1103801aac8b82c0ff53bbc44b550bb92d3c1447dffa08"),
+    "1.0": ("users: 50 (50 public, 0 private)\nitems: 100\nco-interaction edges: 468\n"
+            "self-loops: 0\nadjacency density: 0.3744\n",
+            "07356349690931f156c3863132f5cff8a07916c950f860c6e324dac030a13075",
+            "eb9cca6bcc10c6031361afc1d9debe9d97ee3c40dc500b6fc1235c8da5e8500b"),
+}
+
+
 def test_cli_inspect_graph(tmp_path, capsys):
-    out = tmp_path / "dump"
-    code = cli.main(
-        ["inspect-graph", "--dataset", BUNDLED, "--public-ratio", "0.5",
-         "--seed", "3", "--out", str(out)]
-    )
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "users: 50" in printed
-    adjacency = (out / "graph_adjacency.tsv").read_text().splitlines()
-    assert adjacency[0] == "user_a\tuser_b\tweight"
-    assert len(adjacency) > 1
-    assert (out / "graph_normalized.tsv").exists()
+    for ratio, (summary, *digests) in INSPECT_GRAPH_PINNED.items():
+        out = tmp_path / ratio
+        assert cli.main(["inspect-graph", "--dataset", BUNDLED, "--public-ratio", ratio,
+                         "--seed", "3", "--out", str(out)]) == 0
+        adjacency, normalized = out / "graph_adjacency.tsv", out / "graph_normalized.tsv"
+        assert capsys.readouterr().out == summary + f"wrote {adjacency} and {normalized}\n"
+        assert adjacency.read_text().startswith("user_a\tuser_b\tweight\n")
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (adjacency, normalized)] == digests
+
+
+def test_inspect_graph_summary_matches_the_full_matrix(tmp_path, capsys):
+    # a world so sparse that some sharing users link to nobody: they count as
+    # self-loops, as in the (num_users, num_users) form
+    world = gen_synthetic(40, 400, 5, 8, 2, tmp_path / "sparse.tsv")
+    config = build_config(overrides=dict(dataset=str(world), public_ratio=0.5, seed=0))
+    assert experiments.inspect_graph(config, tmp_path / "dump") == 0
+    printed = capsys.readouterr().out.splitlines()
+    dataset = leave_one_out_split(load_interactions(world))
+    tiers = assign_privacy(dataset.num_users, 0.5, 0)
+    graph = build_user_graph(dataset, tiers)
+    assert 0 < graph.linked.size < tiers.num_public  # some sharing users link to nobody
+    full = full_matrix(graph)
+    loops = int(np.count_nonzero(full.diagonal()))
+    assert printed[2:5] == [
+        f"co-interaction edges: {(int(np.count_nonzero(full)) - loops) // 2}",
+        f"self-loops: {loops}",
+        f"adjacency density: {np.count_nonzero(full) / full.size:.4f}",
+    ]
+
+
+def test_inspect_graph_without_dataset_names_only_its_flag(tmp_path, capsys):
+    # the verb takes no config file, so the message does not offer one
+    out = tmp_path / "out"
+    assert cli.main(["inspect-graph", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: no dataset configured (--dataset)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag, key", [
