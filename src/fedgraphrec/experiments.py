@@ -8,6 +8,7 @@ import io
 import logging
 import math
 import os
+import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -506,6 +507,19 @@ def _write_repetition(out_dir: Path, result: RepetitionResult) -> None:
     _atomic_write(rep_dir / "rounds.csv", _csv_text(ROUNDS_CSV_HEADER.split(","), rows))
 
 
+def _clear_run_files(out_dir: Path) -> None:
+    """Remove from `out_dir` what an earlier run wrote there: the grid and
+    summary files, each `rep<r>/rounds.csv`, and each `rep<r>/` that leaves
+    empty. Nothing else in it is touched."""
+    for name in ("grid_search.csv", "summary.csv", "summary.txt"):
+        (out_dir / name).unlink(missing_ok=True)
+    for rounds in out_dir.glob("rep*/rounds.csv"):
+        if re.fullmatch(r"rep[0-9]+", rounds.parent.name):
+            rounds.unlink()
+            if not any(rounds.parent.iterdir()):
+                rounds.parent.rmdir()
+
+
 def _mean_std(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -591,7 +605,8 @@ def execute_run(
     """Grid selection (when asked), all repetitions, and every artifact file
     for one configuration. Returns the cross-repetition summary. The grid
     winner's run is repetition 0. Grid candidates and repetitions share one
-    pool; each repetition's files land as it is read, in repetition order.
+    pool; each repetition's files land as it is read, in repetition order,
+    after an earlier run's files in the directory are removed.
 
     `dataset` is the configured file as `load_dataset` returns it; omitted,
     the run loads it. `pool` is an open `_pool` to run on; omitted, the run
@@ -602,6 +617,7 @@ def execute_run(
     check_sharing_users(config, dataset)
     out_dir = Path(config.out) / config.label
     out_dir.mkdir(parents=True, exist_ok=True)
+    _clear_run_files(out_dir)
     _atomic_write(out_dir / "resolved_config.txt", config.to_text())
 
     lr = config.lr
@@ -805,18 +821,16 @@ def inspect_graph(config: ExperimentConfig, out) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     adjacency_path = out_dir / "graph_adjacency.tsv"
     normalized_path = out_dir / "graph_normalized.tsv"
-    for path, normalized in ((adjacency_path, False), (normalized_path, True)):
-        with _atomic(path) as tmp:
-            dump_triplets(graph, tmp, normalized=normalized)
+    with _atomic(adjacency_path) as tmp:
+        edges, self_loops = dump_triplets(graph, tmp)
+    with _atomic(normalized_path) as tmp:
+        dump_triplets(graph, tmp, normalized=True)
 
-    # off the linked block (zero diagonal); every other user has a self-loop
-    edge_ends = int(np.count_nonzero(graph.adjacency))
-    self_loops = dataset.num_users - graph.linked.size
     print(f"users: {dataset.num_users} ({tiers.num_public} public, {tiers.num_private} private)")
     print(f"items: {dataset.num_items}")
-    print(f"co-interaction edges: {edge_ends // 2}")
+    print(f"co-interaction edges: {edges}")
     print(f"self-loops: {self_loops}")
-    density = (edge_ends + self_loops) / max(dataset.num_users**2, 1)
+    density = (2 * edges + self_loops) / max(dataset.num_users**2, 1)
     print(f"adjacency density: {density:.4f}")
     print(f"wrote {adjacency_path} and {normalized_path}")
     return 0

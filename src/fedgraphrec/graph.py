@@ -22,9 +22,7 @@ class UserGraph:
     that linked users ``linked[a]`` and ``linked[b]`` share, with a zero
     diagonal. The graph holds nothing about any other user: propagation
     leaves their tables as they are. normalize() fills ``_dense_normalized``,
-    the symmetric degree normalization of that block. full_matrix() embeds
-    either block in the (num_users, num_users) form, where every unlinked
-    user carries a unit self-loop; only the output writers build it.
+    the symmetric degree normalization of that block.
     """
 
     num_users: int
@@ -73,19 +71,6 @@ def normalize(graph: UserGraph) -> UserGraph:
     mat *= inv_sqrt[None, :]
     graph._dense_normalized = mat
     return graph
-
-
-def full_matrix(graph: UserGraph, normalized: bool = False) -> np.ndarray:
-    """The (num_users, num_users) adjacency, or with `normalized` the
-    normalized operator: the block at the linked users' rows and columns,
-    and a unit self-loop on every other user. For output only."""
-    block = graph._dense_normalized if normalized else graph.adjacency
-    if block is None:
-        raise ValueError("graph is not normalized; call normalize() first")
-    # The block's zero diagonal overwrites the linked users' unit entries.
-    mat = np.eye(graph.num_users)
-    mat[np.ix_(graph.linked, graph.linked)] = block
-    return mat
 
 
 def propagate(
@@ -199,17 +184,30 @@ def server_update(
     return ServerState(propagated=propagated, global_table=global_table)
 
 
-def dump_triplets(graph: UserGraph, path, normalized: bool = False) -> int:
-    """Write `user_a<TAB>user_b<TAB>weight` triplets of full_matrix() (upper
-    triangle, unit self-loops included).
+def dump_triplets(graph: UserGraph, path, normalized: bool = False) -> tuple[int, int]:
+    """Write `user_a<TAB>user_b<TAB>weight` triplets of the (num_users,
+    num_users) adjacency, or with `normalized` of the normalized operator:
+    its upper triangle's nonzeros in (row, col) order, where every linked
+    user's row is its block row and every other user has a unit self-loop.
 
-    Returns the number of triplets written.
+    Reads the block one row at a time. Returns (edges, self_loops) written.
     """
-    mat = full_matrix(graph, normalized)
-    rows, cols = np.nonzero(np.triu(mat))
-    weights = mat[rows, cols].tolist()
+    block = graph._dense_normalized if normalized else graph.adjacency
+    if block is None:
+        raise ValueError("graph is not normalized; call normalize() first")
+    linked = graph.linked.tolist()
+    position = dict(zip(linked, range(len(linked))))
+    edges = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_a\tuser_b\tweight\n")
-        for a, b, w in zip(rows.tolist(), cols.tolist(), weights):
-            fh.write(f"{a}\t{b}\t{w!r}\n")
-    return int(rows.size)
+        for a in range(graph.num_users):
+            p = position.get(a)
+            if p is None:
+                fh.write(f"{a}\t{a}\t1.0\n")
+                continue
+            row = block[p, p + 1:]
+            nonzero = np.flatnonzero(row)
+            for q, w in zip(nonzero.tolist(), row[nonzero].tolist()):
+                fh.write(f"{a}\t{linked[p + 1 + q]}\t{w!r}\n")
+            edges += nonzero.size
+    return edges, graph.num_users - len(linked)

@@ -541,6 +541,19 @@ def brute_normalized(A):
     return inv_sqrt @ A @ inv_sqrt
 
 
+def full_matrix(graph, normalized=False):
+    """The (num_users, num_users) form of a UserGraph: its adjacency block,
+    or with `normalized` its normalized block, at the linked users' rows and
+    columns, and a unit self-loop on every other user."""
+    block = graph._dense_normalized if normalized else graph.adjacency
+    if block is None:
+        raise ValueError("graph is not normalized; call normalize() first")
+    # The block's zero diagonal overwrites the linked users' unit entries.
+    mat = np.eye(graph.num_users)
+    mat[np.ix_(graph.linked, graph.linked)] = block
+    return mat
+
+
 def brute_triplets(matrix):
     """The `dump_triplets` file for a dense matrix, written cell by cell."""
     lines = ["user_a\tuser_b\tweight"]

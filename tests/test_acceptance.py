@@ -22,7 +22,7 @@ from fedgraphrec.experiments import (
     gen_synthetic,
 )
 from fedgraphrec.federation import distribute
-from fedgraphrec.graph import ServerState, build_user_graph, full_matrix, normalize, propagate
+from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate
 from fedgraphrec.model import ModelConfig
 from oracles import (
     brute_adjacency,
@@ -30,6 +30,7 @@ from oracles import (
     brute_propagate,
     check_instance_gradients,
     dataset_from_train_sets,
+    full_matrix,
     make_score_state,
     oracle_rank,
     random_graph_instance,

@@ -34,9 +34,10 @@ from fedgraphrec.experiments import (
     run_repetition,
     select_learning_rate,
 )
-from fedgraphrec.graph import build_user_graph, full_matrix
+from fedgraphrec.graph import build_user_graph
 from fedgraphrec.model import TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rngs
+from oracles import full_matrix
 
 BUNDLED = str(Path(__file__).resolve().parents[1] / "data" / "synthetic-50.tsv")
 
@@ -643,6 +644,33 @@ def test_failed_repetition_after_the_grid_leaves_the_grid_on_disk(tmp_path, monk
         rounds_without_wall_time(whole / "rep0" / "rounds.csv")
     )
     assert not (cut / "summary.csv").exists()
+
+
+def test_rerun_into_a_label_leaves_only_its_own_files(tmp_path):
+    # a grid run of three repetitions, then a fixed-rate run of one in the
+    # same directory: nothing of the first run stands beside the second's
+    execute_run(tiny_config(tmp_path, lr="grid", rounds=1, reps=3))
+    out = tmp_path / "runs" / "t"
+    assert (out / "grid_search.csv").exists() and (out / "rep2").is_dir()
+    execute_run(tiny_config(tmp_path, lr=0.01, rounds=1, reps=1))
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "rep0", "rep0/rounds.csv", "resolved_config.txt", "summary.csv", "summary.txt"]
+
+
+def test_rerun_keeps_files_no_run_writes_and_a_failed_rerun_no_old_summary(
+    tmp_path, monkeypatch
+):
+    execute_run(tiny_config(tmp_path, reps=2))
+    out = tmp_path / "runs" / "t"
+    (out / "notes.txt").write_text("mine\n")
+    (out / "rep1" / "plot.png").write_bytes(b"")
+    (out / "reports").mkdir()
+    monkeypatch.setattr(experiments, "run_repetition", failing_at(1))
+    with pytest.raises(TrainingError, match=r"^repetition 1 "):
+        execute_run(tiny_config(tmp_path, reps=2))
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "notes.txt", "rep0", "rep0/rounds.csv", "rep1", "rep1/plot.png", "reports",
+        "resolved_config.txt"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

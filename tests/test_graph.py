@@ -12,13 +12,13 @@ from fedgraphrec.data import (
     leave_one_out_split,
     load_interactions,
 )
+from fedgraphrec.experiments import gen_synthetic
 from fedgraphrec.federation import distribute
 from fedgraphrec.graph import (
     ServerState,
     UserGraph,
     build_user_graph,
     dump_triplets,
-    full_matrix,
     global_embedding,
     normalize,
     propagate,
@@ -30,6 +30,7 @@ from oracles import (
     brute_propagate,
     brute_triplets,
     dataset_from_train_sets,
+    full_matrix,
     random_graph_instance,
     tiers_from_mask,
 )
@@ -597,7 +598,7 @@ def test_dump_triplets_raw_values(tmp_path):
     graph = built([{0, 1}, {1, 2}, {0, 1, 2}], 3, [True] * 3)
     path = tmp_path / "adj.tsv"
     count = dump_triplets(graph, path)
-    assert count == 3
+    assert count == (3, 0)
     lines = path.read_text().splitlines()
     assert lines[0] == "user_a\tuser_b\tweight"
     assert lines[1:] == ["0\t1\t1.0", "0\t2\t2.0", "1\t2\t2.0"]
@@ -607,7 +608,7 @@ def test_dump_triplets_normalized_round_trip(tmp_path):
     graph = normalize(built([{0, 1}, {1, 2}, {0, 1, 2}], 3, [True] * 3))
     path = tmp_path / "norm.tsv"
     count = dump_triplets(graph, path, normalized=True)
-    assert count == 3
+    assert count == (3, 0)
     rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
     parsed = {(int(a), int(b)): float(w) for a, b, w in rows}
     assert parsed[(0, 1)] == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -633,7 +634,25 @@ def test_dump_triplets_matches_brute_force_writer(tmp_path, normalized):
         count = dump_triplets(graph, path, normalized=normalized)
         text = path.read_text(encoding="utf-8")
         assert text == brute_triplets(expected)
-        assert count == len(text.splitlines()) - 1
+        loops = int(np.count_nonzero(expected.diagonal()))
+        assert count == (len(text.splitlines()) - 1 - loops, loops)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_dump_triplets_holds_no_users_by_users_array(tmp_path, normalized):
+    # Every user sharing: the linked block is as large as the n x n form,
+    # which the dump reads a row at a time and never builds.
+    world = gen_synthetic(300, 400, 20, 5, 1, tmp_path / "world.tsv")
+    dataset = leave_one_out_split(load_interactions(world))
+    graph = normalize(build_user_graph(dataset, assign_privacy(dataset.num_users, 1.0, seed=1)))
+    square = dataset.num_users**2 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        dump_triplets(graph, tmp_path / "dump.tsv", normalized=normalized)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < square / 4, f"peak {peak} bytes; one n x n float64 array is {square}"
 
 
 # --- integration with the real loader --------------------------------------------
