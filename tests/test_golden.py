@@ -1,10 +1,12 @@
 """Golden traces: seconds-long `fedgraphrec run`s must write exactly the
 committed `rounds.csv` (bar `wall_time`) and `summary.csv`, and the `ablate`
-trace its `ablation.csv` and each variant's `summary.csv`. Seven run on the
-bundled file; `synth-2hop` and `synth-ldp` run on a small `gen-synth` world
-that the trace writes itself, `synth-ragged` on a `gen-synth` world cut
-so that users have different training counts, and `synth-sparse` on a world
-so sparse that most sharing users share no item with another sharing user.
+trace its `ablation.csv` and each variant's `summary.csv`. Eight run on the
+bundled file, `p0` among them: nobody shares, so there is no graph and
+round 1 serves the server's drawn private sum over n. `synth-2hop` and
+`synth-ldp` run on a small `gen-synth` world that the trace writes itself,
+`synth-ragged` on a `gen-synth` world cut so that users have different
+training counts, and `synth-sparse` on a world so sparse that most sharing
+users share no item with another sharing user.
 
 A change that moves any cell must declare why (summation order, dtype or
 sampler) and show the old and new values. Regenerate the traces with
@@ -27,6 +29,7 @@ GOLDEN = REPO / "tests" / "golden"
 BUNDLED = str(REPO / "data" / "synthetic-50.tsv")
 BASE = ["--eval-negatives", "49", "--rounds", "4", "--reps", "2", "--lr", "0.01", "--seed", "1"]
 TRACES = {
+    "p0": ["--public-ratio", "0"],
     "p50": ["--public-ratio", "0.5"],
     "p100-ldp": ["--public-ratio", "1.0", "--ldp-delta", "0.01"],
     "ablate-iei": ["--public-ratio", "0.5", "--ablate-iei"],
