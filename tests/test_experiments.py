@@ -38,6 +38,7 @@ from fedgraphrec.graph import build_user_graph
 from fedgraphrec.model import TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rngs
 from oracles import full_matrix
+from test_golden import RAGGED_WORLD, keep_ragged
 
 BUNDLED = str(Path(__file__).resolve().parents[1] / "data" / "synthetic-50.tsv")
 
@@ -698,18 +699,38 @@ def test_repeat_invocation_is_byte_identical(tmp_path):
     assert outputs[0][1] == outputs[1][1]
 
 
-def test_worker_pool_matches_sequential(tmp_path):
+@pytest.mark.parametrize("verb, world, files", [
+    ("run", "bundled", 3),
+    # the golden synth-ragged world and flags: users with 2 to 14 training
+    # items, so steps train chunks of clients that are not consecutive
+    ("run", "ragged", 3),
+    # four cells of two repetitions on one pool
+    ("sweep", "bundled", 13),
+], ids=["run", "run-ragged", "sweep"])
+def test_worker_pool_matches_sequential(tmp_path, verb, world, files):
+    # One worker and two spawned ones write the same CSV files, bar
+    # rounds.csv's wall_time.
+    dataset, extra = BUNDLED, {}
+    if world == "ragged":
+        dataset, extra = str(tmp_path / "ragged.tsv"), dict(batch_size=16, local_epochs=2)
+        assert cli.main(["gen-synth", *RAGGED_WORLD, "--out", dataset]) == 0
+        keep_ragged(Path(dataset))
     outputs = []
     for name, workers in (("seq", 1), ("par", 2)):
-        config = tiny_config(tmp_path, out=str(tmp_path / name), workers=workers)
-        execute_run(config)
+        config = tiny_config(tmp_path, dataset=dataset, out=str(tmp_path / name),
+                             workers=workers, **extra)
+        if verb == "sweep":
+            experiments.sweep(replace(config, rounds=1),
+                              [("alpha", [0.0, 0.5]), ("public_ratio", [0.5, 1.0])])
+        else:
+            execute_run(config)
         out = tmp_path / name / "t"
-        outputs.append(
-            (
-                (out / "summary.csv").read_bytes(),
-                [rounds_without_wall_time(out / f"rep{r}" / "rounds.csv") for r in range(2)],
-            )
-        )
+        outputs.append({
+            path.relative_to(out).as_posix():
+                rounds_without_wall_time(path) if path.name == "rounds.csv" else path.read_bytes()
+            for path in out.rglob("*.csv")
+        })
+    assert len(outputs[0]) == files
     assert outputs[0] == outputs[1]
 
 
