@@ -507,17 +507,27 @@ def _write_repetition(out_dir: Path, result: RepetitionResult) -> None:
     _atomic_write(rep_dir / "rounds.csv", _csv_text(ROUNDS_CSV_HEADER.split(","), rows))
 
 
+RUN_FILES = ("resolved_config.txt", "grid_search.csv", "summary.csv", "summary.txt",
+             "sweep.csv", "ablation.csv")
+
+
 def _clear_run_files(out_dir: Path) -> None:
-    """Remove from `out_dir` what an earlier run wrote there: the grid and
-    summary files, each `rep<r>/rounds.csv`, and each `rep<r>/` that leaves
-    empty. Nothing else in it is touched."""
-    for name in ("grid_search.csv", "summary.csv", "summary.txt"):
-        (out_dir / name).unlink(missing_ok=True)
-    for rounds in out_dir.glob("rep*/rounds.csv"):
-        if re.fullmatch(r"rep[0-9]+", rounds.parent.name):
-            rounds.unlink()
-            if not any(rounds.parent.iterdir()):
-                rounds.parent.rmdir()
+    """Remove from `out_dir`, and from each direct subdirectory that holds a
+    `resolved_config.txt` (an earlier cell), what an earlier run, sweep or
+    ablation wrote there: the `RUN_FILES`, each `rep<r>/rounds.csv`, and each
+    `rep<r>/` or cell directory that this leaves empty. Nothing else in them
+    is touched."""
+    cells = [path.parent for path in out_dir.glob("*/resolved_config.txt")]
+    for directory in [*cells, out_dir]:
+        for name in RUN_FILES:
+            (directory / name).unlink(missing_ok=True)
+        for rounds in directory.glob("rep*/rounds.csv"):
+            if re.fullmatch(r"rep[0-9]+", rounds.parent.name):
+                rounds.unlink()
+                if not any(rounds.parent.iterdir()):
+                    rounds.parent.rmdir()
+        if directory in cells and not any(directory.iterdir()):
+            directory.rmdir()
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -704,6 +714,7 @@ def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str
             raise ConfigError(f"cell {cell_config.label}: {exc}") from None
     base_dir = Path(config.out) / config.label
     base_dir.mkdir(parents=True, exist_ok=True)
+    _clear_run_files(base_dir)
     rows = []
     with _pool(min(config.workers, max(_at_once(c) for _lead, c in cells))) as pool:
         for lead, cell_config in cells:

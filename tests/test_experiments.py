@@ -674,6 +674,26 @@ def test_rerun_keeps_files_no_run_writes_and_a_failed_rerun_no_old_summary(
         "resolved_config.txt"]
 
 
+def test_sweep_into_a_label_leaves_only_its_own_cells(tmp_path):
+    config = tiny_config(tmp_path, rounds=1, reps=1)
+    experiments.sweep(config, [("alpha", [0.0, 0.5])])
+    out = tmp_path / "runs" / "t"
+    (out / "notes.txt").write_text("mine\n")
+    (out / "alpha=0" / "plot.png").write_bytes(b"")
+    before = sorted(out.rglob("*"))
+    # a sweep whose cell fails its checks stops before it removes anything
+    with pytest.raises(ConfigError, match="needs at least one sharing user"):
+        experiments.sweep(replace(config, global_from_public_only=True),
+                          [("public_ratio", [0.0])])
+    assert sorted(out.rglob("*")) == before
+    experiments.sweep(config, [("alpha", [0.3])])
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+        "alpha=0", "alpha=0.3", "alpha=0.3/rep0", "alpha=0.3/rep0/rounds.csv",
+        "alpha=0.3/resolved_config.txt", "alpha=0.3/summary.csv", "alpha=0.3/summary.txt",
+        "alpha=0/plot.png", "notes.txt", "sweep.csv"]
+    assert [row[0] for row in read_csv(out / "sweep.csv")[1:]] == ["0.3"]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_repetition_on_the_pool_is_named(tmp_path):
     # A rate this large overflows a local step within the first rounds.
