@@ -507,19 +507,16 @@ def _write_repetition(out_dir: Path, result: RepetitionResult) -> None:
     _atomic_write(rep_dir / "rounds.csv", _csv_text(ROUNDS_CSV_HEADER.split(","), rows))
 
 
-RUN_FILES = ("resolved_config.txt", "grid_search.csv", "summary.csv", "summary.txt",
-             "sweep.csv", "ablation.csv")
-
-
 def _clear_run_files(out_dir: Path) -> None:
     """Remove from `out_dir`, and from each direct subdirectory that holds a
-    `resolved_config.txt` (an earlier cell), what an earlier run, sweep or
-    ablation wrote there: the `RUN_FILES`, each `rep<r>/rounds.csv`, and each
-    `rep<r>/` or cell directory that this leaves empty. Nothing else in them
-    is touched."""
+    `resolved_config.txt` (an earlier cell), what a run, sweep or ablation
+    writes there: its config, grid, summary and cell-table files, each
+    `rep<r>/rounds.csv`, and each `rep<r>/` or cell directory that this
+    leaves empty. Nothing else in them is touched."""
     cells = [path.parent for path in out_dir.glob("*/resolved_config.txt")]
     for directory in [*cells, out_dir]:
-        for name in RUN_FILES:
+        for name in ("resolved_config.txt", "grid_search.csv", "summary.csv", "summary.txt",
+                     "sweep.csv", "ablation.csv"):
             (directory / name).unlink(missing_ok=True)
         for rounds in directory.glob("rep*/rounds.csv"):
             if re.fullmatch(r"rep[0-9]+", rounds.parent.name):
@@ -702,8 +699,8 @@ def _run_cells(config: ExperimentConfig, header: list[str], cells, csv_name: str
     fails at run time is recorded as `failed: ...` and the next one runs.
 
     No cell changes what `load_dataset` reads, so a dataset problem, or a
-    cell config that fails its checks, stops the command before any cell
-    runs."""
+    cell config that fails its checks, stops the command before an earlier
+    command's files are cleared and any cell runs."""
     config.validate()
     dataset = load_dataset(config)
     for _lead, cell_config in cells:
