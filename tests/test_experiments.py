@@ -674,7 +674,13 @@ def test_rerun_keeps_files_no_run_writes_and_a_failed_rerun_no_old_summary(
         "resolved_config.txt"]
 
 
-def test_sweep_into_a_label_leaves_only_its_own_cells(tmp_path):
+def cell_files(cell):
+    """What a one-repetition run at a fixed rate writes in cell directory `cell`."""
+    return [cell, f"{cell}/rep0", f"{cell}/rep0/rounds.csv", f"{cell}/resolved_config.txt",
+            f"{cell}/summary.csv", f"{cell}/summary.txt"]
+
+
+def test_sweep_or_ablation_into_a_label_leaves_only_its_own_cells(tmp_path):
     config = tiny_config(tmp_path, rounds=1, reps=1)
     experiments.sweep(config, [("alpha", [0.0, 0.5])])
     out = tmp_path / "runs" / "t"
@@ -686,12 +692,21 @@ def test_sweep_into_a_label_leaves_only_its_own_cells(tmp_path):
         experiments.sweep(replace(config, global_from_public_only=True),
                           [("public_ratio", [0.0])])
     assert sorted(out.rglob("*")) == before
+    kept = ["alpha=0", "alpha=0/plot.png", "notes.txt"]
+    swept = ["sweep.csv", *cell_files("alpha=0.3")]
+    ablated = ["ablation.csv", *(name for variant in ("full", "wo_IEI", "wo_UGC", "wo_U-PIE")
+                                 for name in cell_files(variant))]
+
+    def listing():
+        return sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+
     experiments.sweep(config, [("alpha", [0.3])])
-    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
-        "alpha=0", "alpha=0.3", "alpha=0.3/rep0", "alpha=0.3/rep0/rounds.csv",
-        "alpha=0.3/resolved_config.txt", "alpha=0.3/summary.csv", "alpha=0.3/summary.txt",
-        "alpha=0/plot.png", "notes.txt", "sweep.csv"]
+    assert listing() == sorted(kept + swept)
     assert [row[0] for row in read_csv(out / "sweep.csv")[1:]] == ["0.3"]
+    experiments.ablation_suite(config)
+    assert listing() == sorted(kept + ablated)
+    experiments.sweep(config, [("alpha", [0.3])])
+    assert listing() == sorted(kept + swept)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
