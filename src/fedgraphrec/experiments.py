@@ -29,7 +29,7 @@ from fedgraphrec.data import (
 from fedgraphrec.evaluation import evaluate_round
 from fedgraphrec.federation import FederationConfig, RoundRecord, run_federation
 from fedgraphrec.graph import build_user_graph, dump_triplets, normalize
-from fedgraphrec.model import ModelConfig, TrainingError
+from fedgraphrec.model import TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, SYNTH_SALT, derive_rng, derive_rngs
 
 log = logging.getLogger(__name__)
@@ -40,6 +40,11 @@ CLUSTER_BIAS = 0.8
 
 # config keys a sweep can vary; each axis parses and names itself as its key
 SWEEP_AXES = ("alpha", "public_ratio", "ldp_delta", "layers", "embed_dim", "lr")
+
+# round-loop name -> schema field, for the FederationConfig fields named apart
+# from their schema field (perfbench/traced.py reads them by these names)
+ROUND_LOOP_NAMES = {"gcn_layers": "layers", "ldp_scale": "ldp_delta", "disable_iei": "ablate_iei",
+                    "disable_ugc": "ablate_ugc", "disable_upie": "ablate_upie"}
 
 ABLATION_VARIANTS = (
     ("full", {}),
@@ -151,41 +156,25 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.lr = parse_learning_rate(self.lr)
+        self.mlp_hidden = tuple(self.mlp_hidden)
         for name in CONFIG_FIELDS:
             check_field(name, getattr(self, name))
         if not self.mlp_hidden or any(h < 1 for h in self.mlp_hidden):
             raise ConfigError(f"--mlp-hidden must be positive widths, got {self.mlp_hidden}")
         label = PurePath(self.label)
-        if not self.label or label.is_absolute() or ".." in label.parts:
-            raise ConfigError(f"--label must be a non-empty relative path without '..', "
-                              f"so the run's files stay inside --out; got {self.label!r}")
+        if not label.parts or label.is_absolute() or ".." in label.parts:
+            raise ConfigError(f"--label must name a directory strictly inside --out: a relative "
+                              f"path, not '.', without '..'; got {self.label!r}")
         if self.eval_negatives < self.k - 1:
             raise ConfigError(f"--eval-negatives must be >= --k - 1 ({self.k - 1}), got "
                               f"{self.eval_negatives}; raise --eval-negatives or lower --k")
 
     def to_federation_config(self, rep_seed: int, lr: float) -> FederationConfig:
-        model = ModelConfig(
-            embed_dim=self.embed_dim,
-            mlp_hidden=tuple(self.mlp_hidden),
-            learning_rate=lr,
-            local_epochs=self.local_epochs,
-            neg_ratio=self.neg_ratio,
-            batch_size=self.batch_size,
-            init_scale=self.init_scale,
-            clip_norm=self.clip_norm,
-        )
-        return FederationConfig(
-            rounds=self.rounds,
-            alpha=self.alpha,
-            gcn_layers=self.layers,
-            ldp_scale=self.ldp_delta,
-            disable_iei=self.ablate_iei,
-            disable_ugc=self.ablate_ugc,
-            disable_upie=self.ablate_upie,
-            global_from_public_only=self.global_from_public_only,
-            model=model,
-            seed=rep_seed,
-        )
+        """The repetition's round-loop record, filled from the schema by field name."""
+        shared = {f.name: getattr(self, ROUND_LOOP_NAMES.get(f.name, f.name))
+                  for f in dataclasses.fields(FederationConfig)
+                  if f.name not in ("seed", "learning_rate")}
+        return FederationConfig(**shared, seed=rep_seed, learning_rate=lr)
 
     def to_text(self) -> str:
         """Flat `key = value` provenance form; parses back via from_file."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from fedgraphrec.seeding import (
 
 
 @dataclass
-class FederationConfig:
-    """Knobs for the federated round loop; `ExperimentConfig.validate` checks them.
+class FederationConfig(ModelConfig):
+    """Every setting of a repetition's round loop, the client model's included;
+    `ExperimentConfig.to_federation_config` fills it, and `validate` checks it.
 
     The three ablation switches each remove one server-side mechanism:
     disable_iei skips distribution entirely (clients keep their own tables),
@@ -55,7 +56,6 @@ class FederationConfig:
     # Variant: compute the global table from sharing users' smoothed tables
     # only, instead of everyone's. Off by default.
     global_from_public_only: bool = False
-    model: ModelConfig = field(default_factory=ModelConfig)
     seed: int = 0
 
 
@@ -178,15 +178,15 @@ def run_federation(
     # With distribution ablated the server consumes nothing, so skip the
     # graph and the aggregation work entirely.
     serving = not config.disable_iei
-    clients = ClientStore.empty(n, m, config.model)
+    clients = ClientStore.empty(n, m, config)
     # Client u's stream is the one that seed (config.seed, u) names.
     for u, rng in enumerate(derive_rngs(config.seed, range(n), INIT_SALT)):
-        init_client(config.model, m, None, seed=rng, out=clients[u],
+        init_client(config, m, None, seed=rng, out=clients[u],
                     draw_items=not serving or tiers.is_public[u])
     num_private = n - tiers.num_public
     private_sum = None
     if serving and num_private and not config.global_from_public_only:
-        private_sum = private_init_sum(num_private, m, config.model, config.seed)
+        private_sum = private_init_sum(num_private, m, config, config.seed)
 
     graph: UserGraph | None = None
     if serving and not config.disable_ugc:
@@ -217,7 +217,7 @@ def run_federation(
 
         rngs = derive_rngs(config.seed, range(n), round_index, TRAIN_SALT)
         try:
-            reports = train_clients(clients, dataset, config.model, rngs)
+            reports = train_clients(clients, dataset, config, rngs)
         except (TrainingError, ValueError) as exc:
             raise TrainingError(f"round {round_index}: {exc}") from exc
         loss_sum = 0.0

@@ -46,7 +46,10 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class ModelConfig:
-    """Client model and local-training hyperparameters; `ExperimentConfig.validate` checks them."""
+    """Client model and local-training hyperparameters; `ExperimentConfig.validate` checks them.
+
+    A single client takes this part of `FederationConfig` alone; its defaults
+    are the schema's, and perfbench/test_checks.py builds `ModelConfig()`."""
 
     embed_dim: int = 32
     mlp_hidden: tuple[int, ...] = (32, 16)

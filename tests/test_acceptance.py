@@ -23,7 +23,6 @@ from fedgraphrec.experiments import (
 )
 from fedgraphrec.federation import distribute
 from fedgraphrec.graph import ServerState, build_user_graph, normalize, propagate
-from fedgraphrec.model import ModelConfig
 from oracles import (
     brute_adjacency,
     brute_normalized,

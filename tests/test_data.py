@@ -97,9 +97,12 @@ def test_load_rejects_empty_token(tmp_path):
 
 
 def test_load_rejects_empty_file(tmp_path):
-    path = write(tmp_path, "a.tsv", "")
-    with pytest.raises(DataFormatError, match="no interaction records"):
-        load_interactions(path)
+    # An empty file stops at the separator sniff; a header alone reaches the
+    # record count after the read loop.
+    for name, text in (("a.tsv", ""), ("a.csv", "user,item,rating\n")):
+        path = write(tmp_path, name, text)
+        with pytest.raises(DataFormatError, match="no interaction records"):
+            load_interactions(path)
 
 
 def test_duplicate_keeps_larger_timestamp(tmp_path):

@@ -291,7 +291,7 @@ def test_round_one_pass_matches_two_reference_passes():
         sample_eval_negatives(dataset, u, 49, derive_rng(1, u, EVAL_NEG_SALT))
         for u in range(dataset.num_users)
     ])
-    config = FederationConfig(rounds=3, model=ModelConfig(learning_rate=0.05), seed=1)
+    config = FederationConfig(rounds=3, learning_rate=0.05, seed=1)
     compared = []
 
     def hook(round_index, clients):

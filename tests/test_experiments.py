@@ -21,7 +21,9 @@ from fedgraphrec import cli, experiments
 from fedgraphrec.data import assign_privacy, leave_one_out_split, load_interactions
 from fedgraphrec.experiments import (
     ABLATION_VARIANTS,
+    CONFIG_FIELDS,
     GRID_LEARNING_RATES,
+    ROUND_LOOP_NAMES,
     ROUNDS_CSV_HEADER,
     ConfigError,
     ExperimentConfig,
@@ -34,8 +36,9 @@ from fedgraphrec.experiments import (
     run_repetition,
     select_learning_rate,
 )
+from fedgraphrec.federation import FederationConfig
 from fedgraphrec.graph import build_user_graph
-from fedgraphrec.model import TrainingError
+from fedgraphrec.model import ModelConfig, TrainingError
 from fedgraphrec.seeding import EVAL_NEG_SALT, derive_rngs
 from oracles import full_matrix
 from test_golden import RAGGED_WORLD, keep_ragged
@@ -217,7 +220,7 @@ def test_validate_rejects_bad_values():
             config.validate()
 
 
-@pytest.mark.parametrize("label", ["", "/abs", "/", "../up", "a/../b", ".."])
+@pytest.mark.parametrize("label", ["", ".", "./", "/abs", "/", "../up", "a/../b", ".."])
 def test_label_must_stay_inside_out(tmp_path, label):
     # An empty label once sent ablation and sweep cells to "/full" and the like.
     with pytest.raises(ConfigError, match="--label"):
@@ -240,7 +243,8 @@ def test_parse_learning_rate():
 
 
 def test_resolved_config_round_trips(tmp_path):
-    config = tiny_config(tmp_path, lr="grid", ablate_upie=True)
+    # A list of widths, as a script may pass, is written as a tuple is.
+    config = tiny_config(tmp_path, lr="grid", ablate_upie=True, mlp_hidden=[4, 2])
     path = tmp_path / "resolved.txt"
     path.write_text(config.to_text())
     rebuilt = build_config(file_path=path, env={})
@@ -284,6 +288,27 @@ def test_every_config_field_is_a_flag_a_key_and_round_trips(tmp_path, capsys):
     assert set(load_config_file(path)) == set(names)
     rebuilt = cli._config_from_args(cli.build_parser().parse_args(["run", "--config", str(path)]))
     assert rebuilt == config
+
+
+def test_every_round_loop_setting_comes_from_the_schema():
+    # Every record field but the repetition's seed and rate is filled from the
+    # schema field of its name, or of its ROUND_LOOP_NAMES entry; a field the
+    # fill skipped would keep its default, which no NON_DEFAULT value is.
+    record = ExperimentConfig(**NON_DEFAULT).to_federation_config(rep_seed=11, lr=0.2)
+    named = {"seed": 11, "learning_rate": 0.2}
+    for f in dataclasses.fields(FederationConfig):
+        value = getattr(record, f.name)
+        if f.name in named:
+            assert value == named[f.name]
+            continue
+        source = ROUND_LOOP_NAMES.get(f.name, f.name)
+        assert source in CONFIG_FIELDS, f.name
+        assert value == NON_DEFAULT[source] != CONFIG_FIELDS[source].default, f.name
+    # A single client's ModelConfig() keeps the schema's defaults.
+    defaults = ModelConfig()
+    for f in dataclasses.fields(ModelConfig):
+        if f.name != "learning_rate":
+            assert getattr(defaults, f.name) == CONFIG_FIELDS[f.name].default, f.name
 
 
 def test_negative_seed_has_one_message_on_every_path(tmp_path, monkeypatch, capsys):

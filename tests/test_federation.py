@@ -21,13 +21,13 @@ from fedgraphrec.seeding import LDP_SALT, PRIVATE_SUM_SALT, TRAIN_SALT, derive_r
 from oracles import dataset_from_train_sets, init_store, tiers_from_mask
 
 
-def small_model(**overrides):
+def small_config(**overrides):
     base = dict(
         embed_dim=3, mlp_hidden=(4,), learning_rate=0.05,
         neg_ratio=1, batch_size=8, init_scale=0.05,
     )
     base.update(overrides)
-    return ModelConfig(**base)
+    return FederationConfig(**base)
 
 
 def small_world(n=6, m=14, mask=None):
@@ -47,15 +47,15 @@ def init_tables(config, ds):
     """Every client's full initial item table, as init_client draws it; the
     loop draws only the sharing clients' (and every client's under
     disable_iei)."""
-    return init_store(config.model, ds.num_items, ds.num_users, config.seed).item_tables
+    return init_store(config, ds.num_items, ds.num_users, config.seed).item_tables
 
 
 def drawn_private_sum(config, ds, tiers):
     """The server's one draw of the non-sharing users' initial table sum."""
     num_private = int((~tiers.is_public).sum())
     rng = derive_rng(config.seed, PRIVATE_SUM_SALT)
-    scale = config.model.init_scale * np.sqrt(num_private)
-    return rng.standard_normal((ds.num_items, config.model.embed_dim)) * scale
+    scale = config.init_scale * np.sqrt(num_private)
+    return rng.standard_normal((ds.num_items, config.embed_dim)) * scale
 
 
 def first_global(config, ds, tiers, smoothed):
@@ -109,7 +109,7 @@ def test_all_private_round_is_plain_averaging():
     # system at that average.
     ds, _ = small_world()
     tiers = tiers_from_mask([False] * 6)
-    config = FederationConfig(rounds=2, alpha=0.3, model=small_model(learning_rate=0.0), seed=4)
+    config = small_config(rounds=2, alpha=0.3, learning_rate=0.0, seed=4)
     served = []
     run = run_federation(
         ds, tiers, config, eval_hook=lambda r, clients: served.append(clients.item_tables.copy())
@@ -135,7 +135,7 @@ def test_first_round_serves_blend_of_initial_tables():
     # server pipeline produces from the sharing users' initial tables and
     # the drawn private sum
     ds, tiers = small_world()
-    config = FederationConfig(rounds=1, alpha=0.4, model=small_model(learning_rate=0.0), seed=9)
+    config = small_config(rounds=1, alpha=0.4, learning_rate=0.0, seed=9)
     smoothed = propagate(normalize(build_user_graph(ds, tiers)), init_tables(config, ds))
     server = ServerState(smoothed, first_global(config, ds, tiers, smoothed))
     expected = distribute(server, tiers, 0.4)
@@ -148,9 +148,7 @@ def test_first_round_serves_blend_of_initial_tables():
 
 def test_smoothing_ablation_blends_raw_uploads():
     ds, tiers = small_world()
-    config = FederationConfig(
-        rounds=1, alpha=0.4, disable_ugc=True, model=small_model(learning_rate=0.0), seed=9
-    )
+    config = small_config(rounds=1, alpha=0.4, disable_ugc=True, learning_rate=0.0, seed=9)
     inits = init_tables(config, ds)
     expected = distribute(ServerState(inits, first_global(config, ds, tiers, inits)), tiers, 0.4)
     sink = []
@@ -161,9 +159,7 @@ def test_smoothing_ablation_blends_raw_uploads():
 
 def test_distribution_ablation_leaves_tables_local():
     ds, tiers = small_world()
-    config = FederationConfig(
-        rounds=2, disable_iei=True, model=small_model(learning_rate=0.0), seed=9
-    )
+    config = small_config(rounds=2, disable_iei=True, learning_rate=0.0, seed=9)
     inits = init_tables(config, ds)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
@@ -174,9 +170,7 @@ def test_distribution_ablation_leaves_tables_local():
 def test_personalization_ablation_serves_identical_tables():
     # Every client holds round 1's global table.
     ds, tiers = small_world()
-    config = FederationConfig(
-        rounds=1, disable_upie=True, model=small_model(learning_rate=0.0), seed=9
-    )
+    config = small_config(rounds=1, disable_upie=True, learning_rate=0.0, seed=9)
     smoothed = propagate(normalize(build_user_graph(ds, tiers)), init_tables(config, ds))
     expected = first_global(config, ds, tiers, smoothed)
     sink = []
@@ -187,9 +181,8 @@ def test_personalization_ablation_serves_identical_tables():
 
 def test_global_from_public_only_variant():
     ds, tiers = small_world()
-    config = FederationConfig(
-        rounds=1, alpha=0.0, global_from_public_only=True,
-        model=small_model(learning_rate=0.0), seed=9,
+    config = small_config(
+        rounds=1, alpha=0.0, global_from_public_only=True, learning_rate=0.0, seed=9
     )
     inits = init_tables(config, ds)
     graph = normalize(build_user_graph(ds, tiers))
@@ -261,7 +254,7 @@ def test_private_rows_are_not_read_before_round_one_installs(monkeypatch, switch
     switch = dict(switch)
     mask = None if switch.pop("share", True) else [False] * 6
     ds, tiers = small_world(mask=mask)
-    config = FederationConfig(rounds=2, ldp_scale=0.1, model=small_model(), seed=5, **switch)
+    config = small_config(rounds=2, ldp_scale=0.1, seed=5, **switch)
     clean = _run_outputs(ds, tiers, config)
     empty = mdl.ClientStore.empty
 
@@ -280,7 +273,7 @@ def test_private_rows_are_not_read_before_round_one_installs(monkeypatch, switch
 def test_private_sum_has_the_moments_of_a_sum_of_tables():
     # Over many seeds, N(0, s^2 * n_priv) entrywise: the mean and the
     # variance each lie within 5 standard errors.
-    config = small_model(embed_dim=4, init_scale=0.05)
+    config = small_config(embed_dim=4, init_scale=0.05)
     num_private = 7
     draws = np.stack([private_init_sum(num_private, 50, config, seed) for seed in range(200)])
     variance = num_private * config.init_scale**2
@@ -295,11 +288,11 @@ def test_clients_start_from_init_client_draws(monkeypatch):
     # step; non-sharing clients hold its user vector (their MLP draws
     # follow the user vector's, and they draw no item table).
     ds, tiers = small_world()
-    config = FederationConfig(rounds=1, model=small_model(), seed=7)
+    config = small_config(rounds=1, seed=7)
     snapshots = _store_at_first(monkeypatch, "server_update")
     run_federation(ds, tiers, config)
     user_vecs, tables, weights, biases = snapshots[0]
-    full = init_store(config.model, ds.num_items, ds.num_users, config.seed)
+    full = init_store(config, ds.num_items, ds.num_users, config.seed)
     for u in range(ds.num_users):
         np.testing.assert_array_equal(user_vecs[u], full.user_vecs[u])
         if tiers.is_public[u]:
@@ -315,10 +308,10 @@ def test_full_draws_match_init_store(monkeypatch, disable_iei, first_call):
     # Under disable_iei, and with every user sharing, every client draws
     # exactly what init_store draws.
     ds, tiers = small_world(mask=None if disable_iei else [True] * 6)
-    config = FederationConfig(rounds=1, disable_iei=disable_iei, model=small_model(), seed=7)
+    config = small_config(rounds=1, disable_iei=disable_iei, seed=7)
     snapshots = _store_at_first(monkeypatch, first_call)
     run_federation(ds, tiers, config)
-    full = init_store(config.model, ds.num_items, ds.num_users, config.seed)
+    full = init_store(config, ds.num_items, ds.num_users, config.seed)
     user_vecs, tables, weights, biases = snapshots[0]
     np.testing.assert_array_equal(user_vecs, full.user_vecs)
     np.testing.assert_array_equal(tables, full.item_tables)
@@ -333,14 +326,14 @@ def test_store_equals_per_client_init_from_tuple_seeds(monkeypatch, mask, disabl
     # hash; each client must hold what init_client(seed=(seed, u)) draws on
     # its own, with or without its item table.
     ds, tiers = small_world(mask=mask)
-    config = FederationConfig(rounds=1, disable_iei=disable_iei, model=small_model(), seed=9)
+    config = small_config(rounds=1, disable_iei=disable_iei, seed=9)
     snapshots = _store_at_first(monkeypatch, "train_clients" if disable_iei else "server_update")
     run_federation(ds, tiers, config)
     user_vecs, tables, weights, biases = snapshots[0]
     for u in range(ds.num_users):
         draw_items = disable_iei or bool(tiers.is_public[u])
-        row = mdl.ClientStore.empty(1, ds.num_items, config.model)[0]
-        want = mdl.init_client(config.model, ds.num_items, None, seed=(config.seed, u),
+        row = mdl.ClientStore.empty(1, ds.num_items, config)[0]
+        want = mdl.init_client(config, ds.num_items, None, seed=(config.seed, u),
                                out=row, draw_items=draw_items)
         np.testing.assert_array_equal(user_vecs[u], want.user_vec)
         for got, drawn in zip([*weights, *biases], [*want.weights, *want.biases], strict=True):
@@ -357,7 +350,7 @@ def test_run_is_deterministic():
     runs = []
     finals = []
     for _ in range(2):
-        config = FederationConfig(rounds=3, alpha=0.3, model=small_model(), seed=11)
+        config = small_config(rounds=3, alpha=0.3, seed=11)
         sink = []
         records = run_federation(ds, tiers, config, eval_hook=_capture(sink))
         runs.append([r.mean_train_loss for r in records])
@@ -372,7 +365,7 @@ def test_run_is_deterministic():
 
 def test_records_shape_and_hook_wiring():
     ds, tiers = small_world()
-    config = FederationConfig(rounds=3, model=small_model(), seed=2)
+    config = small_config(rounds=3, seed=2)
     seen = []
 
     def hook(round_index, clients):
@@ -391,7 +384,7 @@ def test_seed_changes_trajectory():
     ds, tiers = small_world()
     losses = []
     for seed in (1, 2):
-        config = FederationConfig(rounds=2, model=small_model(), seed=seed)
+        config = small_config(rounds=2, seed=seed)
         records = run_federation(ds, tiers, config)
         losses.append([r.mean_train_loss for r in records])
     assert losses[0] != losses[1]
@@ -484,7 +477,7 @@ def test_ldp_noise_perturbs_the_run():
     ds, tiers = small_world()
     finals = []
     for scale in (0.0, 0.5):
-        config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
+        config = small_config(rounds=2, ldp_scale=scale, seed=3)
         sink = []
         run_federation(ds, tiers, config, eval_hook=_capture(sink))
         finals.append(np.stack([c.item_table for c in sink[-1]]))
@@ -509,7 +502,7 @@ def test_ldp_generators_derived_only_with_noise(monkeypatch):
     derived = record_derive_rngs(monkeypatch)
     for scale in (0.0, 0.5):
         derived.clear()
-        config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
+        config = small_config(rounds=2, ldp_scale=scale, seed=3)
         run_federation(ds, tiers, config)
         ldp_keys = [key for key in derived if key[-1] == LDP_SALT]
         # Round 2's server step noises what round 1 trained; nothing reads the
@@ -521,7 +514,7 @@ def test_ldp_generators_derived_only_with_noise(monkeypatch):
 def test_training_generators_are_derived_per_round(monkeypatch):
     ds, tiers = small_world()
     derived = record_derive_rngs(monkeypatch)
-    run_federation(ds, tiers, FederationConfig(rounds=2, model=small_model(), seed=3))
+    run_federation(ds, tiers, small_config(rounds=2, seed=3))
     train_keys = [key for key in derived if key[-1] == TRAIN_SALT]
     assert train_keys == [(3, range(6), 1, TRAIN_SALT), (3, range(6), 2, TRAIN_SALT)]
 
@@ -533,7 +526,7 @@ def test_evaluation_reads_clean_tables():
     negatives = np.tile(np.arange(9, 12), (ds.num_users, 1))
     firsts = []
     for scale in (0.0, 0.5):
-        config = FederationConfig(rounds=2, ldp_scale=scale, model=small_model(), seed=3)
+        config = small_config(rounds=2, ldp_scale=scale, seed=3)
         tables = []
 
         def hook(round_index, clients):
@@ -554,7 +547,7 @@ def test_evaluation_reads_clean_tables():
 
 def test_clients_share_one_store():
     ds, tiers = small_world()
-    config = FederationConfig(rounds=2, model=small_model(), seed=6)
+    config = small_config(rounds=2, seed=6)
     sink = []
     run_federation(ds, tiers, config, eval_hook=_capture(sink))
     tables = [client.item_table for client in sink[-1]]
@@ -575,7 +568,7 @@ def test_run_keeps_one_table_store(share_every):
     ds.validation = [m - 2] * n
     ds.test = [m - 1] * n
     tiers = tiers_from_mask([u % share_every == 0 for u in range(n)])
-    config = FederationConfig(rounds=2, ldp_scale=0.1, model=small_model(embed_dim=d), seed=1)
+    config = small_config(rounds=2, ldp_scale=0.1, embed_dim=d, seed=1)
     tracemalloc.start()
     try:
         run_federation(ds, tiers, config)
@@ -624,7 +617,7 @@ def test_server_reads_training_items_of_sharing_users_only():
     calls = []
     original = ds.train_items
     ds.train_items = lambda u: (calls.append(u), original(u))[1]
-    config = FederationConfig(rounds=2, model=small_model(), seed=8)
+    config = small_config(rounds=2, seed=8)
     run_federation(ds, tiers, config)
     # One graph build for the whole run: each sharing user is read once.
     assert sorted(calls) == np.flatnonzero(tiers.is_public).tolist()
@@ -636,7 +629,7 @@ def test_server_reads_training_items_of_sharing_users_only():
 def test_training_failure_carries_round_context():
     ds, tiers = small_world()
     ds.train[2] = np.asarray([], dtype=np.int64)  # user 2 has nothing to train on
-    config = FederationConfig(rounds=1, model=small_model(), seed=8)
+    config = small_config(rounds=1, seed=8)
     with pytest.raises(TrainingError, match=r"round 1.*user 2"):
         run_federation(ds, tiers, config)
 
@@ -644,4 +637,4 @@ def test_training_failure_carries_round_context():
 def test_tier_count_mismatch():
     ds, _ = small_world()
     with pytest.raises(ValueError, match="users"):
-        run_federation(ds, tiers_from_mask([True]), FederationConfig(model=small_model()))
+        run_federation(ds, tiers_from_mask([True]), small_config())
